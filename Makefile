@@ -9,7 +9,7 @@
 # only, see .github/workflows/ci.yml).
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: verify build test vet lint lint-new lint-digests race stress fuzz vulncheck bench bench-sweep bench-compare bench-fabric fabric-test fabric-smoke test-tech
+.PHONY: verify build test vet lint lint-new lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
 
 verify: vet lint build test race
 
@@ -86,31 +86,15 @@ fuzz:
 vulncheck:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# bench runs the single-solve hot-path benchmark (BENCH_solve.json
-# tracks its before/after numbers; compare runs with
-# golang.org/x/perf/cmd/benchstat if available).
+# bench runs the single-solve hot-path micro-benchmark (compare runs
+# with golang.org/x/perf/cmd/benchstat if available). The recorded,
+# gated performance ledger is the end-to-end benchmark in bench/
+# (`bash bench/run.sh`, see bench/README.md).
 bench:
 	go test -run '^$$' -bench BenchmarkSolve -benchmem -count=5 .
 
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
-
-# bench-compare runs BenchmarkSolve pinned to one core and prints
-# per-spec deltas (median ns/op) against the latest recorded round in
-# BENCH_solve.json via cmd/benchcompare. Informational by default;
-# pass BENCH_MAX_REGRESS=1.25 to fail on a >25% regression.
-BENCH_COUNT ?= 3
-BENCH_MAX_REGRESS ?= 0
-bench-compare:
-	GOMAXPROCS=1 go test -run '^$$' -bench BenchmarkSolve -benchmem -count=$(BENCH_COUNT) . \
-		| go run ./cmd/benchcompare -file BENCH_solve.json -json -max-regress $(BENCH_MAX_REGRESS)
-
-# bench-fabric runs the distributed-sweep throughput benchmark
-# (points/s at 1/2/4 in-process workers, see BENCH_sweep.json) and
-# compares ns/op against the latest recorded round.
-bench-fabric:
-	GOMAXPROCS=1 go test -run '^$$' -bench BenchmarkSweepFabric -count=$(BENCH_COUNT) ./internal/fabric/ \
-		| go run ./cmd/benchcompare -file BENCH_sweep.json -json -max-regress $(BENCH_MAX_REGRESS)
 
 # fabric-test runs the sweep-fabric suite under the race detector:
 # the coordinator/ring/steal/reroute unit and chaos tests in

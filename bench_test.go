@@ -192,8 +192,8 @@ func BenchmarkSolverOptimize(b *testing.B) {
 	}
 }
 
-// solveSpecs are the representative single-solve workloads tracked in
-// BENCH_solve.json: an SRAM cache, a sequential-mode COMM-DRAM cache
+// solveSpecs are the representative single-solve workloads of
+// BenchmarkSolve: an SRAM cache, a sequential-mode COMM-DRAM cache
 // (the LLC study's configuration style) and a plain COMM-DRAM memory,
 // each at 45 and 32 nm.
 func solveSpecs() map[string]core.Spec {

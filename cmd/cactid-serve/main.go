@@ -72,7 +72,6 @@ func main() {
 	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "largest accepted sweep grid")
 	flag.IntVar(&cfg.cacheBound, "cache-entries", 0, "result-cache entry bound with LRU eviction (-1 = unbounded, 0 = default 16384)")
 	flag.IntVar(&cfg.workers, "workers", 0, "solver pool size (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.noBound, "no-bound", false, "disable branch-and-bound solver pruning (A/B escape hatch; identical results, slower solves)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (loopback clients only)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result-store directory: solved specs persist across restarts and interrupted sweep jobs resume (empty = in-memory only)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "sweep-job checkpoint granularity in grid points (0 = default 32)")

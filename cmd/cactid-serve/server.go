@@ -31,7 +31,6 @@ type config struct {
 	maxPoints   int           // largest accepted sweep grid
 	cacheBound  int           // result-cache entry bound (-1 = unbounded, 0 = default)
 	workers     int           // solver pool size (0 = GOMAXPROCS)
-	noBound     bool          // disable branch-and-bound pruning (A/B escape hatch)
 	pprof       bool          // expose net/http/pprof under /debug/pprof/
 	storeDir    string        // durable result-store directory ("" = in-memory only)
 
@@ -204,7 +203,7 @@ func newServer(cfg config) (*server, error) {
 		tier1 = store.NewSolutions(st)
 	}
 	s := &server{
-		eng: explore.New(explore.Options{Workers: cfg.workers, NoBound: cfg.noBound,
+		eng: explore.New(explore.Options{Workers: cfg.workers,
 			Solver: cfg.solver, CacheEntries: cfg.cacheBound, Chaos: cfg.chaos, Tier1: tier1}),
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.maxInFlight),
@@ -823,7 +822,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"skipped_records":   ss.SkippedRecords,
 			"truncated_bytes":   ss.TruncatedBytes,
 			"corrupt_reads":     ss.CorruptReads,
-			"index_flushes":     ss.IndexFlushes,
 			"get_faults":        ss.GetFaults,
 			"put_faults":        ss.PutFaults,
 			"recover_faults":    ss.RecoverFaults,

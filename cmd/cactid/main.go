@@ -63,7 +63,6 @@ func main() {
 		burst     = flag.Int("burst", 8, "chip: burst length")
 		rate      = flag.Float64("rate", 1066, "chip: data rate in MT/s")
 		idd       = flag.Bool("idd", false, "chip: also print the datasheet-style IDD report")
-		noBound   = flag.Bool("no-bound", false, "disable branch-and-bound solver pruning (A/B escape hatch; identical results, slower)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -136,7 +135,7 @@ func main() {
 		}
 		return
 	}
-	sol, err := core.OptimizeContext(context.Background(), spec, &core.Options{NoBound: *noBound})
+	sol, err := core.OptimizeContext(context.Background(), spec, nil)
 	if err != nil {
 		fatal(err)
 	}

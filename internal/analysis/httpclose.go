@@ -2,21 +2,16 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // HTTPClose guards the fabric client and example paths against the
-// two classic HTTP-client leaks:
-//
-//  1. an *http.Response whose Body is never closed in the function
-//     that obtained it (and which does not escape to a caller or
-//     callee that could close it) — each one pins a connection, and
-//     under the fabric's retry/reroute traffic the pool starves;
-//  2. a context.CancelFunc that is discarded (assigned to _) or never
-//     used — the derived context's resources are held until the
-//     parent dies, which for the coordinator's long-lived root
-//     context is effectively forever.
+// classic HTTP-client leak: an *http.Response whose Body is never
+// closed in the function that obtained it (and which does not escape
+// to a caller or callee that could close it) — each one pins a
+// connection, and under the fabric's retry/reroute traffic the pool
+// starves. (A dropped context.CancelFunc, the other classic leak, is
+// go vet's lostcancel check.)
 //
 // The escape analysis is deliberately coarse and errs quiet: a
 // response that is returned, stored, or passed to any function is
@@ -24,7 +19,7 @@ import (
 // with no possible closer.
 var HTTPClose = &Analyzer{
 	Name: "httpclose",
-	Doc:  "flags http.Response bodies never closed in the obtaining function and dropped context.CancelFuncs",
+	Doc:  "flags http.Response bodies never closed in the obtaining function",
 	Run:  runHTTPClose,
 }
 
@@ -53,8 +48,7 @@ func checkHTTPCloseBody(pass *Pass, body *ast.BlockStmt) {
 	var resps []*respVar
 	byObj := map[types.Object]*respVar{}
 
-	// Pass 1: collect response-producing assignments and dropped
-	// cancel funcs.
+	// Pass 1: collect response-producing assignments.
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -77,42 +71,6 @@ func checkHTTPCloseBody(pass *Pass, body *ast.BlockStmt) {
 						}
 					}
 				}
-			}
-		}
-		// _, _ = context.WithCancel(...) forms: a blank CancelFunc can
-		// never be called.
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name != "_" {
-				continue
-			}
-			if isCancelFuncAt(pass, as, i) {
-				pass.Report(lhs.Pos(), "context.CancelFunc discarded; the derived context leaks until its parent is done — call it (usually via defer)")
-			}
-		}
-		return true
-	})
-
-	// Cancel funcs bound to a named variable but never used.
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		if as.Tok != token.DEFINE {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" || !isCancelFuncAt(pass, as, i) {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil {
-				continue
-			}
-			if !identUsedIn(pass, body, obj, id) {
-				pass.Report(id.Pos(), "context.CancelFunc %s is never used; the derived context leaks until its parent is done — call it (usually via defer)", id.Name)
 			}
 		}
 		return true
@@ -195,44 +153,4 @@ func isHTTPResponsePtr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Response"
-}
-
-// isCancelFuncAt reports whether position i of the assignment's
-// value(s) has type context.CancelFunc.
-func isCancelFuncAt(pass *Pass, as *ast.AssignStmt, i int) bool {
-	var t types.Type
-	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		rt := pass.TypesInfo.TypeOf(as.Rhs[0])
-		tup, ok := rt.(*types.Tuple)
-		if !ok || i >= tup.Len() {
-			return false
-		}
-		t = tup.At(i).Type()
-	} else if i < len(as.Rhs) {
-		t = pass.TypesInfo.TypeOf(as.Rhs[i])
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "CancelFunc"
-}
-
-// identUsedIn reports whether obj is referenced anywhere in body
-// besides its defining identifier.
-func identUsedIn(pass *Pass, body *ast.BlockStmt, obj types.Object, def *ast.Ident) bool {
-	used := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id == def {
-			return true
-		}
-		if pass.TypesInfo.Uses[id] == obj {
-			used = true
-			return false
-		}
-		return true
-	})
-	return used
 }

@@ -1,9 +1,8 @@
-// Fixture for httpclose: unclosed response bodies, escaping
-// responses (assumed closed elsewhere), and dropped CancelFuncs.
+// Fixture for httpclose: unclosed response bodies and escaping
+// responses (assumed closed elsewhere).
 package fixture
 
 import (
-	"context"
 	"io"
 	"net/http"
 )
@@ -50,19 +49,8 @@ func inClosure(c *http.Client, req *http.Request) func() error {
 	}
 }
 
-func dropsCancel(ctx context.Context) context.Context {
-	ctx2, _ := context.WithCancel(ctx) // want "CancelFunc discarded"
-	return ctx2
-}
-
-func keepsCancel(ctx context.Context) {
-	ctx2, cancel := context.WithCancel(ctx)
-	defer cancel()
-	_ = ctx2
-}
-
-func suppressedDrop(ctx context.Context) context.Context {
-	//lint:ignore httpclose fixture: cancellation owned by the caller's context tree
-	ctx2, _ := context.WithCancel(ctx)
-	return ctx2
+func suppressedLeak(c *http.Client, req *http.Request) int {
+	//lint:ignore httpclose fixture: the transport is discarded with the client
+	resp, _ := c.Do(req)
+	return resp.StatusCode
 }

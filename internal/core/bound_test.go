@@ -64,8 +64,9 @@ func TestBoundedFilterOutputIdentical(t *testing.T) {
 	}
 }
 
-// Optimize with the NoBound escape hatch must return the identical
-// chosen solution, and its stats must show the bound buckets empty.
+// The bounded Optimize must return the identical chosen solution as
+// the staged filter over the exhaustive enumeration, whose stats must
+// show the bound buckets empty.
 func TestOptimizeNoBoundIdentical(t *testing.T) {
 	ctx := context.Background()
 	for name, spec := range equivalenceSpecs() {
@@ -74,15 +75,19 @@ func TestOptimizeNoBoundIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		unbounded, err := OptimizeContext(ctx, spec, &Options{NoBound: true, Stats: &stU})
+		all, err := ExploreContext(ctx, spec, &Options{Stats: &stU})
 		if err != nil {
-			t.Fatalf("%s: no-bound: %v", name, err)
+			t.Fatalf("%s: exhaustive: %v", name, err)
 		}
-		if !reflect.DeepEqual(bounded, unbounded) {
-			t.Fatalf("%s: NoBound changed the chosen solution", name)
+		filtered := Filter(spec, all)
+		if len(filtered) == 0 {
+			t.Fatalf("%s: exhaustive enumeration has no solution", name)
+		}
+		if !reflect.DeepEqual(bounded, filtered[0]) {
+			t.Fatalf("%s: bound pruning changed the chosen solution", name)
 		}
 		if n := stU.Total(); n.PrunedBoundShard+n.PrunedBoundPoint != 0 {
-			t.Errorf("%s: NoBound run still bound-pruned: %+v", name, n)
+			t.Errorf("%s: exhaustive run bound-pruned: %+v", name, n)
 		}
 		if total := stB.Total(); total.Considered != total.PrunedTotal()+total.Built+total.BuildErrors {
 			t.Errorf("%s: bounded accounting invariant broken: %+v", name, total)

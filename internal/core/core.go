@@ -318,13 +318,6 @@ type Options struct {
 	// Stats, when non-nil, receives the enumeration coverage counters
 	// of the solve (data and tag arrays separately).
 	Stats *SolveStats
-
-	// NoBound disables the branch-and-bound enumeration pruning in
-	// Optimize (the A/B escape hatch): every feasible organization is
-	// circuit-modeled, as in ExploreContext. The chosen solution is
-	// byte-identical either way; only the Stats prune buckets and the
-	// runtime differ.
-	NoBound bool
 }
 
 // SolveStats audits one Explore/Optimize call: how many organizations
@@ -348,8 +341,6 @@ func (o *Options) workers() int {
 	}
 	return o.Workers
 }
-
-func (o *Options) noBound() bool { return o != nil && o.NoBound }
 
 // Explore enumerates every feasible solution for spec, without
 // applying the optimization constraints. The returned slice is sorted
@@ -418,26 +409,18 @@ func Optimize(spec Spec) (*Solution, error) {
 
 // OptimizeContext is Optimize with cancellation and solver options
 // (opts may be nil). The worker count never changes the result, and
-// neither does the branch-and-bound pruning (see Options.NoBound):
-// the bounded path provably discards only organizations the staged
-// filter could never keep (DESIGN.md §1.2e), falling back to the full
-// enumeration whenever its preconditions do not hold.
+// neither does the branch-and-bound pruning: the bounded path provably
+// discards only organizations the staged filter could never keep
+// (DESIGN.md §1.2e), falling back to the full enumeration
+// (ExploreContext) whenever its preconditions do not hold. The chosen
+// solution is byte-identical to Filter(spec, ExploreContext(...))[0].
 func OptimizeContext(ctx context.Context, spec Spec, opts *Options) (*Solution, error) {
-	var sols []*Solution
-	var err error
-	if !opts.noBound() {
-		var ok bool
-		sols, ok, err = exploreBounded(ctx, spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			sols = nil
-		}
+	sols, ok, err := exploreBounded(ctx, spec, opts)
+	if err != nil {
+		return nil, err
 	}
-	if sols == nil {
-		sols, err = ExploreContext(ctx, spec, opts)
-		if err != nil {
+	if !ok || sols == nil {
+		if sols, err = ExploreContext(ctx, spec, opts); err != nil {
 			return nil, err
 		}
 	}

@@ -30,11 +30,6 @@ type Options struct {
 	// onto the same GOMAXPROCS threads, so the default is safe for
 	// both single solves and wide sweeps.
 	SolverWorkers int
-	// NoBound disables the solver's branch-and-bound enumeration
-	// pruning (core.Options.NoBound) — the A/B escape hatch. Solutions
-	// are byte-identical either way; only the prune counters and the
-	// per-solve runtime differ.
-	NoBound bool
 	// Cache lets several engines share one result cache; nil makes a
 	// private one.
 	Cache *Cache
@@ -97,11 +92,10 @@ func New(opts Options) *Engine {
 	}
 	if e.solver == nil {
 		solverWorkers := opts.SolverWorkers
-		noBound := opts.NoBound
 		e.solver = func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
 			var st core.SolveStats
 			sol, err := core.OptimizeContext(ctx, spec,
-				&core.Options{Workers: solverWorkers, Stats: &st, NoBound: noBound})
+				&core.Options{Workers: solverWorkers, Stats: &st})
 			total := st.Total()
 			e.orgsConsidered.Add(total.Considered)
 			e.orgsPruned.Add(total.PrunedTotal())
@@ -334,8 +328,8 @@ type Stats struct {
 	OrgsPruned     int64 `json:"orgs_pruned"`
 	OrgsBuilt      int64 `json:"orgs_built"`
 	// OrgsPrunedBound is the subset of OrgsPruned discarded by the
-	// branch-and-bound tiers (zero when NoBound is set or the bounded
-	// path never applied).
+	// branch-and-bound tiers (zero when the bounded path never
+	// applied).
 	OrgsPrunedBound int64 `json:"orgs_pruned_bound"`
 }
 

@@ -8,32 +8,27 @@ import (
 	"testing"
 )
 
-// FuzzStoreRecover feeds arbitrary segment and index bytes to Open
-// and asserts the two recovery invariants: never panic, and never
-// serve a record that fails validation. The checked-in corpus
+// FuzzStoreRecover feeds arbitrary segment bytes to Open and asserts
+// the two recovery invariants: never panic, and never serve a record
+// that fails validation. The checked-in corpus
 // (testdata/fuzz/FuzzStoreRecover) pins the interesting shapes: a
-// torn tail, a flipped payload checksum, a duplicate key, a valid
-// snapshot, and a snapshot whose CRC lies.
+// torn tail, a flipped payload checksum, a duplicate key, and a
+// garbage header.
 func FuzzStoreRecover(f *testing.F) {
 	valid := append([]byte(segMagic), encodeRecord("key-a", []byte("val-a"))...)
 	valid = append(valid, encodeRecord("key-b", []byte("val-b"))...)
-	f.Add([]byte{}, []byte{})
-	f.Add(valid, []byte{})
-	f.Add(valid[:len(valid)-3], []byte{}) // torn tail
-	f.Add([]byte(segMagic), []byte(indexMagic))
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn tail
+	f.Add([]byte(segMagic))     // header only
 	flipped := append([]byte(nil), valid...)
 	flipped[len(segMagic)+recHeaderLen+2] ^= 0x40 // corrupt first key byte
-	f.Add(flipped, []byte{})
+	f.Add(flipped)
 
-	f.Fuzz(func(t *testing.T, segBytes, idxBytes []byte) {
+	f.Fuzz(func(t *testing.T, segBytes []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000001.log"), segBytes, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if len(idxBytes) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, indexName), idxBytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 		s, err := Open(Config{Dir: dir})
 		if err != nil {

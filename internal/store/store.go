@@ -4,16 +4,17 @@
 // share completed solves instead of redoing them.
 //
 // Layout: append-only log segments (seg-NNNNNNNN.log) of checksummed
-// records plus a checksummed index snapshot ("index") written with an
-// atomic tmp-file rename. Every record carries a CRC32 over its key
+// records and nothing else. Every record carries a CRC32 over its key
 // and payload, verified again on every read — the store never serves
 // a corrupt record; it reports a miss instead.
 //
-// Recovery (Open) is corruption-tolerant by contract: a torn tail is
-// truncated, a record with a bad checksum but a plausible frame is
-// skipped, an invalid index is discarded and rebuilt by rescanning
-// the log. Recovery never fails on corrupt bytes — only on
-// environmental errors (unreadable directory, permissions).
+// Recovery (Open) scans every segment in order and rebuilds the
+// in-memory index, last write winning; its cost is linear in the
+// bytes on disk. It is corruption-tolerant by contract: a torn tail is
+// truncated and a record with a bad checksum but a plausible frame is
+// skipped. Recovery never fails on corrupt bytes — only on
+// environmental errors (unreadable directory, permissions). Other
+// files in the directory are ignored.
 package store
 
 import (
@@ -33,9 +34,7 @@ import (
 )
 
 const (
-	segMagic   = "CDSEG001" // first 8 bytes of every segment file
-	indexMagic = "CDIDX001" // first 8 bytes of the index snapshot
-	indexName  = "index"
+	segMagic = "CDSEG001" // first 8 bytes of every segment file
 
 	recHeaderLen = 12      // keyLen u32 | valLen u32 | crc32(key||val) u32
 	maxKeyLen    = 1 << 12 // frames beyond these bounds are treated as garbage
@@ -52,14 +51,6 @@ type Config struct {
 	// SegmentBytes rotates the active log segment once it grows past
 	// this size; 0 means 4 MiB.
 	SegmentBytes int64
-	// FlushEvery writes an index snapshot after this many puts (the
-	// snapshot is also written on rotation and Close); 0 means 128.
-	// Recovery works without a snapshot — it only bounds rescan work.
-	FlushEvery int
-	// SyncEvery fsyncs the active segment after this many puts; 0
-	// means sync only on rotation, Flush and Close. Crash safety does
-	// not depend on it: an unsynced tail is recovered as torn.
-	SyncEvery int
 	// Chaos arms the store.get / store.put / store.recover injection
 	// points; nil disables injection.
 	Chaos *chaos.Injector
@@ -75,15 +66,9 @@ type recordLoc struct {
 // Store is the disk-backed key/value result store. All methods are
 // safe for concurrent use.
 type Store struct {
-	dir        string
-	segBytes   int64
-	flushEvery int
-	syncEvery  int
-	chaos      *chaos.Injector // nil = no fault injection
-
-	// flushMu serializes index-snapshot writers so a newer snapshot
-	// is never overwritten by a slower older one.
-	flushMu sync.Mutex
+	dir      string
+	segBytes int64
+	chaos    *chaos.Injector // nil = no fault injection
 
 	mu        sync.RWMutex
 	index     map[string]recordLoc // guarded by mu
@@ -91,8 +76,6 @@ type Store struct {
 	active    *os.File             // guarded by mu; append handle of the newest segment
 	activeSeg int                  // guarded by mu
 	activeOff int64                // guarded by mu; next append offset
-	dirtyPuts int                  // guarded by mu; puts since the last index flush
-	syncPuts  int                  // guarded by mu; puts since the last fsync
 	closed    bool                 // guarded by mu
 
 	gets          atomic.Int64
@@ -102,7 +85,6 @@ type Store struct {
 	recovered     atomic.Int64 // records replayed from segment logs during Open
 	skipped       atomic.Int64 // records discarded during recovery (bad checksum, lost tail)
 	truncated     atomic.Int64 // bytes cut off torn segment tails during Open
-	indexFlushes  atomic.Int64
 	getFaults     atomic.Int64 // chaos-injected read faults absorbed as misses
 	putFaults     atomic.Int64 // chaos-injected write faults (record dropped)
 	recoverFaults atomic.Int64 // chaos-injected recovery faults (absorbed)
@@ -120,8 +102,7 @@ type recoverState struct {
 }
 
 // Open opens (or creates) the store in cfg.Dir and recovers its
-// contents: load the index snapshot if it is intact, then replay any
-// log records the snapshot does not cover, truncating torn tails and
+// contents by replaying every segment log, truncating torn tails and
 // skipping corrupt records. Open fails only on environmental errors,
 // never on corrupt store bytes.
 func Open(cfg Config) (*Store, error) {
@@ -131,19 +112,10 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 4 << 20
 	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 128
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:        cfg.Dir,
-		segBytes:   cfg.SegmentBytes,
-		flushEvery: cfg.FlushEvery,
-		syncEvery:  cfg.SyncEvery,
-		chaos:      cfg.Chaos,
-	}
+	s := &Store{dir: cfg.Dir, segBytes: cfg.SegmentBytes, chaos: cfg.Chaos}
 	if err := s.chaos.Inject(context.Background(), chaos.StoreRecover); err != nil {
 		// Recovery faults are absorbed by contract: Open must always
 		// yield a usable store, so an injected fault is only counted.
@@ -163,9 +135,6 @@ func Open(cfg Config) (*Store, error) {
 	s.activeSeg = st.activeSeg
 	s.activeOff = st.activeOff
 	s.mu.Unlock()
-	// Re-snapshot after recovery so the next Open skips the rescan
-	// even if this process dies without a clean Close. Best effort.
-	s.flushIndex()
 	return s, nil
 }
 
@@ -218,7 +187,6 @@ func (s *Store) recoverDir() (recoverState, error) {
 	sort.Ints(segNums)
 
 	if len(segNums) == 0 {
-		// Fresh store: any index snapshot is stale by definition.
 		f, off, err := createSegment(s.segPath(1))
 		if err != nil {
 			return st, err
@@ -229,29 +197,12 @@ func (s *Store) recoverDir() (recoverState, error) {
 		return st, nil
 	}
 
-	idx, frontierSeg, frontierOff, idxOK := loadIndex(filepath.Join(s.dir, indexName))
-
-	sizes := make(map[int]int64, len(segNums))
+	// Segments replay in number order, so a key rewritten in a later
+	// segment supersedes its earlier record: last write wins.
+	var lastSize int64
 	for _, n := range segNums {
-		size, err := s.recoverSegment(&st, n, frontierSeg, frontierOff, idxOK)
-		if err != nil {
+		if lastSize, err = s.recoverSegment(&st, n); err != nil {
 			return st, err
-		}
-		sizes[n] = size
-	}
-	if idxOK {
-		// Adopt snapshot entries whose frames still exist on disk; a
-		// crash can persist the snapshot yet lose an unsynced segment
-		// tail it refers to.
-		for _, key := range sortedKeys(idx) {
-			loc := idx[key]
-			if size, ok := sizes[loc.seg]; !ok || loc.off+int64(loc.n) > size {
-				s.skipped.Add(1)
-				continue
-			}
-			if _, replayed := st.index[key]; !replayed {
-				st.index[key] = loc
-			}
 		}
 	}
 	// The newest segment becomes the append target: reopen it
@@ -264,30 +215,19 @@ func (s *Store) recoverDir() (recoverState, error) {
 	if err != nil {
 		return st, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Seek(sizes[last], 0); err != nil {
+	if _, err := f.Seek(lastSize, 0); err != nil {
 		f.Close()
 		return st, fmt.Errorf("store: %w", err)
 	}
-	st.active, st.activeSeg, st.activeOff = f, last, sizes[last]
+	st.active, st.activeSeg, st.activeOff = f, last, lastSize
 	st.segs[last] = f
 	return st, nil
 }
 
-// sortedKeys returns the map's keys in sorted order, for
-// deterministic recovery and snapshot layout.
-func sortedKeys(m map[string]recordLoc) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// recoverSegment opens segment n for reading, replays the records the
-// index snapshot does not cover, truncates a torn tail, and returns
-// the segment's post-truncation size.
-func (s *Store) recoverSegment(st *recoverState, n, frontierSeg int, frontierOff int64, idxOK bool) (int64, error) {
+// recoverSegment opens segment n for reading, replays its records,
+// truncates a torn tail, and returns the segment's post-truncation
+// size.
+func (s *Store) recoverSegment(st *recoverState, n int) (int64, error) {
 	path := s.segPath(n)
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -295,16 +235,7 @@ func (s *Store) recoverSegment(st *recoverState, n, frontierSeg int, frontierOff
 	}
 	goodEnd := int64(0)
 	if len(buf) >= len(segMagic) && string(buf[:len(segMagic)]) == segMagic {
-		start := int64(len(segMagic))
-		if idxOK {
-			switch {
-			case n < frontierSeg:
-				start = int64(len(buf)) // fully covered by the snapshot
-			case n == frontierSeg && frontierOff <= int64(len(buf)):
-				start = frontierOff
-			}
-		}
-		goodEnd = s.scanRecords(st, buf, n, start)
+		goodEnd = s.scanRecords(st, buf, n)
 	}
 	// An unrecognizable header leaves goodEnd at 0: the whole file is
 	// torn and gets rewritten as an empty segment below.
@@ -329,19 +260,19 @@ func (s *Store) recoverSegment(st *recoverState, n, frontierSeg int, frontierOff
 	return goodEnd, nil
 }
 
-// scanRecords replays records from buf[start:] into the index being
-// rebuilt and returns the offset of the first byte that does not
-// belong to a fully intact or cleanly skippable record — the
+// scanRecords replays the records after the segment header into the
+// index being rebuilt and returns the offset of the first byte that
+// does not belong to a fully intact or cleanly skippable record — the
 // truncation point. A record with a plausible frame but a failing
 // checksum is skipped: frame lengths sit outside the checksummed
 // region, so a corrupted frame can cause a bounded garbage walk, and
 // every candidate is re-validated until the first implausible frame.
-func (s *Store) scanRecords(st *recoverState, buf []byte, seg int, start int64) int64 {
-	off := start
+func (s *Store) scanRecords(st *recoverState, buf []byte, seg int) int64 {
+	off := int64(len(segMagic))
 	for {
 		rem := int64(len(buf)) - off
 		if rem <= 0 {
-			return int64(len(buf)) // clean end (or frontier past the data)
+			return int64(len(buf)) // clean end
 		}
 		if rem < recHeaderLen {
 			return off // torn header
@@ -460,7 +391,6 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 		return err
 	}
 	rec := encodeRecord(key, val)
-	needFlush := false
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -478,7 +408,6 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 		s.active, s.activeOff = f, off
 		s.segs[s.activeSeg] = f
 		s.diskBytes.Add(off)
-		needFlush = true
 	}
 	off := s.activeOff
 	if _, err := s.active.Write(rec); err != nil {
@@ -493,138 +422,9 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 	s.activeOff += int64(len(rec))
 	s.index[key] = recordLoc{seg: s.activeSeg, off: off, n: len(rec)}
 	s.diskBytes.Add(int64(len(rec)))
-	s.dirtyPuts++
-	s.syncPuts++
-	if s.syncEvery > 0 && s.syncPuts >= s.syncEvery {
-		s.syncPuts = 0
-		s.active.Sync()
-	}
-	if s.dirtyPuts >= s.flushEvery {
-		s.dirtyPuts = 0
-		needFlush = true
-	}
 	s.mu.Unlock()
 	s.puts.Add(1)
-	if needFlush {
-		s.flushIndex()
-	}
 	return nil
-}
-
-// indexSnapshot is a consistent view of the index for serialization.
-type indexSnapshot struct {
-	keys        []string
-	locs        map[string]recordLoc
-	frontierSeg int
-	frontierOff int64
-}
-
-// flushIndex writes an index snapshot: tmp file, fsync, atomic
-// rename. The snapshot records the (segment, offset) frontier; Open
-// replays only log records past it. Failures are swallowed — the
-// snapshot is a rescan optimization, not a durability requirement.
-func (s *Store) flushIndex() {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return
-	}
-	snap := indexSnapshot{
-		keys:        sortedKeys(s.index),
-		locs:        make(map[string]recordLoc, len(s.index)),
-		frontierSeg: s.activeSeg,
-		frontierOff: s.activeOff,
-	}
-	for k, loc := range s.index {
-		snap.locs[k] = loc
-	}
-	s.mu.RUnlock()
-
-	buf := []byte(indexMagic)
-	var tmp [20]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(snap.frontierSeg))
-	binary.LittleEndian.PutUint64(tmp[4:], uint64(snap.frontierOff))
-	binary.LittleEndian.PutUint32(tmp[12:], uint32(len(snap.keys)))
-	buf = append(buf, tmp[:16]...)
-	for _, k := range snap.keys {
-		loc := snap.locs[k]
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(len(k)))
-		buf = append(buf, tmp[:4]...)
-		buf = append(buf, k...)
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(loc.seg))
-		binary.LittleEndian.PutUint64(tmp[4:], uint64(loc.off))
-		binary.LittleEndian.PutUint32(tmp[12:], uint32(loc.n))
-		buf = append(buf, tmp[:16]...)
-	}
-	binary.LittleEndian.PutUint32(tmp[0:], crc32.ChecksumIEEE(buf))
-	buf = append(buf, tmp[:4]...)
-
-	tmpPath := filepath.Join(s.dir, indexName+".tmp")
-	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return
-	}
-	_, werr := f.Write(buf)
-	serr := f.Sync()
-	cerr := f.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmpPath)
-		return
-	}
-	if os.Rename(tmpPath, filepath.Join(s.dir, indexName)) == nil {
-		s.indexFlushes.Add(1)
-	}
-}
-
-// loadIndex reads and validates an index snapshot. ok=false on any
-// structural or checksum problem — the caller falls back to a full
-// log rescan.
-func loadIndex(path string) (idx map[string]recordLoc, frontierSeg int, frontierOff int64, ok bool) {
-	buf, err := os.ReadFile(path)
-	if err != nil || len(buf) < len(indexMagic)+16+4 || string(buf[:len(indexMagic)]) != indexMagic {
-		return nil, 0, 0, false
-	}
-	body, crcBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, 0, 0, false
-	}
-	off := len(indexMagic)
-	frontierSeg = int(binary.LittleEndian.Uint32(body[off:]))
-	frontierOff = int64(binary.LittleEndian.Uint64(body[off+4:]))
-	count := int(binary.LittleEndian.Uint32(body[off+12:]))
-	off += 16
-	if frontierSeg <= 0 || frontierOff < 0 || count < 0 {
-		return nil, 0, 0, false
-	}
-	idx = make(map[string]recordLoc, count)
-	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
-			return nil, 0, 0, false
-		}
-		keyLen := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if keyLen <= 0 || keyLen > maxKeyLen || off+keyLen+16 > len(body) {
-			return nil, 0, 0, false
-		}
-		key := string(body[off : off+keyLen])
-		off += keyLen
-		loc := recordLoc{
-			seg: int(binary.LittleEndian.Uint32(body[off:])),
-			off: int64(binary.LittleEndian.Uint64(body[off+4:])),
-			n:   int(binary.LittleEndian.Uint32(body[off+12:])),
-		}
-		off += 16
-		if loc.seg <= 0 || loc.off < int64(len(segMagic)) || loc.n < recHeaderLen {
-			return nil, 0, 0, false
-		}
-		idx[key] = loc
-	}
-	if off != len(body) {
-		return nil, 0, 0, false
-	}
-	return idx, frontierSeg, frontierOff, true
 }
 
 // Keys returns every stored key with the given prefix, sorted.
@@ -648,32 +448,9 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Flush fsyncs the active segment and writes an index snapshot.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	err := s.active.Sync()
-	s.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.flushIndex()
-	return nil
-}
-
-// Close flushes and closes the store. Further operations return
-// ErrClosed. Close is idempotent.
+// Close fsyncs the active segment and closes the store. Further
+// operations return ErrClosed. Close is idempotent.
 func (s *Store) Close() error {
-	s.mu.RLock()
-	alreadyClosed := s.closed
-	s.mu.RUnlock()
-	if alreadyClosed {
-		return nil
-	}
-	s.flushIndex() // before closed flips: flushIndex on a closed store is a no-op
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -682,15 +459,8 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.active.Sync()
 	var firstErr error
-	for _, n := range func() []int {
-		nums := make([]int, 0, len(s.segs))
-		for n := range s.segs {
-			nums = append(nums, n)
-		}
-		sort.Ints(nums)
-		return nums
-	}() {
-		if err := s.segs[n].Close(); err != nil && firstErr == nil {
+	for _, f := range s.segs {
+		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -711,7 +481,6 @@ type Stats struct {
 	RecoveredRecords int64 `json:"recovered_records"`
 	SkippedRecords   int64 `json:"skipped_records"`
 	TruncatedBytes   int64 `json:"truncated_bytes"`
-	IndexFlushes     int64 `json:"index_flushes"`
 
 	GetFaults     int64 `json:"get_faults"`
 	PutFaults     int64 `json:"put_faults"`
@@ -734,7 +503,6 @@ func (s *Store) Stats() Stats {
 		RecoveredRecords: s.recovered.Load(),
 		SkippedRecords:   s.skipped.Load(),
 		TruncatedBytes:   s.truncated.Load(),
-		IndexFlushes:     s.indexFlushes.Load(),
 		GetFaults:        s.getFaults.Load(),
 		PutFaults:        s.putFaults.Load(),
 		RecoverFaults:    s.recoverFaults.Load(),

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,28 +92,9 @@ func TestReopenRecoversAll(t *testing.T) {
 	if st.Keys != 50 {
 		t.Fatalf("Keys = %d, want 50", st.Keys)
 	}
-	// A clean Close leaves an index snapshot covering everything, so
-	// reopen should not have replayed records from the log.
-	if st.RecoveredRecords != 0 {
-		t.Fatalf("RecoveredRecords = %d, want 0 (index snapshot should cover all)", st.RecoveredRecords)
-	}
-}
-
-func TestReopenWithoutIndexReplaysLog(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir})
-	mustPut(t, s, "a", []byte("1"))
-	mustPut(t, s, "b", []byte("2"))
-	s.Close()
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatalf("remove index: %v", err)
-	}
-	r := openT(t, Config{Dir: dir})
-	if got := mustGet(t, r, "b"); string(got) != "2" {
-		t.Fatalf("b = %q", got)
-	}
-	if st := r.Stats(); st.RecoveredRecords != 2 {
-		t.Fatalf("RecoveredRecords = %d, want 2", st.RecoveredRecords)
+	// Recovery replays the whole log on every Open.
+	if st.RecoveredRecords != 50 {
+		t.Fatalf("RecoveredRecords = %d, want 50", st.RecoveredRecords)
 	}
 }
 
@@ -145,7 +127,6 @@ func TestTornTailTruncated(t *testing.T) {
 	s := openT(t, Config{Dir: dir})
 	mustPut(t, s, "good", []byte("payload"))
 	s.Close()
-	os.Remove(filepath.Join(dir, indexName)) // force a log rescan
 
 	// Simulate a crash mid-append: a partial record at the tail.
 	seg := filepath.Join(dir, "seg-00000001.log")
@@ -181,7 +162,6 @@ func TestBadChecksumRecordSkipped(t *testing.T) {
 	mustPut(t, s, "second", []byte("bbbb"))
 	mustPut(t, s, "third", []byte("cccc"))
 	s.Close()
-	os.Remove(filepath.Join(dir, indexName))
 
 	// Flip a payload byte of the middle record; its frame stays
 	// plausible so recovery must skip it and still find "third".
@@ -214,55 +194,65 @@ func TestBadChecksumRecordSkipped(t *testing.T) {
 	}
 }
 
-func TestCorruptIndexFallsBackToRescan(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir})
-	mustPut(t, s, "k", []byte("v"))
-	s.Close()
-	idx := filepath.Join(dir, indexName)
-	buf, err := os.ReadFile(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-1] ^= 0xff // break the trailing CRC
-	if err := os.WriteFile(idx, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := openT(t, Config{Dir: dir})
-	if got := mustGet(t, r, "k"); string(got) != "v" {
-		t.Fatalf("k = %q", got)
-	}
-	if st := r.Stats(); st.RecoveredRecords != 1 {
-		t.Fatalf("RecoveredRecords = %d, want 1 (rescan)", st.RecoveredRecords)
-	}
-}
+// TestLeftoverIndexFilesIgnored: directories written before recovery
+// became a pure log scan may hold an "index" snapshot (intact or with
+// a broken CRC) and an "index.tmp". Open must ignore both and serve
+// every record byte-for-byte from the segments.
+func TestLeftoverIndexFilesIgnored(t *testing.T) {
+	for _, name := range []string{"valid", "crc-broken"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openT(t, Config{Dir: dir, SegmentBytes: 256})
+			want := map[string][]byte{}
+			for i := 0; i < 12; i++ {
+				k := fmt.Sprintf("key-%02d", i)
+				want[k] = bytes.Repeat([]byte{byte('a' + i)}, 40+i)
+				mustPut(t, s, k, want[k])
+			}
+			want["key-03"] = []byte("rewritten")
+			mustPut(t, s, "key-03", want["key-03"])
+			s.Close()
 
-func TestIndexSurvivingLostTail(t *testing.T) {
-	// A crash can persist the index snapshot while the unsynced
-	// segment tail it points into is lost. Entries beyond the real
-	// file end must be dropped, not served.
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir, FlushEvery: 1})
-	mustPut(t, s, "kept", []byte("still-here"))
-	mustPut(t, s, "lost", []byte("vanishes"))
-	s.Close()
+			// The old snapshot layout: magic, frontier segment and
+			// offset, key count, then a trailing CRC32 over the rest.
+			// This one claims to cover the whole log yet lists no keys,
+			// so a reader that trusted it would serve nothing.
+			segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+			if err != nil || len(segs) < 2 {
+				t.Fatalf("segments = %v (%v), want several", segs, err)
+			}
+			fi, err := os.Stat(segs[len(segs)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := []byte("CDIDX001")
+			idx = binary.LittleEndian.AppendUint32(idx, uint32(len(segs)))
+			idx = binary.LittleEndian.AppendUint64(idx, uint64(fi.Size()))
+			idx = binary.LittleEndian.AppendUint32(idx, 0)
+			idx = binary.LittleEndian.AppendUint32(idx, crc32.ChecksumIEEE(idx))
+			if name == "crc-broken" {
+				idx[len(idx)-1] ^= 0xff
+			}
+			if err := os.WriteFile(filepath.Join(dir, "index"), idx, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "index.tmp"), idx[:len(idx)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	seg := filepath.Join(dir, "seg-00000001.log")
-	buf, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lostRec := encodeRecord("lost", []byte("vanishes"))
-	if err := os.Truncate(seg, int64(len(buf)-len(lostRec))); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openT(t, Config{Dir: dir})
-	if _, ok, _ := r.Get(context.Background(), "lost"); ok {
-		t.Fatal("entry pointing past the real file end was served")
-	}
-	if got := mustGet(t, r, "kept"); string(got) != "still-here" {
-		t.Fatalf("kept = %q", got)
+			r := openT(t, Config{Dir: dir, SegmentBytes: 256})
+			if r.Len() != len(want) {
+				t.Fatalf("Len = %d, want %d", r.Len(), len(want))
+			}
+			for k, v := range want {
+				if got := mustGet(t, r, k); !bytes.Equal(got, v) {
+					t.Fatalf("%s = %q, want %q", k, got, v)
+				}
+			}
+			if st := r.Stats(); st.RecoveredRecords != 13 || st.SkippedRecords != 0 || st.TruncatedBytes != 0 {
+				t.Fatalf("recovery stats = %+v, want 13 recovered, nothing skipped or truncated", st)
+			}
+		})
 	}
 }
 
@@ -465,28 +455,6 @@ func TestSolutionsModelVersionMismatch(t *testing.T) {
 	mustPut(t, s, v1Key, []byte(v1Payload))
 	if _, ok := tier.Lookup(ctx, "fp-v1-keyed"); ok {
 		t.Fatal("version-1-keyed record reachable through the current namespace")
-	}
-}
-
-func TestFlushIndexFrontierConsistency(t *testing.T) {
-	// After Flush, reopening must not replay anything: the snapshot
-	// frontier covers every record.
-	dir := t.TempDir()
-	s := openT(t, Config{Dir: dir, FlushEvery: 1000})
-	for i := 0; i < 10; i++ {
-		mustPut(t, s, fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen without Close (handles stay open; simulates a crash
-	// after a flush).
-	r := openT(t, Config{Dir: dir})
-	if st := r.Stats(); st.RecoveredRecords != 0 {
-		t.Fatalf("RecoveredRecords = %d, want 0", st.RecoveredRecords)
-	}
-	if r.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", r.Len())
 	}
 }
 
