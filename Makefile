@@ -77,6 +77,7 @@ FUZZTIME ?= 20s
 fuzz:
 	go test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/explore/
 	go test -run '^$$' -fuzz FuzzParseGrid -fuzztime $(FUZZTIME) ./internal/explore/
+	go test -run '^$$' -fuzz FuzzRenderResult -fuzztime $(FUZZTIME) ./internal/explore/
 	go test -run '^$$' -fuzz FuzzSolveBody -fuzztime $(FUZZTIME) ./cmd/cactid-serve/
 	go test -run '^$$' -fuzz FuzzStoreRecover -fuzztime $(FUZZTIME) ./internal/store/
 	go test -run '^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME) ./internal/sim/workload/
@@ -93,8 +94,12 @@ vulncheck:
 bench:
 	go test -run '^$$' -bench BenchmarkSolve -benchmem -count=5 .
 
+# bench-sweep runs the exploration-engine rows: cold and warm 64-point
+# sweeps, the warm sweep rendered as JSON and as CSV, and the per-point
+# spec fingerprint.
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
+	go test -run '^$$' -bench BenchmarkFingerprint -benchmem ./internal/core/
 
 # fabric-test runs the sweep-fabric suite under the race detector:
 # the coordinator/ring/steal/reroute unit and chaos tests in

@@ -20,6 +20,7 @@ package cactid
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -282,9 +283,9 @@ func checkSweep(b *testing.B, results []explore.Result) {
 }
 
 // BenchmarkExploreSweep measures the batch engine over the 64-point
-// grid: serial vs parallel worker pools, cold vs warm result cache.
-// The warm case is the zero-solver-call path every repeated or
-// overlapping sweep takes.
+// grid: serial vs parallel worker pools, cold vs warm result cache,
+// and the warm sweep rendered as JSON or CSV. The warm cases are the
+// zero-solver-call path every repeated or overlapping sweep takes.
 func BenchmarkExploreSweep(b *testing.B) {
 	specs := sweepSpecs(b)
 	ctx := context.Background()
@@ -317,6 +318,29 @@ func BenchmarkExploreSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(specs)), "points/op")
 	})
+	// The warm sweep plus its rendering: the whole hit path of a
+	// repeated /v1/sweep (fingerprint, tier 0, encoding) short of HTTP.
+	for _, export := range []struct {
+		name  string
+		write func(io.Writer, []explore.Result) error
+	}{
+		{"parallel-warm-json", explore.WriteJSON},
+		{"parallel-warm-csv", explore.WriteCSV},
+	} {
+		b.Run(export.name, func(b *testing.B) {
+			e := explore.New(explore.Options{})
+			checkSweep(b, e.Sweep(ctx, specs)) // fill the cache
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				results := e.Sweep(ctx, specs)
+				checkSweep(b, results)
+				if err := export.write(io.Discard, results); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(specs)), "points/op")
+		})
+	}
 }
 
 func BenchmarkSimulator(b *testing.B) {

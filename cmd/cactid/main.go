@@ -14,9 +14,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -144,11 +144,9 @@ func main() {
 		return
 	}
 	if *asJSON {
-		out, err := json.MarshalIndent(explore.SolutionJSON(sol), "", "  ")
-		if err != nil {
+		if err := writeJSON(os.Stdout, sol); err != nil {
 			fatal(err)
 		}
-		fmt.Println(string(out))
 		return
 	}
 	fmt.Println(sol)
@@ -165,6 +163,17 @@ func main() {
 	if sol.Tag != nil {
 		fmt.Printf("  tag array: %v\n", sol.Tag.Org)
 	}
+}
+
+// writeJSON prints the solution as indented JSON and a newline, byte
+// for byte as cactid-serve answers /v1/solve.
+func writeJSON(w io.Writer, sol *core.Solution) error {
+	out, err := explore.AppendSolutionJSON(nil, sol, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
 }
 
 // stopProfiles flushes any active profiles; fatal must call it because

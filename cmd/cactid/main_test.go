@@ -1,11 +1,44 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
 	"cactid/internal/core"
+	"cactid/internal/explore"
 	"cactid/internal/tech"
 )
+
+// TestJSONMatchesReference pins `cactid -json` to the reference
+// rendering, json.MarshalIndent of explore.SolutionJSON plus a
+// newline, for a cache with a tag array and for a non-default
+// technology with write metrics.
+func TestJSONMatchesReference(t *testing.T) {
+	for _, spec := range []core.Spec{
+		{Node: tech.Node32, RAM: tech.SRAM, CapacityBytes: 4 << 20, BlockBytes: 64,
+			Associativity: 8, IsCache: true},
+		{Node: tech.Node32, Technology: "stt-ram", CapacityBytes: 1 << 20, BlockBytes: 64,
+			Associativity: 4, IsCache: true},
+	} {
+		sol, err := core.OptimizeContext(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(explore.SolutionJSON(sol), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := writeJSON(&got, sol); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), append(want, '\n')) {
+			t.Fatalf("-json output differs from the reference\n got %s\nwant %s", got.Bytes(), want)
+		}
+	}
+}
 
 func TestParseSize(t *testing.T) {
 	cases := map[string]int64{

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -90,9 +91,18 @@ type Org struct {
 	Mats           int // total mats = MatsPerSubbank * Subbanks
 }
 
+// String spells the organization as
+// "%dx%d mux%d (%d mats = %d subbanks x %d)" of rows, columns, mux,
+// mats, subbanks and mats per subbank; exported results carry it.
 func (o Org) String() string {
-	return fmt.Sprintf("%dx%d mux%d (%d mats = %d subbanks x %d)",
-		o.Rows, o.Cols, o.Mux, o.Mats, o.Subbanks, o.MatsPerSubbank)
+	var buf [96]byte
+	b := strconv.AppendInt(buf[:0], int64(o.Rows), 10)
+	b = strconv.AppendInt(append(b, 'x'), int64(o.Cols), 10)
+	b = strconv.AppendInt(append(b, " mux"...), int64(o.Mux), 10)
+	b = strconv.AppendInt(append(b, " ("...), int64(o.Mats), 10)
+	b = strconv.AppendInt(append(b, " mats = "...), int64(o.Subbanks), 10)
+	b = strconv.AppendInt(append(b, " subbanks x "...), int64(o.MatsPerSubbank), 10)
+	return string(append(b, ')'))
 }
 
 // Bank is an evaluated organization.

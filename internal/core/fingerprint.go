@@ -3,7 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 )
 
 // Canonical returns a copy of the spec with every defaulted field
@@ -48,27 +48,66 @@ func (s Spec) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "node=%d|ram=%d|cap=%d|blk=%d|assoc=%d|banks=%d|",
-		int(c.Node), int(c.RAM), c.CapacityBytes, c.BlockBytes, c.Associativity, c.Banks)
-	fmt.Fprintf(h, "cache=%t|mode=%d|", c.IsCache, int(c.Mode))
+	var in [256]byte
+	sum := sha256.Sum256(c.appendHashInput(in[:0]))
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:]), nil
+}
+
+// appendHashInput appends the canonical spec's fingerprint input,
+// spelled exactly as the format
+//
+//	node=%d|ram=%d|cap=%d|blk=%d|assoc=%d|banks=%d|cache=%t|mode=%d|tag=%d|page=%d|pipe=%d|area=%.17g|acc=%.17g|slack=%.17g|w=%.17g,%.17g,%.17g,%.17g|sleep=%t|ports=%d|ecc=%t|route=%t|pa=%d
+//
+// writes it (tag is -1 without a tag array), followed by |tech=%s for
+// a non-default technology. Every persisted store key and golden
+// fingerprint depends on these bytes.
+func (c *Spec) appendHashInput(b []byte) []byte {
 	tag := -1
 	if c.TagRAM != nil {
 		tag = int(*c.TagRAM)
 	}
-	fmt.Fprintf(h, "tag=%d|page=%d|pipe=%d|", tag, c.PageBits, c.MaxPipelineStages)
-	fmt.Fprintf(h, "area=%.17g|acc=%.17g|slack=%.17g|", c.MaxAreaConstraint, c.MaxAcctimeConstraint, c.MaxRepeaterSlack)
-	fmt.Fprintf(h, "w=%.17g,%.17g,%.17g,%.17g|", c.Weights.DynamicEnergy, c.Weights.LeakagePower,
-		c.Weights.RandomCycle, c.Weights.InterleaveCycle)
-	fmt.Fprintf(h, "sleep=%t|ports=%d|ecc=%t|route=%t|pa=%d",
-		c.SleepTransistors, c.Ports, c.ECC, c.IncludeBankRouting, c.PhysicalAddressBits)
+	b = appendIntField(b, "node=", int64(c.Node))
+	b = appendIntField(b, "|ram=", int64(c.RAM))
+	b = appendIntField(b, "|cap=", c.CapacityBytes)
+	b = appendIntField(b, "|blk=", int64(c.BlockBytes))
+	b = appendIntField(b, "|assoc=", int64(c.Associativity))
+	b = appendIntField(b, "|banks=", int64(c.Banks))
+	b = strconv.AppendBool(append(b, "|cache="...), c.IsCache)
+	b = appendIntField(b, "|mode=", int64(c.Mode))
+	b = appendIntField(b, "|tag=", int64(tag))
+	b = appendIntField(b, "|page=", int64(c.PageBits))
+	b = appendIntField(b, "|pipe=", int64(c.MaxPipelineStages))
+	b = appendFloatField(b, "|area=", c.MaxAreaConstraint)
+	b = appendFloatField(b, "|acc=", c.MaxAcctimeConstraint)
+	b = appendFloatField(b, "|slack=", c.MaxRepeaterSlack)
+	b = appendFloatField(b, "|w=", c.Weights.DynamicEnergy)
+	b = appendFloatField(b, ",", c.Weights.LeakagePower)
+	b = appendFloatField(b, ",", c.Weights.RandomCycle)
+	b = appendFloatField(b, ",", c.Weights.InterleaveCycle)
+	b = strconv.AppendBool(append(b, "|sleep="...), c.SleepTransistors)
+	b = appendIntField(b, "|ports=", int64(c.Ports))
+	b = strconv.AppendBool(append(b, "|ecc="...), c.ECC)
+	b = strconv.AppendBool(append(b, "|route="...), c.IncludeBankRouting)
+	b = appendIntField(b, "|pa=", int64(c.PhysicalAddressBits))
 	// The technology axis folds in only when it deviates from the
 	// default ITRS family (normalize canonicalises the default to ""),
 	// so every pre-provider fingerprint — including those pinned in
 	// golden files and persisted store keys — is unchanged.
 	if c.Technology != "" {
-		fmt.Fprintf(h, "|tech=%s", c.Technology)
+		b = append(append(b, "|tech="...), c.Technology...)
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16]), nil
+	return b
+}
+
+func appendIntField(b []byte, label string, v int64) []byte {
+	return strconv.AppendInt(append(b, label...), v, 10)
+}
+
+// appendFloatField writes v as %.17g does: strconv's 'g' format with
+// 17 significant digits, which fmt uses for every value, +Inf, -Inf
+// and NaN included.
+func appendFloatField(b []byte, label string, v float64) []byte {
+	return strconv.AppendFloat(append(b, label...), v, 'g', 17, 64)
 }

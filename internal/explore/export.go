@@ -4,14 +4,17 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"math"
+	"reflect"
 	"strconv"
+	"unicode/utf8"
 
 	"cactid/internal/core"
 )
 
 // SolutionJSON flattens a solution into the fields scripts consume.
-// cmd/cactid -json and cactid-serve both emit exactly this shape, so
-// the HTTP API and the CLI are byte-compatible for the same spec.
+// It is the reference for AppendSolutionJSON, which renders the same
+// shape without building a map; production code renders through that.
 func SolutionJSON(s *core.Solution) map[string]any {
 	m := map[string]any{
 		"ram":                s.Spec.RAM.String(),
@@ -55,7 +58,7 @@ func SolutionJSON(s *core.Solution) map[string]any {
 
 // ResultJSON is SolutionJSON plus the sweep bookkeeping fields; for
 // errored points it carries the spec identity and the error instead
-// of metrics.
+// of metrics. It is the reference for AppendResultJSON.
 func ResultJSON(r Result) map[string]any {
 	var m map[string]any
 	if r.Err != nil || r.Solution == nil {
@@ -85,16 +88,291 @@ func ResultJSON(r Result) map[string]any {
 	return m
 }
 
+// AppendSolutionJSON appends SolutionJSON(s) to dst byte for byte as
+// json.MarshalIndent(SolutionJSON(s), prefix, indent) writes it, or as
+// json.Marshal does when indent is empty. cmd/cactid -json and
+// cactid-serve's /v1/solve both render through it, so the CLI and the
+// HTTP API are byte-compatible for the same spec. A NaN or infinite
+// metric returns encoding/json's *UnsupportedValueError and dst
+// unchanged.
+func AppendSolutionJSON(dst []byte, s *core.Solution, prefix, indent string) ([]byte, error) {
+	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
+	e.solution(s, nil)
+	return e.finish(dst)
+}
+
+// AppendResultJSON appends ResultJSON(r) to dst with the layout and
+// errors of AppendSolutionJSON.
+func AppendResultJSON(dst []byte, r Result, prefix, indent string) ([]byte, error) {
+	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
+	e.point(&r)
+	return e.finish(dst)
+}
+
+// AppendResultsJSON appends results as one JSON array in sweep order,
+// each element as AppendResultJSON renders it; an empty set is `[]`.
+// The array starts at dst's current position, so a caller nesting it
+// one level into an indented object passes prefix+indent as prefix.
+func AppendResultsJSON(dst []byte, results []Result, prefix, indent string) ([]byte, error) {
+	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
+	e.open('[')
+	for i := range results {
+		e.next()
+		e.point(&results[i])
+	}
+	e.close(']')
+	return e.finish(dst)
+}
+
 // WriteJSON writes the sweep results as an indented JSON array in
 // sweep order.
 func WriteJSON(w io.Writer, results []Result) error {
-	arr := make([]map[string]any, len(results))
-	for i, r := range results {
-		arr[i] = ResultJSON(r)
+	b, err := AppendResultsJSON(nil, results, "", "  ")
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(arr)
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// jsonEnc appends JSON in encoding/json's layout: compact when indent
+// is empty, otherwise MarshalIndent's newline, prefix and one indent
+// per open object or array before every member and before a non-empty
+// container's closing bracket. Object keys are written in
+// encoding/json's sorted map-key order by the callers.
+type jsonEnc struct {
+	b              []byte
+	prefix, indent string
+	depth          int
+	empty          bool  // the innermost open object or array has no members yet
+	err            error // first unencodable value
+}
+
+// finish returns the appended bytes, or dst and the error when a value
+// could not be encoded.
+func (e *jsonEnc) finish(dst []byte) ([]byte, error) {
+	if e.err != nil {
+		return dst, e.err
+	}
+	return e.b, nil
+}
+
+func (e *jsonEnc) newline() {
+	if e.indent == "" {
+		return
+	}
+	e.b = append(e.b, '\n')
+	e.b = append(e.b, e.prefix...)
+	for i := 0; i < e.depth; i++ {
+		e.b = append(e.b, e.indent...)
+	}
+}
+
+func (e *jsonEnc) open(bracket byte) {
+	e.b = append(e.b, bracket)
+	e.depth++
+	e.empty = true
+}
+
+func (e *jsonEnc) close(bracket byte) {
+	e.depth--
+	if !e.empty {
+		e.newline()
+	}
+	e.empty = false
+	e.b = append(e.b, bracket)
+}
+
+// next starts an array element or an object member.
+func (e *jsonEnc) next() {
+	if !e.empty {
+		e.b = append(e.b, ',')
+	}
+	e.empty = false
+	e.newline()
+}
+
+// key starts an object member; k must need no escaping.
+func (e *jsonEnc) key(k string) {
+	e.next()
+	e.b = append(e.b, '"')
+	e.b = append(e.b, k...)
+	e.b = append(e.b, '"', ':')
+	if e.indent != "" {
+		e.b = append(e.b, ' ')
+	}
+}
+
+func (e *jsonEnc) intField(k string, v int64) {
+	e.key(k)
+	e.b = strconv.AppendInt(e.b, v, 10)
+}
+
+func (e *jsonEnc) boolField(k string, v bool) {
+	e.key(k)
+	e.b = strconv.AppendBool(e.b, v)
+}
+
+func (e *jsonEnc) stringField(k, v string) {
+	e.key(k)
+	e.b = appendJSONString(e.b, v)
+}
+
+// floatField writes v as encoding/json does: the shortest
+// round-tripping decimal, in exponent form below 1e-6 and from 1e21
+// with a one-digit negative exponent unpadded (e-9, not e-09).
+func (e *jsonEnc) floatField(k string, v float64) {
+	e.key(k)
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, v, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1]
+		e.b = e.b[:n-1]
+	}
+}
+
+// solution writes SolutionJSON's members, plus ResultJSON's cached,
+// fingerprint and index members when r is non-nil, in sorted key
+// order.
+func (e *jsonEnc) solution(s *core.Solution, r *Result) {
+	e.open('{')
+	e.stringField("access_mode", s.Spec.Mode.String())
+	e.floatField("access_time_s", s.AccessTime)
+	e.floatField("area_efficiency", s.AreaEff)
+	e.floatField("area_m2", s.Area)
+	e.intField("associativity", int64(s.Spec.Associativity))
+	e.floatField("bank_area_m2", s.BankArea)
+	e.intField("banks", int64(s.Spec.Banks))
+	e.intField("block_bytes", int64(s.Spec.BlockBytes))
+	if r != nil {
+		e.boolField("cached", r.Cached)
+	}
+	e.intField("capacity_bytes", s.Spec.CapacityBytes)
+	e.stringField("data_organization", s.Data.Org.String())
+	if r != nil {
+		if r.Fingerprint != "" {
+			e.stringField("fingerprint", r.Fingerprint)
+		}
+		e.intField("index", int64(r.Index))
+	}
+	e.floatField("interleave_cycle_s", s.InterleaveCycle)
+	e.floatField("leakage_w", s.LeakagePower)
+	e.intField("node_nm", int64(s.Spec.Node))
+	e.intField("pipeline_stages", int64(s.Data.PipelineStages))
+	e.stringField("ram", s.Spec.RAM.String())
+	e.floatField("random_cycle_s", s.RandomCycle)
+	e.floatField("read_energy_j", s.EReadPerAccess)
+	e.floatField("refresh_w", s.RefreshPower)
+	if s.Tag != nil {
+		e.stringField("tag_organization", s.Tag.Org.String())
+	}
+	if s.Spec.Technology != "" {
+		e.stringField("technology", s.Spec.Technology)
+	}
+	if s.WriteEndurance > 0 {
+		e.floatField("write_endurance_cycles", s.WriteEndurance)
+	}
+	e.floatField("write_energy_j", s.EWritePerAccess)
+	if s.WriteTime > 0 {
+		e.floatField("write_time_s", s.WriteTime)
+	}
+	e.close('}')
+}
+
+// point writes ResultJSON(*r): a solved point's solution, or an
+// errored point's spec identity and error, in sorted key order.
+func (e *jsonEnc) point(r *Result) {
+	if r.Err == nil && r.Solution != nil {
+		e.solution(r.Solution, r)
+		return
+	}
+	s := &r.Spec
+	e.open('{')
+	e.stringField("access_mode", s.Mode.String())
+	e.intField("associativity", int64(s.Associativity))
+	e.intField("banks", int64(s.Banks))
+	e.intField("block_bytes", int64(s.BlockBytes))
+	e.boolField("cached", r.Cached)
+	e.intField("capacity_bytes", s.CapacityBytes)
+	if r.Err != nil {
+		e.stringField("error", r.Err.Error())
+	}
+	if r.Fingerprint != "" {
+		e.stringField("fingerprint", r.Fingerprint)
+	}
+	e.intField("index", int64(r.Index))
+	e.intField("node_nm", int64(s.Node))
+	e.stringField("ram", s.RAM.String())
+	if s.Technology != "" {
+		e.stringField("technology", s.Technology)
+	}
+	e.close('}')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s quoted as encoding/json writes strings:
+// `"` and `\` backslash-escaped, control bytes as \b \f \n \r \t or
+// \u00XX, the HTML-sensitive <, > and & as \u00XX, each invalid UTF-8
+// byte as the escaped replacement character U+FFFD, and the line and
+// paragraph separators U+2028 and U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029:
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 // csvHeader is the fixed column set of WriteCSV.
@@ -114,16 +392,18 @@ func fg(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // columns and fill the error column.
 func WriteCSV(w io.Writer, results []Result) error {
 	cw := csv.NewWriter(w)
-	records := make([][]string, 0, len(results)+1)
-	records = append(records, csvHeader)
+	if err := cw.Write(csvHeader); err != nil {
+		return err
+	}
+	rec := make([]string, 0, len(csvHeader))
 	for _, r := range results {
-		rec := []string{
+		rec = append(rec[:0],
 			strconv.Itoa(r.Index), r.Fingerprint,
 			r.Spec.RAM.String(), strconv.Itoa(int(r.Spec.Node)),
 			strconv.FormatInt(r.Spec.CapacityBytes, 10),
 			strconv.Itoa(r.Spec.BlockBytes), strconv.Itoa(r.Spec.Associativity),
 			strconv.Itoa(r.Spec.Banks), r.Spec.Mode.String(),
-		}
+		)
 		if r.Solution != nil {
 			s := r.Solution
 			rec = append(rec,
@@ -140,10 +420,9 @@ func WriteCSV(w io.Writer, results []Result) error {
 		} else {
 			rec = append(rec, "")
 		}
-		records = append(records, rec)
-	}
-	if err := cw.WriteAll(records); err != nil {
-		return err
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
 	}
 	cw.Flush()
 	return cw.Error()
