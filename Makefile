@@ -103,12 +103,12 @@ bench-sweep:
 
 # fabric-test runs the sweep-fabric suite under the race detector:
 # the coordinator/ring/steal/reroute unit and chaos tests in
-# internal/fabric, the streaming-merge tests in internal/explore, and
-# the cactid-serve cluster integration tests (HTTP byte-identity,
+# internal/fabric, the cluster stats-merge tests in internal/explore,
+# and the cactid-serve cluster integration tests (HTTP byte-identity,
 # owner routing, dead-worker reroute, registration).
 fabric-test:
 	go test -race ./internal/fabric/
-	go test -race -run 'Fabric|Coordinator|Cluster|StatsEndpoint|StatsMerge|FrontierMerger|SweepStream' \
+	go test -race -run 'Fabric|Coordinator|Cluster|StatsEndpoint|StatsMerge' \
 		./internal/explore/ ./cmd/cactid-serve/
 
 # fabric-smoke builds the real binary and drives a loopback cluster

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -43,11 +42,8 @@ func (s *server) handleSolveBatchFabric(w http.ResponseWriter, r *http.Request) 
 	if err != nil {
 		return err
 	}
-	if len(req.Specs) == 0 {
-		return badRequest(errors.New("specs is empty"))
-	}
-	if len(req.Specs) > s.cfg.maxPoints {
-		return badRequest(fmt.Errorf("batch has %d specs, limit %d", len(req.Specs), s.cfg.maxPoints))
+	if err := s.checkBatch(len(req.Specs)); err != nil {
+		return err
 	}
 	results := s.eng.Sweep(r.Context(), req.Specs)
 	out := fabric.BatchResponse{Results: make([]fabric.WireResult, len(results))}

@@ -86,7 +86,6 @@ type jobManager struct {
 	sweep           func(context.Context, []core.Spec) []explore.Result
 	st              *store.Store // nil: jobs run without durability
 	checkpointEvery int
-	maxPoints       int
 
 	ctx    context.Context // canceled on server drain
 	cancel context.CancelFunc
@@ -100,7 +99,7 @@ type jobManager struct {
 	wg        sync.WaitGroup
 }
 
-func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st *store.Store, checkpointEvery, maxPoints int) *jobManager {
+func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st *store.Store, checkpointEvery int) *jobManager {
 	if checkpointEvery <= 0 {
 		checkpointEvery = 32
 	}
@@ -108,7 +107,6 @@ func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st
 	return &jobManager{
 		sweep: sweep, st: st,
 		checkpointEvery: checkpointEvery,
-		maxPoints:       maxPoints,
 		ctx:             ctx, cancel: cancel,
 		jobs: make(map[string]*job),
 	}

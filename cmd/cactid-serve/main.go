@@ -69,15 +69,13 @@ func main() {
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 32, "max concurrently served /v1 requests")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "requests queued beyond -max-inflight before 429 (-1 disables the queue, 0 = 2x max-inflight)")
 	flag.DurationVar(&cfg.queueWait, "queue-wait", 5*time.Second, "longest a queued request waits for a slot before 429")
-	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "largest accepted sweep grid")
+	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "most points one sweep grid or spec list may carry; request bodies are capped at 1 KiB per point")
 	flag.IntVar(&cfg.cacheBound, "cache-entries", 0, "result-cache entry bound with LRU eviction; one entry holds 8-18 KB of heap (-1 = unbounded, 0 = default 16384)")
 	flag.IntVar(&cfg.workers, "workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (loopback clients only)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result-store directory: solved specs persist across restarts and interrupted sweep jobs resume (empty = in-memory only)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "sweep-job checkpoint granularity in grid points (0 = default 32)")
 	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as a sweep-fabric coordinator: shard sweeps across -worker-nodes by spec fingerprint, with work stealing and failure reroute")
 	flag.StringVar(&cfg.workerNodes, "worker-nodes", "", "comma-separated worker base URLs for -coordinator (e.g. http://10.0.0.7:8080,10.0.0.8:8080); workers may also join via POST /v1/fabric/register")
-	flag.IntVar(&cfg.fabricChunk, "fabric-chunk", 0, "specs per fabric dispatch chunk (0 = default 16)")
 	flag.DurationVar(&cfg.heartbeatEvery, "heartbeat-every", 5*time.Second, "worker health-probe period in coordinator mode (0 disables background probing)")
 	flag.Parse()
 

@@ -29,14 +29,14 @@ type config struct {
 	maxInFlight int           // bound on concurrently served /v1 requests
 	queueDepth  int           // waiters admitted beyond maxInFlight (-1 = no queue, 0 = 2*maxInFlight)
 	queueWait   time.Duration // longest a queued request waits for a slot before 429
-	maxPoints   int           // largest accepted sweep grid
+	maxPoints   int           // most points one grid or spec list may carry
 	cacheBound  int           // result-cache entry bound (-1 = unbounded, 0 = default)
 	workers     int           // solver pool size (0 = GOMAXPROCS)
 	pprof       bool          // expose net/http/pprof under /debug/pprof/
 	storeDir    string        // durable result-store directory ("" = in-memory only)
 
 	// checkpointEvery sets the sweep-job chunk size between durable
-	// checkpoints (0 = 32); tests shrink it to exercise resume.
+	// checkpoints (0 = 32); only tests shrink it, to exercise resume.
 	checkpointEvery int
 
 	// Coordinator mode (internal/fabric): sweeps shard across the
@@ -44,7 +44,7 @@ type config struct {
 	// failure reroute; this node's own engine is the fallback.
 	coordinator    bool
 	workerNodes    string        // comma-separated worker base URLs; more join via /v1/fabric/register
-	fabricChunk    int           // specs per dispatch chunk (0 = fabric default 16)
+	fabricChunk    int           // specs per dispatch chunk (0 = fabric default 16; only tests set it)
 	heartbeatEvery time.Duration // worker health-probe period (0 = no background probing)
 
 	// solver overrides core.OptimizeContext; tests inject slow or
@@ -223,7 +223,7 @@ func newServer(cfg config) (*server, error) {
 		s.mux.HandleFunc("GET /v1/fabric", s.handleFabric)
 		s.mux.HandleFunc("POST /v1/fabric/register", s.handleFabricRegister)
 	}
-	s.jobs = newJobManager(s.sweep, st, cfg.checkpointEvery, cfg.maxPoints)
+	s.jobs = newJobManager(s.sweep, st, cfg.checkpointEvery)
 	s.mux.HandleFunc("POST /v1/solve", s.gated(epSolve, s.handleSolve))
 	// Like the job views, /v1/stats is a read-only counter snapshot
 	// (the coordinator polls it on every worker for cluster-wide
@@ -257,7 +257,19 @@ func newServer(cfg config) (*server, error) {
 	return s, nil
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// bodyBytesPerPoint is the request-body allowance per point: a fully
+// populated spec is about 500 bytes of compact JSON, so 1 KiB leaves
+// room for indented bodies.
+const bodyBytesPerPoint = 1 << 10
+
+// ServeHTTP bounds every request body before routing: a body may carry
+// at most maxPoints specs, plus one allowance for a grid's base spec
+// and the envelope, so an oversized body is refused (413) without
+// being decoded.
+func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, int64(s.cfg.maxPoints+1)*bodyBytesPerPoint)
+	s.mux.ServeHTTP(w, r)
+}
 
 // close releases the server's background resources: job workers stop
 // at their next chunk boundary (leaving resumable checkpoints) and
@@ -454,9 +466,46 @@ func decode[T any](r *http.Request) (T, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return v, httpError{http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
 		return v, badRequest(fmt.Errorf("bad request body: %w", err))
 	}
 	return v, nil
+}
+
+// checkPoints is the one multi-point bound: every grid, spec list and
+// sweep job is checked here before it is expanded or solved.
+func (s *server) checkPoints(what string, n int, unit string) error {
+	if n > s.cfg.maxPoints {
+		return badRequest(fmt.Errorf("%s has %d %s, limit %d", what, n, unit, s.cfg.maxPoints))
+	}
+	return nil
+}
+
+// checkBatch bounds an explicit spec list: non-empty and within
+// maxPoints.
+func (s *server) checkBatch(n int) error {
+	if n == 0 {
+		return badRequest(errors.New("specs is empty"))
+	}
+	return s.checkPoints("batch", n, "specs")
+}
+
+// expandGrid compiles a decoded grid request and expands it under the
+// point bound; skipped counts the infeasible points dropped.
+func (s *server) expandGrid(req explore.SweepRequest) (specs []core.Spec, skipped int, err error) {
+	grid, err := req.Grid()
+	if err != nil {
+		return nil, 0, badRequest(err)
+	}
+	if err := s.checkPoints("grid", grid.Points(), "points"); err != nil {
+		return nil, 0, err
+	}
+	specs, skipped = grid.Expand()
+	return specs, skipped, nil
 }
 
 // handleSolve optimizes one spec. The response body is byte-identical
@@ -500,45 +549,6 @@ func writeSolution(w http.ResponseWriter, sol *core.Solution, cached bool) error
 	return nil
 }
 
-// sweepGrid decodes and bounds a sweep request, returning the results
-// plus skipped-point count.
-func (s *server) sweepGrid(r *http.Request) ([]explore.Result, int, error) {
-	req, err := decode[explore.SweepRequest](r)
-	if err != nil {
-		return nil, 0, err
-	}
-	grid, err := req.Grid()
-	if err != nil {
-		return nil, 0, badRequest(err)
-	}
-	if n := grid.Points(); n > s.cfg.maxPoints {
-		return nil, 0, badRequest(fmt.Errorf("grid has %d points, limit %d", n, s.cfg.maxPoints))
-	}
-	specs, skipped := grid.Expand()
-	results := s.sweep(r.Context(), specs)
-	if err := r.Context().Err(); err != nil {
-		return nil, 0, err
-	}
-	return results, skipped, nil
-}
-
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	results, skipped, err := s.sweepGrid(r)
-	if err != nil {
-		return err
-	}
-	return writeResults(w, r, results, skipped, len(results))
-}
-
-func (s *server) handlePareto(w http.ResponseWriter, r *http.Request) error {
-	results, skipped, err := s.sweepGrid(r)
-	if err != nil {
-		return err
-	}
-	swept := len(results)
-	return writeResults(w, r, explore.Frontier(results), skipped, swept)
-}
-
 // batchRequest is the /v1/solve-batch body: an explicit spec list,
 // for clients whose points don't form a grid. One admission pays for
 // the whole batch.
@@ -546,31 +556,69 @@ type batchRequest struct {
 	Specs []explore.SpecRequest `json:"specs"`
 }
 
+func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
+	return s.serveSweep(w, r, s.gridSpecs, false)
+}
+
+func (s *server) handlePareto(w http.ResponseWriter, r *http.Request) error {
+	return s.serveSweep(w, r, s.gridSpecs, true)
+}
+
 func (s *server) handleSolveBatch(w http.ResponseWriter, r *http.Request) error {
 	if r.URL.Query().Get("wire") == "fabric" {
 		return s.handleSolveBatchFabric(w, r)
 	}
-	req, err := decode[batchRequest](r)
+	return s.serveSweep(w, r, s.batchSpecs, false)
+}
+
+// serveSweep is the synchronous multi-point path of /v1/sweep,
+// /v1/pareto and /v1/solve-batch: specsOf decodes the body into
+// bounded specs, the node's solve path sweeps them, and the results
+// are rendered. pareto keeps only the Pareto frontier; "points" still
+// counts every swept point.
+func (s *server) serveSweep(w http.ResponseWriter, r *http.Request,
+	specsOf func(*http.Request) ([]core.Spec, int, error), pareto bool) error {
+	specs, skipped, err := specsOf(r)
 	if err != nil {
 		return err
-	}
-	if len(req.Specs) == 0 {
-		return badRequest(errors.New("specs is empty"))
-	}
-	if len(req.Specs) > s.cfg.maxPoints {
-		return badRequest(fmt.Errorf("batch has %d specs, limit %d", len(req.Specs), s.cfg.maxPoints))
-	}
-	specs := make([]core.Spec, len(req.Specs))
-	for i, sr := range req.Specs {
-		if specs[i], err = sr.Spec(); err != nil {
-			return badRequest(fmt.Errorf("specs[%d]: %w", i, err))
-		}
 	}
 	results := s.sweep(r.Context(), specs)
 	if err := r.Context().Err(); err != nil {
 		return err
 	}
-	return writeResults(w, r, results, 0, len(results))
+	swept := len(results)
+	if pareto {
+		results = explore.Frontier(results)
+	}
+	return writeResults(w, r, results, skipped, swept)
+}
+
+// gridSpecs decodes a grid body and expands it under the point bound.
+func (s *server) gridSpecs(r *http.Request) ([]core.Spec, int, error) {
+	req, err := decode[explore.SweepRequest](r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return s.expandGrid(req)
+}
+
+// batchSpecs decodes a /v1/solve-batch spec list under the point
+// bound; a batch skips no points.
+func (s *server) batchSpecs(r *http.Request) ([]core.Spec, int, error) {
+	req, err := decode[batchRequest](r)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := s.checkBatch(len(req.Specs)); err != nil {
+		return nil, 0, err
+	}
+	specs := make([]core.Spec, len(req.Specs))
+	for i, sr := range req.Specs {
+		if specs[i], err = sr.Spec(); err != nil {
+			return nil, 0, badRequest(fmt.Errorf("specs[%d]: %w", i, err))
+		}
+	}
+	return specs, 0, nil
 }
 
 // jobJSON renders a job's poll/submit view from one snapshot, without
@@ -608,14 +656,10 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	grid, err := req.Grid()
+	specs, skipped, err := s.expandGrid(req)
 	if err != nil {
-		return badRequest(err)
+		return err
 	}
-	if n := grid.Points(); n > s.cfg.maxPoints {
-		return badRequest(fmt.Errorf("grid has %d points, limit %d", n, s.cfg.maxPoints))
-	}
-	specs, skipped := grid.Expand()
 	j := s.jobs.submit(req, len(specs), skipped)
 	return writeJSON(w, http.StatusAccepted, jobJSON(j.snapshot()))
 }

@@ -171,25 +171,39 @@ func TestParetoEndpoint(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	ts := newTestServer(t, config{maxPoints: 4})
+	// Six points and five specs: one over the bound on every
+	// multi-point route.
+	bigGrid := `{"base":{"ram":"sram"},"capacities":["1MB","2MB","4MB"],"associativities":[1,2]}`
+	bigBatch := `{"specs":[` + strings.Repeat(`{"ram":"sram","capacity":"1MB"},`, 4) + `{"ram":"sram","capacity":"1MB"}]}`
 	cases := []struct {
 		name, path, body string
 		want             int
+		errHas           string // substring the error message must carry
 	}{
-		{"malformed-json", "/v1/solve", `{"ram":`, http.StatusBadRequest},
-		{"unknown-field", "/v1/solve", `{"rum":"sram"}`, http.StatusBadRequest},
-		{"bad-ram", "/v1/solve", `{"ram":"flash","capacity":"1MB"}`, http.StatusBadRequest},
-		{"bad-size", "/v1/solve", `{"ram":"sram","capacity":"-1MB"}`, http.StatusBadRequest},
-		{"zero-capacity", "/v1/solve", `{"ram":"sram"}`, http.StatusBadRequest},
+		{"malformed-json", "/v1/solve", `{"ram":`, http.StatusBadRequest, ""},
+		{"unknown-field", "/v1/solve", `{"rum":"sram"}`, http.StatusBadRequest, ""},
+		{"bad-ram", "/v1/solve", `{"ram":"flash","capacity":"1MB"}`, http.StatusBadRequest, ""},
+		{"bad-size", "/v1/solve", `{"ram":"sram","capacity":"-1MB"}`, http.StatusBadRequest, ""},
+		{"zero-capacity", "/v1/solve", `{"ram":"sram"}`, http.StatusBadRequest, ""},
 		{"no-solution", "/v1/solve", `{"ram":"comm-dram","capacity":"1MB","page_bits":7,"cache":false}`,
-			http.StatusUnprocessableEntity},
-		{"grid-too-big", "/v1/sweep", `{"base":{"ram":"sram"},"capacities":["1MB","2MB","4MB"],
-			"associativities":[1,2]}`, http.StatusBadRequest},
-		{"unknown-tech", "/v1/solve", `{"tech":"flashy","capacity":"1MB"}`, http.StatusBadRequest},
-		{"ambiguous-tech", "/v1/solve", `{"tech":"it","capacity":"1MB"}`, http.StatusBadRequest},
+			http.StatusUnprocessableEntity, ""},
+		{"grid-too-big", "/v1/sweep", bigGrid, http.StatusBadRequest, "grid has 6 points, limit 4"},
+		{"pareto-grid-too-big", "/v1/pareto", bigGrid, http.StatusBadRequest, "grid has 6 points, limit 4"},
+		{"job-grid-too-big", "/v1/sweep-jobs", bigGrid, http.StatusBadRequest, "grid has 6 points, limit 4"},
+		{"batch-too-big", "/v1/solve-batch", bigBatch, http.StatusBadRequest, "batch has 5 specs, limit 4"},
+		{"fabric-batch-too-big", "/v1/solve-batch?wire=fabric", `{"specs":[{},{},{},{},{}]}`,
+			http.StatusBadRequest, "batch has 5 specs, limit 4"},
+		// 200 specs (6.4 KB) exceed the 5 KiB body bound of maxPoints 4:
+		// refused before the spec list is decoded.
+		{"body-too-large", "/v1/solve-batch",
+			`{"specs":[` + strings.Repeat(`{"ram":"sram","capacity":"1MB"},`, 199) + `{}]}`,
+			http.StatusRequestEntityTooLarge, "request body exceeds 5120 bytes"},
+		{"unknown-tech", "/v1/solve", `{"tech":"flashy","capacity":"1MB"}`, http.StatusBadRequest, ""},
+		{"ambiguous-tech", "/v1/solve", `{"tech":"it","capacity":"1MB"}`, http.StatusBadRequest, ""},
 		{"unknown-tech-sweep", "/v1/sweep", `{"base":{"capacity":"64KB"},"techs":["flashy"]}`,
-			http.StatusBadRequest},
+			http.StatusBadRequest, ""},
 		{"ambiguous-tech-sweep", "/v1/sweep", `{"base":{"capacity":"64KB"},"techs":["itrs-"]}`,
-			http.StatusBadRequest},
+			http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +214,9 @@ func TestRequestValidation(t *testing.T) {
 			var e map[string]string
 			if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 				t.Fatalf("error body not JSON: %s", body)
+			}
+			if !strings.Contains(e["error"], tc.errHas) {
+				t.Fatalf("error %q lacks %q", e["error"], tc.errHas)
 			}
 		})
 	}

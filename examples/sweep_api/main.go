@@ -9,23 +9,6 @@
 // With -local (the default) the same sweep also runs in-process
 // through internal/explore, demonstrating that the API and the
 // library return identical design points.
-//
-// With -job the example instead demonstrates durable sweep jobs: it
-// builds and launches its own cactid-serve with a -store directory,
-// submits a sweep job, interrupts the server mid-sweep, restarts it
-// on the same store, and shows the job resuming from its checkpoint
-// (already-solved points replay from the durable tier at zero solver
-// cost). Run it from the repository root so `go build
-// ./cmd/cactid-serve` resolves.
-//
-// With -cluster N the example spawns a whole sweep fabric on
-// loopback — N worker nodes plus a coordinator with a durable store —
-// submits a distributed sweep job, hard-kills the COORDINATOR
-// mid-sweep with the same SIGKILL/resume harness the -job demo uses,
-// restarts it on the same store, and shows the job resuming from its
-// checkpoint while the surviving workers' warm caches replay the
-// points they had already solved. It finishes by printing the
-// coordinator's /v1/fabric dispatch/steal counters.
 package main
 
 import (
@@ -37,11 +20,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"cactid/internal/explore"
@@ -53,7 +32,7 @@ import (
 // (seconds) overrides the computed backoff: the server knows its
 // queue better than the client does.
 //
-// Every other non-2xx status (400 malformed grid, 404 unknown job,
+// Every other non-2xx status (400 malformed grid, 413 oversized body,
 // 422 infeasible spec, ...) is terminal: retrying cannot change the
 // answer, so the server's error body is surfaced immediately instead
 // of being burned through the retry budget.
@@ -96,22 +75,7 @@ func postWithRetry(client *http.Client, url string, body []byte, attempts int) (
 func main() {
 	addr := flag.String("addr", "http://localhost:8080", "cactid-serve base URL")
 	local := flag.Bool("local", true, "also run the sweep in-process and compare")
-	job := flag.Bool("job", false, "demo durable sweep jobs: submit, kill the server mid-sweep, resume")
-	cluster := flag.Int("cluster", 0, "demo the sweep fabric: spawn N loopback workers + a coordinator, kill the coordinator mid-sweep, resume")
 	flag.Parse()
-
-	if *cluster > 0 {
-		if err := runClusterDemo(*cluster); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *job {
-		if err := runJobDemo(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	// An L3-sized sweep: three technologies, four capacities, two
 	// associativities — 24 design points, one HTTP request.
@@ -171,329 +135,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	specs, _ := grid.Expand()
 	eng := explore.New(explore.Options{})
-	results, _ := eng.SweepGrid(context.Background(), grid)
-	frontier := explore.Frontier(results)
+	frontier := explore.Frontier(eng.Sweep(context.Background(), specs))
 	fmt.Printf("in-process sweep agrees: %d frontier points (server: %d), cache now holds %d entries\n",
 		len(frontier), len(env.Results), eng.Stats().CacheEntries)
-}
-
-// jobStatus is the slice of the job JSON this demo reads.
-type jobStatus struct {
-	ID          string `json:"id"`
-	State       string `json:"state"`
-	Points      int    `json:"points"`
-	Completed   int    `json:"completed"`
-	ResumedFrom int    `json:"resumed_from"`
-}
-
-// buildServe compiles cactid-serve into dir and returns the binary
-// path; the demos run the real binary, not an in-process server.
-func buildServe(dir string) (string, error) {
-	bin := filepath.Join(dir, "cactid-serve")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/cactid-serve")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return "", fmt.Errorf("go build ./cmd/cactid-serve: %w (run from the repository root)", err)
-	}
-	return bin, nil
-}
-
-// startServe launches bin on addr with extra flags and waits for
-// /healthz before returning.
-func startServe(client *http.Client, bin, addr string, extra ...string) (*exec.Cmd, error) {
-	cmd := exec.Command(bin, append([]string{"-addr", addr}, extra...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < 200; i++ {
-		if r, err := client.Get("http://" + addr + "/healthz"); err == nil {
-			r.Body.Close()
-			if r.StatusCode == http.StatusOK {
-				return cmd, nil
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return nil, fmt.Errorf("server on %s did not become healthy", addr)
-}
-
-// stopServe drains a server gracefully (SIGINT); the demos' mid-sweep
-// kills use Process.Kill directly — that is the point of the exercise.
-func stopServe(cmd *exec.Cmd) {
-	cmd.Process.Signal(os.Interrupt)
-	cmd.Wait()
-}
-
-// pollJob reads one job's status (without its result payload).
-func pollJob(client *http.Client, base, id string) (jobStatus, error) {
-	var st jobStatus
-	r, err := client.Get(base + "/v1/sweep-jobs/" + id + "?results=false")
-	if err != nil {
-		return st, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET job: %s", r.Status)
-	}
-	return st, json.NewDecoder(r.Body).Decode(&st)
-}
-
-// runJobDemo builds cactid-serve, runs it with a durable store,
-// submits a sweep job, interrupts the server once the first
-// checkpoint lands, restarts it on the same store directory and
-// watches the job resume to completion.
-func runJobDemo() error {
-	dir, err := os.MkdirTemp("", "cactid-job-demo-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	bin, err := buildServe(dir)
-	if err != nil {
-		return err
-	}
-
-	const addr = "127.0.0.1:8093"
-	base := "http://" + addr
-	storeDir := filepath.Join(dir, "store")
-	client := &http.Client{Timeout: time.Minute}
-
-	// One worker and a small checkpoint granularity widen the window
-	// in which the kill lands mid-sweep; neither changes the results.
-	start := func() (*exec.Cmd, error) {
-		return startServe(client, bin, addr, "-store", storeDir,
-			"-workers", "1", "-checkpoint-every", "4")
-	}
-	stop := stopServe
-	poll := func(id string) (jobStatus, error) { return pollJob(client, base, id) }
-
-	fmt.Println("[1/4] starting cactid-serve with -store", storeDir)
-	srv, err := start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if srv != nil {
-			stop(srv)
-		}
-	}()
-
-	// A 16-point L3-sized SRAM sweep: checkpoints land every 4 points,
-	// and the large capacities keep each solve slow enough that the
-	// interrupt below reliably lands mid-sweep.
-	req := explore.SweepRequest{
-		Base:            explore.SpecRequest{NodeNM: 32, BlockBytes: 64},
-		RAMs:            []string{"sram"},
-		Capacities:      []string{"8MB", "16MB", "32MB", "64MB"},
-		Associativities: []int{1, 2, 4, 8},
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := postWithRetry(client, base+"/v1/sweep-jobs", body, 5)
-	if err != nil {
-		return fmt.Errorf("POST /v1/sweep-jobs: %w", err)
-	}
-	var st jobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("[2/4] submitted job %s (%d points)\n", st.ID, st.Points)
-
-	// Hard-kill the server — SIGKILL, no drain, no graceful close.
-	// The job record was checkpointed at submit and every solved
-	// point is already in the durable tier, so nothing is lost; the
-	// store's crash recovery handles whatever half-written tail the
-	// kill leaves behind.
-	if st, err = poll(st.ID); err != nil {
-		return err
-	}
-	fmt.Printf("[3/4] hard-killing the server (SIGKILL) at %d/%d checkpointed points\n", st.Completed, st.Points)
-	srv.Process.Kill()
-	srv.Wait()
-	srv = nil
-
-	fmt.Println("[4/4] restarting on the same store; the job resumes from its checkpoint")
-	if srv, err = start(); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		cur, err := poll(st.ID)
-		if err != nil {
-			return err
-		}
-		if cur.State != "running" {
-			st = cur
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still running after resume", st.ID)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s ended %q after resume", st.ID, st.State)
-	}
-	fmt.Printf("done: job %s resumed from checkpoint %d and completed %d/%d points\n",
-		st.ID, st.ResumedFrom, st.Completed, st.Points)
-	fmt.Println("(any points solved before the kill replayed from the durable tier — no repeat solver work)")
-	return nil
-}
-
-// runClusterDemo spawns a loopback sweep fabric — n worker nodes plus
-// a coordinator with a durable store — submits a distributed sweep
-// job, hard-kills the coordinator mid-sweep, restarts it against the
-// same store and the still-running workers, and watches the job
-// resume: the checkpointed prefix replays from the store, and points
-// the workers had already solved past the checkpoint replay from
-// their warm caches instead of re-running the solver.
-func runClusterDemo(n int) error {
-	dir, err := os.MkdirTemp("", "cactid-cluster-demo-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	bin, err := buildServe(dir)
-	if err != nil {
-		return err
-	}
-	client := &http.Client{Timeout: time.Minute}
-
-	// Workers are plain cactid-serve processes; they outlive the
-	// coordinator kill below, which is what keeps their caches warm.
-	fmt.Printf("[1/5] starting %d worker nodes\n", n)
-	workerURLs := make([]string, n)
-	for i := range workerURLs {
-		addr := fmt.Sprintf("127.0.0.1:%d", 8094+i)
-		w, err := startServe(client, bin, addr, "-workers", "1")
-		if err != nil {
-			return err
-		}
-		defer stopServe(w)
-		workerURLs[i] = "http://" + addr
-	}
-
-	const coordAddr = "127.0.0.1:8093"
-	base := "http://" + coordAddr
-	storeDir := filepath.Join(dir, "store")
-	start := func() (*exec.Cmd, error) {
-		return startServe(client, bin, coordAddr, "-store", storeDir,
-			"-checkpoint-every", "4", "-coordinator",
-			"-worker-nodes", strings.Join(workerURLs, ","),
-			"-heartbeat-every", "500ms")
-	}
-
-	fmt.Println("[2/5] starting the coordinator with -store", storeDir)
-	co, err := start()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if co != nil {
-			stopServe(co)
-		}
-	}()
-
-	// The same slow L3-sized grid as the -job demo: large SRAM solves
-	// keep the SIGKILL window wide open.
-	req := explore.SweepRequest{
-		Base:            explore.SpecRequest{NodeNM: 32, BlockBytes: 64},
-		RAMs:            []string{"sram"},
-		Capacities:      []string{"8MB", "16MB", "32MB", "64MB"},
-		Associativities: []int{1, 2, 4, 8},
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := postWithRetry(client, base+"/v1/sweep-jobs", body, 5)
-	if err != nil {
-		return fmt.Errorf("POST /v1/sweep-jobs: %w", err)
-	}
-	var st jobStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("[3/5] submitted job %s (%d points, sharded across %d workers)\n", st.ID, st.Points, n)
-
-	if st, err = pollJob(client, base, st.ID); err != nil {
-		return err
-	}
-	fmt.Printf("[4/5] hard-killing the COORDINATOR (SIGKILL) at %d/%d checkpointed points; workers stay up\n",
-		st.Completed, st.Points)
-	co.Process.Kill()
-	co.Wait()
-	co = nil
-
-	fmt.Println("[5/5] restarting the coordinator on the same store; the job resumes against the warm workers")
-	if co, err = start(); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		cur, err := pollJob(client, base, st.ID)
-		if err != nil {
-			return err
-		}
-		if cur.State != "running" {
-			st = cur
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s still running after resume", st.ID)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s ended %q after resume", st.ID, st.State)
-	}
-	fmt.Printf("done: job %s resumed from checkpoint %d and completed %d/%d points\n",
-		st.ID, st.ResumedFrom, st.Completed, st.Points)
-
-	// The coordinator's fabric counters tell the distribution story:
-	// every worker healthy, chunks sharded by fingerprint owner, and
-	// any straggler chunks stolen by idle workers.
-	r, err := client.Get(base + "/v1/fabric")
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	var view struct {
-		Fabric struct {
-			HealthyWorkers   int   `json:"healthy_workers"`
-			ChunksDispatched int64 `json:"chunks_dispatched"`
-			ChunksStolen     int64 `json:"chunks_stolen"`
-			ChunksRerouted   int64 `json:"chunks_rerouted"`
-		} `json:"fabric"`
-		ClusterStats struct {
-			Solves    int64 `json:"solves"`
-			CacheHits int64 `json:"cache_hits"`
-		} `json:"cluster_stats"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&view); err != nil {
-		return err
-	}
-	f := view.Fabric
-	fmt.Printf("fabric: %d/%d workers healthy, %d chunks dispatched, %d stolen, %d rerouted\n",
-		f.HealthyWorkers, n, f.ChunksDispatched, f.ChunksStolen, f.ChunksRerouted)
-	note := "the kill landed before any worker finished a point"
-	if view.ClusterStats.CacheHits > 0 {
-		note = "points solved before the kill replayed from warm worker caches"
-	}
-	fmt.Printf("cluster: %d solver runs, %d cache hits — %s\n",
-		view.ClusterStats.Solves, view.ClusterStats.CacheHits, note)
-	return nil
 }

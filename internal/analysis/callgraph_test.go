@@ -98,8 +98,9 @@ func TestCallGraphIsolated(t *testing.T) {
 }
 
 // TestCallGraphRealTree sanity-checks FuncID and node coverage on the
-// repository itself: every node ID is package-qualified and the
-// explore merger's methods exist under their erased-pointer receiver.
+// repository itself: every node ID is package-qualified, and the
+// byte-identity cone reaches across packages from the solver roots and
+// includes the Pareto filter every served frontier comes from.
 func TestCallGraphRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
@@ -131,9 +132,11 @@ func TestCallGraphRealTree(t *testing.T) {
 		t.Fatal("no detpure roots found in the real tree")
 	}
 	seen, _ := g.Reachable(roots)
-	// The cone must cross package boundaries: the solver calls into
-	// the array enumeration which calls into mat.
-	for _, want := range []string{"cactid/internal/core.ExploreContext", "cactid/internal/mat.Shared.BuildInto"} {
+	// The cone must cross package boundaries (the solver calls into
+	// the array enumeration which calls into mat) and hold the
+	// frontier filter.
+	for _, want := range []string{"cactid/internal/core.ExploreContext", "cactid/internal/mat.Shared.BuildInto",
+		"cactid/internal/explore.Frontier"} {
 		if g.Nodes[want] == nil {
 			t.Fatalf("expected node %s in the real graph", want)
 		}

@@ -33,9 +33,8 @@ import (
 //     and the store digests freeze;
 //   - array.Enumerate* — the enumeration the parallel hot path must
 //     replay byte-identically;
-//   - explore.FrontierMerger methods — the streaming merge whose
-//     order-independence the fabric's "distributed == single-node"
-//     guarantee rests on.
+//   - explore.Frontier — the Pareto filter every served frontier,
+//     single-node or distributed, comes from.
 //
 // Reachability does the work — no hand-listed packages: a helper
 // three calls deep in internal/mat is in the cone because the graph
@@ -64,7 +63,7 @@ func detPureRoot(n *Node) bool {
 	case "array":
 		return len(name) >= 9 && name[:9] == "Enumerate"
 	case "explore":
-		return recv == "FrontierMerger"
+		return name == "Frontier" && recv == ""
 	}
 	return false
 }

@@ -48,9 +48,8 @@ type cacheShard struct {
 
 // Cache is a sharded solution cache keyed by core.Spec fingerprints,
 // with an optional entry bound enforced by least-recently-used
-// eviction. A Cache may be shared by several Engines (and is safe for
-// concurrent use); the zero value is not usable, call NewCache or
-// NewCacheWith.
+// eviction. It is safe for concurrent use; the zero value is not
+// usable, call NewCacheWith.
 type Cache struct {
 	maxEntries int             // 0 = unbounded
 	chaos      *chaos.Injector // nil = no fault injection
@@ -76,9 +75,6 @@ type CacheConfig struct {
 	// fault drops a completed entry on lookup, forcing a recompute.
 	Chaos *chaos.Injector
 }
-
-// NewCache returns an empty, unbounded cache.
-func NewCache() *Cache { return NewCacheWith(CacheConfig{}) }
 
 // NewCacheWith returns an empty cache with the given bound and
 // instrumentation.

@@ -22,7 +22,7 @@ func fill(c *Cache, n int) {
 }
 
 func TestCacheUnboundedByDefault(t *testing.T) {
-	c := NewCache()
+	c := NewCacheWith(CacheConfig{})
 	fill(c, 500)
 	if got := c.Len(); got != 500 {
 		t.Fatalf("unbounded cache evicted: Len = %d", got)

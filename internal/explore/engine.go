@@ -24,18 +24,8 @@ var ErrSolverPanic = errors.New("solver panicked")
 type Options struct {
 	// Workers bounds sweep concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// SolverWorkers bounds the per-solve organization-enumeration
-	// pool (core.Options.Workers); 0 means GOMAXPROCS. The Go
-	// scheduler time-slices sweep-level and solve-level parallelism
-	// onto the same GOMAXPROCS threads, so the default is safe for
-	// both single solves and wide sweeps.
-	SolverWorkers int
-	// Cache lets several engines share one result cache; nil makes a
-	// private one.
-	Cache *Cache
-	// CacheEntries bounds the private cache built when Cache is nil
-	// (see CacheConfig.MaxEntries); 0 means unbounded. Ignored when
-	// Cache is supplied.
+	// CacheEntries bounds the result cache (see
+	// CacheConfig.MaxEntries); 0 means unbounded.
 	CacheEntries int
 	// Solver replaces the default core.OptimizeContext solver (tests
 	// inject counting or slow solvers). The context is the
@@ -49,8 +39,8 @@ type Options struct {
 	// requests perform one tier-1 lookup, not one each.
 	Tier1 store.Tiered
 	// Chaos arms the engine's fault-injection points
-	// (explore.worker, explore.solve, and — for a private cache —
-	// explore.cache.lookup). Nil disables injection entirely.
+	// (explore.worker, explore.solve and explore.cache.lookup). Nil
+	// disables injection entirely.
 	Chaos *chaos.Injector
 }
 
@@ -82,20 +72,15 @@ type Engine struct {
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
-	e := &Engine{cache: opts.Cache, workers: opts.Workers, solver: opts.Solver,
-		chaos: opts.Chaos, tier1: opts.Tier1}
-	if e.cache == nil {
-		e.cache = NewCacheWith(CacheConfig{MaxEntries: opts.CacheEntries, Chaos: opts.Chaos})
-	}
+	e := &Engine{workers: opts.Workers, solver: opts.Solver, chaos: opts.Chaos, tier1: opts.Tier1,
+		cache: NewCacheWith(CacheConfig{MaxEntries: opts.CacheEntries, Chaos: opts.Chaos})}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	if e.solver == nil {
-		solverWorkers := opts.SolverWorkers
 		e.solver = func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
 			var st core.SolveStats
-			sol, err := core.OptimizeContext(ctx, spec,
-				&core.Options{Workers: solverWorkers, Stats: &st})
+			sol, err := core.OptimizeContext(ctx, spec, &core.Options{Stats: &st})
 			total := st.Total()
 			e.orgsConsidered.Add(total.Considered)
 			e.orgsPruned.Add(total.PrunedTotal())
@@ -230,40 +215,7 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int) (r Result)
 // unfinished tail with ctx.Err().
 func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 	results := make([]Result, len(specs))
-	e.sweepInto(ctx, specs, func(i int, r Result) { results[i] = r })
-	return results
-}
-
-// SweepStream evaluates every spec on the worker pool, handing each
-// Result to emit as soon as its point completes — in completion
-// order, not input order, so a consumer (an incremental Pareto
-// merger, a chunked network reply) sees partial results while the
-// sweep is still running. Calls to emit are serialized: emit needs no
-// internal locking, but a slow emit backpressures the pool. Every
-// input spec is emitted exactly once; points a cancelled context cut
-// off are emitted with ctx.Err() before SweepStream returns.
-func (e *Engine) SweepStream(ctx context.Context, specs []core.Spec, emit func(Result)) {
-	var mu sync.Mutex
-	e.sweepInto(ctx, specs, func(_ int, r Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(r)
-	})
-}
-
-// sweepInto is the shared sweep pump: a bounded worker pool pulling
-// point indices from a channel, delivering each finished Result
-// through deliver(i, r). deliver may run concurrently from several
-// workers (Sweep writes disjoint slice slots; SweepStream wraps it in
-// a mutex).
-func (e *Engine) sweepInto(ctx context.Context, specs []core.Spec, deliver func(int, Result)) {
-	workers := e.workers
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(e.workers, len(specs)))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -271,7 +223,7 @@ func (e *Engine) sweepInto(ctx context.Context, specs []core.Spec, deliver func(
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				deliver(i, e.sweepOne(ctx, specs[i], i))
+				results[i] = e.sweepOne(ctx, specs[i], i)
 			}
 		}()
 	}
@@ -287,21 +239,9 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 	for i := sent; i < len(specs); i++ {
-		deliver(i, Result{Index: i, Spec: specs[i], Err: ctx.Err()})
+		results[i] = Result{Index: i, Spec: specs[i], Err: ctx.Err()}
 	}
-}
-
-// SweepGrid expands the grid and sweeps it.
-func (e *Engine) SweepGrid(ctx context.Context, g Grid) (results []Result, skipped int) {
-	specs, skipped := g.Expand()
-	return e.Sweep(ctx, specs), skipped
-}
-
-// Pareto sweeps the specs and returns only the Pareto-optimal points
-// over {access time, read energy, leakage power, area}, in sweep
-// order.
-func (e *Engine) Pareto(ctx context.Context, specs []core.Spec) []Result {
-	return Frontier(e.Sweep(ctx, specs))
+	return results
 }
 
 // Stats is a snapshot of the engine's cache and enumeration counters.

@@ -126,8 +126,8 @@ func TestProviderITRSByteIdentical(t *testing.T) {
 	for gi, g := range equivSweepGrids() {
 		g := g
 		t.Run(fmt.Sprintf("sweep-grid-%d", gi), func(t *testing.T) {
-			e := New(Options{})
-			results, skipped := e.SweepGrid(ctx, g)
+			specs, skipped := g.Expand()
+			results := New(Options{}).Sweep(ctx, specs)
 			if skipped != 0 {
 				t.Fatalf("%d grid points skipped", skipped)
 			}
@@ -135,8 +135,7 @@ func TestProviderITRSByteIdentical(t *testing.T) {
 			checkGolden(t, fmt.Sprintf("itrs_sweep%d.json", gi), j)
 			checkGolden(t, fmt.Sprintf("itrs_sweep%d.csv", gi), c)
 
-			specs, _ := g.Expand()
-			front := New(Options{}).Pareto(ctx, specs)
+			front := Frontier(New(Options{}).Sweep(ctx, specs))
 			fj, fc := renderBoth(t, front)
 			checkGolden(t, fmt.Sprintf("itrs_pareto%d.json", gi), fj)
 			checkGolden(t, fmt.Sprintf("itrs_pareto%d.csv", gi), fc)

@@ -249,24 +249,6 @@ func TestInFlightDedup(t *testing.T) {
 	}
 }
 
-func TestSharedCacheAcrossEngines(t *testing.T) {
-	cache := NewCache()
-	n1, s1 := countingSolver(0)
-	n2, s2 := countingSolver(0)
-	e1 := New(Options{Cache: cache, Solver: s1})
-	e2 := New(Options{Cache: cache, Solver: s2})
-	spec := core.Spec{RAM: tech.SRAM, CapacityBytes: 1 << 20, BlockBytes: 64}
-	if _, _, err := e1.Solve(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, cached, err := e2.Solve(context.Background(), spec); err != nil || !cached {
-		t.Fatalf("shared cache missed: cached=%v err=%v", cached, err)
-	}
-	if n1.Load() != 1 || n2.Load() != 0 {
-		t.Fatalf("solver calls %d/%d, want 1/0", n1.Load(), n2.Load())
-	}
-}
-
 func TestEngineDefaultSolver(t *testing.T) {
 	e := New(Options{})
 	sol, cached, err := e.Solve(context.Background(),

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"sort"
-
-	"cactid/internal/core"
-)
+import "cactid/internal/core"
 
 // dominates reports whether a is at least as good as b on all four
 // optimization objectives — access time, per-read dynamic energy,
@@ -47,71 +43,4 @@ func Frontier(results []Result) []Result {
 		}
 	}
 	return frontier
-}
-
-// FrontierMerger accumulates sweep results incrementally, in any
-// arrival order, and maintains the running Pareto frontier: the
-// streaming form of Frontier for consumers that see points as they
-// complete (Engine.SweepStream, or a sweep-fabric coordinator merging
-// partial results from many workers). Frontier membership is
-// order-independent (property-tested for the batch form), so feeding
-// the merger results from interleaved workers is safe: Frontier()
-// returns exactly Frontier(all results, in index order). Not safe for
-// concurrent use; serialize Add calls (SweepStream already does).
-type FrontierMerger struct {
-	byFP map[string]int // fingerprint -> slot in live (first-index occurrence wins)
-	live []Result       // current non-dominated set, unordered
-}
-
-// NewFrontierMerger returns an empty merger.
-func NewFrontierMerger() *FrontierMerger {
-	return &FrontierMerger{byFP: make(map[string]int)}
-}
-
-// Add feeds one result into the running frontier. Errored points are
-// ignored, exactly as Frontier drops them; a duplicate fingerprint
-// keeps only the occurrence with the smallest sweep index (duplicates
-// share a solution, so dominance is unaffected either way).
-func (m *FrontierMerger) Add(r Result) {
-	if r.Err != nil || r.Solution == nil {
-		return
-	}
-	if i, ok := m.byFP[r.Fingerprint]; ok {
-		if i >= 0 && r.Index < m.live[i].Index {
-			m.live[i] = r
-		}
-		return
-	}
-	for _, s := range m.live {
-		if dominates(s.Solution, r.Solution) {
-			// Remember the fingerprint so a re-arrival (or a higher-
-			// index duplicate) is still recognized as seen.
-			m.byFP[r.Fingerprint] = -1
-			return
-		}
-	}
-	// r survives: evict everything it dominates. Removal is safe —
-	// dominance is transitive, so nothing kept only because a removed
-	// point shielded it.
-	kept := m.live[:0]
-	for _, s := range m.live {
-		if dominates(r.Solution, s.Solution) {
-			m.byFP[s.Fingerprint] = -1
-			continue
-		}
-		kept = append(kept, s)
-	}
-	m.live = append(kept, r)
-	for i := range m.live {
-		m.byFP[m.live[i].Fingerprint] = i
-	}
-}
-
-// Frontier returns the current Pareto-optimal set in sweep (index)
-// order — the same order Frontier produces for the full result list.
-func (m *FrontierMerger) Frontier() []Result {
-	out := make([]Result, len(m.live))
-	copy(out, m.live)
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
 }

@@ -62,7 +62,7 @@ func TestEngineParetoRealSolver(t *testing.T) {
 	}
 	e := New(Options{Workers: 4})
 	specs, _ := testGrid().Expand()
-	front := e.Pareto(context.Background(), specs)
+	front := Frontier(e.Sweep(context.Background(), specs))
 	if len(front) == 0 || len(front) >= len(specs) {
 		t.Fatalf("frontier size %d of %d", len(front), len(specs))
 	}

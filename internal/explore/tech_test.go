@@ -142,12 +142,11 @@ func TestSweepTechnologyAxis(t *testing.T) {
 		}
 	}
 
-	e := New(Options{})
-	results, errs := e.SweepGrid(context.Background(), g)
-	if errs != 0 {
-		t.Fatalf("%d sweep points failed", errs)
-	}
+	results := New(Options{}).Sweep(context.Background(), specs)
 	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("point %d failed: %v", r.Index, r.Err)
+		}
 		sol := r.Solution
 		switch r.Spec.Technology {
 		case "stt-ram":

@@ -176,9 +176,10 @@ func TestTier1SweepByteIdenticalAcrossRestart(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	specs, _ := g.Expand()
 	e1 := New(Options{Tier1: openTier(t, dir)})
-	e1.SweepGrid(ctx, g) // cold pass populates the store
-	warm1, _ := e1.SweepGrid(ctx, g)
+	e1.Sweep(ctx, specs) // cold pass populates the store
+	warm1 := e1.Sweep(ctx, specs)
 	var a bytes.Buffer
 	if err := WriteJSON(&a, warm1); err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestTier1SweepByteIdenticalAcrossRestart(t *testing.T) {
 	// must be byte-identical to the first process's warm sweep (both
 	// report cached=true everywhere) with zero solver invocations.
 	e2 := New(Options{Tier1: openTier(t, dir)})
-	warm2, _ := e2.SweepGrid(ctx, g)
+	warm2 := e2.Sweep(ctx, specs)
 	var b bytes.Buffer
 	if err := WriteJSON(&b, warm2); err != nil {
 		t.Fatal(err)

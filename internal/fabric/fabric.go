@@ -11,12 +11,10 @@
 // work only — in-flight chunks are never duplicated); a failed or
 // timed-out dispatch reroutes its chunk to another healthy worker
 // with a bounded attempt budget, falling back to the coordinator's
-// local engine when the budget is exhausted. Partial results stream
-// back chunk by chunk and merge incrementally (explore.FrontierMerger
-// relies on the property-tested order-independence of the Pareto
-// frontier), and the merged output is byte-identical to a single-node
-// explore.Engine.SweepGrid of the same grid — results depend only on
-// the model, never on routing, stealing, or failure history.
+// local engine when the budget is exhausted. Results are collected in
+// input order, so the output is byte-identical to a single-node
+// explore.Engine.Sweep of the same specs — results depend only on the
+// model, never on routing, stealing, or failure history.
 //
 // The chaos points fabric.dispatch and fabric.steal (internal/chaos)
 // gate the dispatch RPC and the steal decision, so the reroute and
@@ -36,38 +34,37 @@ import (
 	"cactid/internal/explore"
 )
 
+const (
+	// failAfter consecutive dispatch failures mark a worker unhealthy
+	// mid-sweep; heartbeats can bring it back.
+	failAfter = 2
+	// heartbeatTimeout bounds one health probe or stats poll.
+	heartbeatTimeout = 2 * time.Second
+	// vnodes is the number of ring positions per worker: more spread
+	// load more evenly at the cost of a larger ring.
+	vnodes = 64
+)
+
 // Config assembles a Coordinator. Zero values take the defaults
 // documented per field.
 type Config struct {
 	// Workers is the initial worker set; more can join later via
-	// Register.
+	// Register. Its size also sets each chunk's dispatch attempt
+	// budget across reroutes: 2 + len(Workers), after which the local
+	// fallback solves the chunk.
 	Workers []Worker
 	// ChunkSize is the number of specs per dispatch RPC (default 16).
 	// Smaller chunks steal and reroute at finer grain; larger ones
 	// amortize transport overhead.
 	ChunkSize int
-	// MaxAttempts bounds how many dispatch attempts a chunk gets
-	// across reroutes before the local fallback solves it (default
-	// 2 + number of workers).
-	MaxAttempts int
-	// FailAfter is the consecutive-dispatch-failure threshold that
-	// marks a worker unhealthy mid-sweep (default 2). Heartbeats can
-	// bring it back.
-	FailAfter int
 	// Heartbeat is the background probe period; 0 disables the loop
 	// (workers then change health only on dispatch failures and
 	// Register).
 	Heartbeat time.Duration
-	// HeartbeatTimeout bounds one probe (default 2s).
-	HeartbeatTimeout time.Duration
-	// VNodes is the number of ring positions per worker (default 64);
-	// more positions spread load more evenly at the cost of a larger
-	// ring.
-	VNodes int
 	// Local is the coordinator's own solve path (typically the local
 	// engine's Sweep), the fallback of last resort when a chunk
-	// exhausts MaxAttempts or no worker is healthy. Nil means such
-	// points surface dispatch errors instead.
+	// exhausts its attempt budget or no worker is healthy. Nil means
+	// such points surface dispatch errors instead.
 	Local func(context.Context, []core.Spec) []explore.Result
 	// Chaos arms fabric.dispatch and fabric.steal; nil disables
 	// injection.
@@ -90,7 +87,8 @@ type workerState struct {
 // for concurrent use; concurrent Sweeps share the worker set and the
 // workers' own admission control.
 type Coordinator struct {
-	cfg Config
+	cfg         Config
+	maxAttempts int // dispatch attempts per chunk before the local fallback
 
 	mu      sync.Mutex
 	workers []*workerState // guarded by mu (the slice; states use atomics)
@@ -116,19 +114,7 @@ func New(cfg Config) *Coordinator {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 16
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 2 + len(cfg.Workers)
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = 2 * time.Second
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
-	c := &Coordinator{cfg: cfg, stopCh: make(chan struct{})}
+	c := &Coordinator{cfg: cfg, maxAttempts: 2 + len(cfg.Workers), stopCh: make(chan struct{})}
 	for _, w := range cfg.Workers {
 		c.Register(w)
 	}
@@ -190,7 +176,7 @@ func (c *Coordinator) heartbeatLoop() {
 // takes it out of the next sweep's ring.
 func (c *Coordinator) HeartbeatNow() {
 	for _, ws := range c.snapshot() {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), heartbeatTimeout)
 		ok := ws.w.Healthy(ctx)
 		cancel()
 		if ok {
@@ -222,7 +208,7 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// ring maps fingerprint hashes to worker slots: VNodes points per
+// ring maps fingerprint hashes to worker slots: vnodes points per
 // worker on a uint64 circle, each fingerprint owned by the first
 // point at or clockwise of its hash. Losing a worker reassigns only
 // that worker's arcs (to their clockwise successors); every other
@@ -236,7 +222,7 @@ type ring struct {
 // buildRing places vnodes points per worker name. Names must be
 // distinct; order does not matter (the ring is a pure function of the
 // name set).
-func buildRing(names []string, vnodes int) ring {
+func buildRing(names []string) ring {
 	type pt struct {
 		h    uint64
 		slot int
@@ -297,7 +283,7 @@ func (run *sweepRun) broadcastLocked() { run.cond.Broadcast() }
 // Result per spec, in input order — the same contract as
 // explore.Engine.Sweep, and byte-identical output for the same specs.
 // onResult, when non-nil, observes every Result as it is delivered
-// (completion order, serialized calls): the streaming-merge hook.
+// (completion order, serialized calls).
 func (c *Coordinator) Sweep(ctx context.Context, specs []core.Spec, onResult func(explore.Result)) []explore.Result {
 	c.sweeps.Add(1)
 	results := make([]explore.Result, len(specs))
@@ -330,7 +316,7 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []core.Spec, onResult fun
 	for i, w := range ws {
 		names[i] = w.w.Name()
 	}
-	rg := buildRing(names, c.cfg.VNodes)
+	rg := buildRing(names)
 	perOwner := make([][]int, len(ws))
 	pending := 0
 	for i, spec := range specs {
@@ -395,12 +381,6 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []core.Spec, onResult fun
 	return results
 }
 
-// SweepGrid expands the grid and sweeps it across the cluster.
-func (c *Coordinator) SweepGrid(ctx context.Context, g explore.Grid, onResult func(explore.Result)) ([]explore.Result, int) {
-	specs, skipped := g.Expand()
-	return c.Sweep(ctx, specs, onResult), skipped
-}
-
 // Owner returns the healthy worker owning fingerprint fp on the
 // current ring, or nil when none is healthy. Routing single-point
 // requests through it lands them on the same cache/store owner the
@@ -415,7 +395,7 @@ func (c *Coordinator) Owner(fp string) Worker {
 	for i, w := range ws {
 		names[i] = w.w.Name()
 	}
-	return ws[buildRing(names, c.cfg.VNodes).owner(fp)].w
+	return ws[buildRing(names).owner(fp)].w
 }
 
 func (c *Coordinator) healthyWorkers() []*workerState {
@@ -567,14 +547,14 @@ func (c *Coordinator) abandonQueueLocked(run *sweepRun, ws []*workerState, wi in
 }
 
 // failChunk handles a failed dispatch: bump the worker's failure
-// accounting (FailAfter consecutive failures mark it unhealthy), then
+// accounting (failAfter consecutive failures mark it unhealthy), then
 // either reroute the chunk to another worker's queue or — once its
 // attempt budget is spent — solve it through the local fallback.
 func (c *Coordinator) failChunk(ctx context.Context, run *sweepRun, ws []*workerState, wi int, ch *chunk, err error, deliver func(explore.Result)) {
 	st := ws[wi]
 	st.failures.Add(1)
 	c.dispatchFailures.Add(1)
-	if st.consecFails.Add(1) >= int64(c.cfg.FailAfter) {
+	if st.consecFails.Add(1) >= failAfter {
 		st.healthy.Store(false)
 	}
 	if ctx.Err() != nil {
@@ -587,7 +567,7 @@ func (c *Coordinator) failChunk(ctx context.Context, run *sweepRun, ws []*worker
 		return
 	}
 	ch.attempts++
-	if ch.attempts >= c.cfg.MaxAttempts {
+	if ch.attempts >= c.maxAttempts {
 		c.fallbackChunk(ctx, run, ch, err, deliver)
 		return
 	}
@@ -601,7 +581,7 @@ func (c *Coordinator) failChunk(ctx context.Context, run *sweepRun, ws []*worker
 		}
 	}
 	// No healthy peer: requeue on self; the attempt budget converts a
-	// persistent failure into the local fallback after MaxAttempts.
+	// persistent failure into the local fallback after maxAttempts.
 	run.queues[target] = append(run.queues[target], ch)
 	run.broadcastLocked()
 	run.mu.Unlock()
@@ -635,7 +615,7 @@ func (c *Coordinator) deliverChunk(ctx context.Context, run *sweepRun, ws []*wor
 	run.pending -= delivered
 	if retry != nil {
 		retry.attempts++
-		if retry.attempts >= c.cfg.MaxAttempts {
+		if retry.attempts >= c.maxAttempts {
 			run.mu.Unlock()
 			c.fallbackChunk(ctx, run, retry, nil, deliver)
 			run.mu.Lock()
@@ -752,7 +732,7 @@ func (c *Coordinator) Status() Status {
 func (c *Coordinator) ClusterStats(ctx context.Context) explore.Stats {
 	var agg explore.Stats
 	for _, ws := range c.snapshot() {
-		sctx, cancel := context.WithTimeout(ctx, c.cfg.HeartbeatTimeout)
+		sctx, cancel := context.WithTimeout(ctx, heartbeatTimeout)
 		st, err := ws.w.Stats(sctx)
 		cancel()
 		if err == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,8 +68,8 @@ func engineWorker(name string, delay time.Duration) (*EngineWorker, *atomic.Int6
 // surviving workers' caches stay warm through membership changes.
 func TestRingMinimalReassignment(t *testing.T) {
 	names := []string{"node-a", "node-b", "node-c", "node-d"}
-	full := buildRing(names, 64)
-	reduced := buildRing(names[:3], 64) // node-d removed; slots 0..2 unchanged
+	full := buildRing(names)
+	reduced := buildRing(names[:3]) // node-d removed; slots 0..2 unchanged
 
 	keys := make([]string, 500)
 	for i := range keys {
@@ -95,10 +96,10 @@ func TestRingMinimalReassignment(t *testing.T) {
 }
 
 // TestFabricSweepByteIdenticalToSingleNode is the core guarantee: a
-// sweep sharded across three workers, streamed and merged, serializes
-// byte-for-byte like a single-node Engine sweep of the same specs —
-// for the full result set and for the Pareto frontier. Runs the real
-// circuit model end to end.
+// sweep sharded across three workers serializes byte-for-byte like a
+// single-node Engine sweep of the same specs — for the full result set
+// and for the Pareto frontier — and the onResult hook observes every
+// point exactly once. Runs the real circuit model end to end.
 func TestFabricSweepByteIdenticalToSingleNode(t *testing.T) {
 	specs, _ := testGrid().Expand()
 
@@ -112,11 +113,16 @@ func TestFabricSweepByteIdenticalToSingleNode(t *testing.T) {
 	co := New(Config{Workers: workers, ChunkSize: 4})
 	defer co.Close()
 
-	merger := explore.NewFrontierMerger()
-	distributed := co.Sweep(context.Background(), specs, merger.Add)
+	observed := make([]int, len(specs))
+	distributed := co.Sweep(context.Background(), specs, func(r explore.Result) { observed[r.Index]++ })
 
 	assertSameBytes(t, single, distributed, "full result set")
-	assertSameBytes(t, explore.Frontier(single), merger.Frontier(), "streamed frontier")
+	assertSameBytes(t, explore.Frontier(single), explore.Frontier(distributed), "frontier")
+	for i, n := range observed {
+		if n != 1 {
+			t.Fatalf("onResult observed point %d %d times", i, n)
+		}
+	}
 
 	st := co.Status()
 	if st.DuplicateResults != 0 {
@@ -181,19 +187,26 @@ func TestFabricWorkStealing(t *testing.T) {
 
 // TestFabricWorkerFailureReroutes kills one worker's transport after
 // its first chunk; the sweep must still deliver every point exactly
-// once, rerouting the dead worker's queue to the survivors.
+// once, rerouting the dead worker's queue to the survivors. The
+// survivors' first dispatches wait for the kill, so they cannot steal
+// node-1's whole queue before its second dispatch fails.
 func TestFabricWorkerFailureReroutes(t *testing.T) {
 	w0, n0 := engineWorker("node-0", 0)
 	w1, n1 := engineWorker("node-1", 0)
 	w2, n2 := engineWorker("node-2", 0)
 	var batches atomic.Int64
+	killed := make(chan struct{})
+	var kill sync.Once
 	w1.Fail = func() error {
 		if batches.Add(1) > 1 {
+			kill.Do(func() { close(killed) })
 			return errors.New("connection refused")
 		}
 		return nil
 	}
-	co := New(Config{Workers: []Worker{w0, w1, w2}, ChunkSize: 4, FailAfter: 2})
+	afterKill := func() error { <-killed; return nil }
+	w0.Fail, w2.Fail = afterKill, afterKill
+	co := New(Config{Workers: []Worker{w0, w1, w2}, ChunkSize: 4})
 	defer co.Close()
 
 	specs := fakeSpecs(96)
@@ -324,15 +337,14 @@ func TestFabricChaosKillMidSweep(t *testing.T) {
 	local := explore.New(explore.Options{Workers: 2})
 	co := New(Config{
 		Workers:   []Worker{workers[0], workers[1], workers[2]},
-		ChunkSize: 2, FailAfter: 2, Chaos: inj, Local: local.Sweep,
+		ChunkSize: 2, Chaos: inj, Local: local.Sweep,
 	})
 	defer co.Close()
 
-	merger := explore.NewFrontierMerger()
-	distributed := co.Sweep(context.Background(), specs, merger.Add)
+	distributed := co.Sweep(context.Background(), specs, nil)
 
 	assertSameBytes(t, single, distributed, "post-failure result set")
-	assertSameBytes(t, explore.Frontier(single), merger.Frontier(), "post-failure frontier")
+	assertSameBytes(t, explore.Frontier(single), explore.Frontier(distributed), "post-failure frontier")
 
 	var clusterSolves int64
 	for _, w := range workers {

@@ -46,16 +46,16 @@ func TestFabricCrossTechParetoByteIdentical(t *testing.T) {
 	co := New(Config{Workers: workers, ChunkSize: 1})
 	defer co.Close()
 
-	merger := explore.NewFrontierMerger()
-	distributed := co.Sweep(context.Background(), specs, merger.Add)
+	distributed := co.Sweep(context.Background(), specs, nil)
+	frontier := explore.Frontier(distributed)
 
 	assertSameBytes(t, single, distributed, "cross-tech result set")
-	assertSameBytes(t, explore.Frontier(single), merger.Frontier(), "cross-tech frontier")
+	assertSameBytes(t, explore.Frontier(single), frontier, "cross-tech frontier")
 
 	// The frontier spans technologies: with asymmetric NVM writes and
 	// gain-cell refresh in play, no single provider dominates all axes.
 	seen := map[string]bool{}
-	for _, r := range merger.Frontier() {
+	for _, r := range frontier {
 		seen[r.Spec.Technology] = true
 	}
 	if len(seen) < 2 {
