@@ -50,12 +50,14 @@ race:
 # test-tech runs the technology-provider surface (DESIGN.md §1.9):
 # provider resolution and overlay tables, per-kind mat models and
 # bound-ladder admissibility, the pinned STT-RAM/gain-cell solves, the
-# ITRS byte-identity goldens, and the cross-technology fabric/server
-# integration tests. TECH narrows the per-provider legs of the CI
-# matrix to one provider's subtests (e.g. TECH=stt-ram).
+# ITRS byte-identity goldens, the cross-technology mat-stage table
+# (warm vs cold byte identity, key safety, /metrics counters), and the
+# cross-technology fabric/server integration tests. TECH narrows the
+# per-provider legs of the CI matrix to one provider's subtests (e.g.
+# TECH=stt-ram).
 TECH ?=
 test-tech:
-	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate' \
+	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable' \
 		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/explore/ \
 		./internal/fabric/ ./cmd/cactid-serve/
 ifneq ($(TECH),)
@@ -87,12 +89,14 @@ fuzz:
 vulncheck:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# bench runs the single-solve hot-path micro-benchmark (compare runs
-# with golang.org/x/perf/cmd/benchstat if available). The recorded,
-# gated performance ledger is the end-to-end benchmark in bench/
+# bench runs the single-solve hot-path micro-benchmark and the array
+# layer with the mat-stage table warm and cold (compare runs with
+# golang.org/x/perf/cmd/benchstat if available). The recorded, gated
+# performance ledger is the end-to-end benchmark in bench/
 # (`bash bench/run.sh`, see bench/README.md).
 bench:
 	go test -run '^$$' -bench BenchmarkSolve -benchmem -count=5 .
+	go test -run '^$$' -bench BenchmarkMatTable -benchmem -count=5 ./internal/array/
 
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
 # sweeps, the warm sweep rendered as JSON and as CSV, and the per-point

@@ -217,9 +217,14 @@ func solveSpecs() map[string]core.Spec {
 	return specs
 }
 
-// BenchmarkSolve measures one cold core.Optimize call — the cost of
-// every /v1/solve request and every cold-cache sweep cell. Run with
-// `make bench` for benchstat-ready output.
+// BenchmarkSolve measures one core.Optimize call with no result
+// cache — the cost of a /v1/solve request or a cold-cache sweep cell.
+// The first iteration fills the process-wide mat-stage table
+// (internal/array) and every later one reuses it, as every solve of a
+// technology after its first does in a running server;
+// BenchmarkMatTable in internal/array times the array layer with the
+// table warm and cold. Run with `make bench` for benchstat-ready
+// output.
 func BenchmarkSolve(b *testing.B) {
 	specs := solveSpecs()
 	names := make([]string, 0, len(specs))

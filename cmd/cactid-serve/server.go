@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cactid/internal/array"
 	"cactid/internal/chaos"
 	"cactid/internal/core"
 	"cactid/internal/explore"
@@ -814,6 +815,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
+	mt := array.MatTableCounters()
 
 	body := map[string]any{
 		"requests":        reqs,
@@ -851,6 +853,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"orgs_built":        st.OrgsBuilt,
 			"prune_ratio":       st.PruneRatio(),
 			"panics":            st.Panics + s.metrics.panics.Load(),
+			// Process-wide mat-stage table (internal/array), shared by
+			// every engine in the process.
+			"mat_table_hits":   mt.Hits,
+			"mat_table_misses": mt.Misses,
+			"mat_table_clears": mt.Clears,
 		},
 		"runtime": map[string]any{
 			"goroutines":      runtime.NumGoroutine(),

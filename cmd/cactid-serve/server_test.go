@@ -235,6 +235,43 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestMetricsMatTableHits: two solves of one technology share the
+// process-wide mat-stage table, so the second solve's lookups (its
+// tag and data arrays at least) show up in /metrics as table hits.
+func TestMetricsMatTableHits(t *testing.T) {
+	ts := newTestServer(t, config{})
+	solve := func(capacity string) {
+		t.Helper()
+		resp, body := post(t, ts.URL+"/v1/solve",
+			`{"ram":"sram","node_nm":45,"associativity":4,"capacity":"`+capacity+`"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %s: status %d: %s", capacity, resp.StatusCode, body)
+		}
+	}
+	hits := func() int64 {
+		t.Helper()
+		_, body := get(t, ts.URL+"/metrics")
+		var m struct {
+			Solver map[string]float64 `json:"solver"`
+		}
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("metrics not JSON: %v\n%s", err, body)
+		}
+		for _, key := range []string{"mat_table_hits", "mat_table_misses", "mat_table_clears"} {
+			if _, ok := m.Solver[key]; !ok {
+				t.Fatalf("solver block lacks %s: %v", key, m.Solver)
+			}
+		}
+		return int64(m.Solver["mat_table_hits"])
+	}
+	solve("48KB")
+	before := hits()
+	solve("96KB")
+	if after := hits(); after-before < 2 {
+		t.Fatalf("mat_table_hits %d -> %d: the second solve's tag and data arrays should both hit", before, after)
+	}
+}
+
 func TestMetricsReportCacheAndLatency(t *testing.T) {
 	ts := newTestServer(t, config{})
 	req := `{"ram":"sram","capacity":"32KB","associativity":2}`

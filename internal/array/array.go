@@ -10,8 +10,10 @@
 // (rows, cols) grid across a bounded worker pool, prunes infeasible
 // organizations with cheap integer/signal-margin prechecks before any
 // circuit modeling, and reuses the mux-independent mat model
-// (mat.Shared) across the column-mux inner loop. The merged output is
-// byte-identical to a serial scan of the same grid.
+// (mat.Shared) across the column-mux inner loop and, through the
+// process-wide mat-stage table (mattable.go), across solves of the
+// same technology. The merged output is byte-identical to a serial
+// scan of the same grid.
 package array
 
 import (
@@ -232,6 +234,7 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 	if err != nil {
 		return nil, Counters{}, err
 	}
+	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
 	return enumerateWith(ctx, bc, workers, NoLimits())
 }
 
@@ -374,7 +377,7 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 		// lower bound alone — the point's own floorplan fold gives an
 		// H-tree length floor without any circuit modeling. When it
 		// clears the whole shard, mat.NewShared is never paid for.
-		lb := bc.shardLBFor(rows, cols)
+		lb := bc.mats.shardLBFor(rows, cols)
 		kept := surv[:0]
 		for _, o := range surv {
 			if areaLB, accLB := bc.pointBoundsLite(lb, o); lim.prune(areaLB, accLB) {
@@ -390,7 +393,7 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 	}
 
 	// Pass 2: batch-build the survivors against one shared mat model.
-	sh, shErr := bc.sharedFor(rows, cols)
+	sh, shErr := bc.mats.sharedFor(rows, cols)
 	if shErr != nil {
 		// The serial scan charges the shared-model failure to every
 		// surviving mux point in turn; keep that accounting.
@@ -409,7 +412,7 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 	if lim.active() {
 		kept := surv[:0]
 		for _, o := range surv {
-			parts := bc.muxPartsFor(sh, cols, o.Mux)
+			parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 			if areaLB, accLB := bc.pointBounds(sh, parts, o); lim.prune(areaLB, accLB) {
 				r.counters.PrunedBoundPoint++
 				continue
@@ -435,11 +438,12 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 	r.banks = make([]*Bank, 0, len(surv))
 	n := 0
 	for _, o := range surv {
-		parts := bc.muxPartsFor(sh, cols, o.Mux)
+		parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 		if err := sh.BuildInto(o.Mux, parts, &mats[n]); err != nil {
 			r.counters.BuildErrors++
 			continue
 		}
+		mats[n].Tech = bc.spec.Tech // the caller's, not the table's private copy
 		r.counters.Built++
 		bc.finishInto(o, &mats[n], &banks[n])
 		r.banks = append(r.banks, &banks[n])
@@ -508,9 +512,10 @@ func (c *Counters) bump(r pruneReason) {
 
 // buildCtx caches every organization-independent quantity of Build:
 // resolved technology pointers, address/data widths, and the bank-edge
-// output driver. Apart from the muxParts memo — a monotonic cache of
-// pure values — it is immutable after newBuildCtx and shared across
-// enumeration workers.
+// output driver. It is shared across enumeration workers: the exactPt
+// memo and the slots of the table entry mats fill lazily with pure
+// values through atomic pointers, and everything else is immutable
+// after construction.
 type buildCtx struct {
 	spec Spec
 	cell *tech.CellParams
@@ -531,30 +536,18 @@ type buildCtx struct {
 	// NewShared; nil for cell types the check never fails for.
 	marginFail []bool
 
-	// muxParts memoizes mat.Shared.MuxParts across (rows, cols)
-	// shards: the sense-amp strip and column-select decoder depend
-	// only on (tech, RAM, ports, cols, mux) — not rows — so one entry
-	// per (cols, mux) grid slot serves all nine rows-shards of that
-	// column width. Slots are published with atomic pointers; racing
-	// workers compute identical values (MuxParts is a pure function of
-	// the spec and the slot key), so last-write-wins is benign.
-	muxParts []atomic.Pointer[mat.MuxParts]
-
-	// shardLB memoizes the tightened closed-form shard bounds
-	// (mat.NewShardLB) per (rows, cols) slot; the prescan warms it for
-	// the enumeration. Same benign-race publication as muxParts.
-	shardLB []atomic.Pointer[mat.ShardLB]
-
-	// shared memoizes the mux-independent mat model (or its error) per
-	// (rows, cols) slot, so probe builds and the enumeration evaluate
-	// each shard's NewShared once. Same benign-race publication.
-	shared []atomic.Pointer[sharedEntry]
+	// mats is the spec's entry in the process-wide mat-stage table
+	// (mattable.go): the mat models, shard bounds and mux parts of the
+	// grid, shared with every other solve of the same technology, RAM
+	// type and ports. Nil for Build, which models its mat cold.
+	mats *matStage
 
 	// exactPt memoizes pointExact per (rows, cols, mux) slot: the
 	// solver's exact-minimum walks and the enumeration's final pruning
 	// tier visit overlapping points, and the H-tree repeated-wire
-	// solution inside is the only per-point cost worth skipping. Same
-	// benign-race publication.
+	// solution inside is the only per-point cost worth skipping. Slots
+	// are published with atomic pointers; racing workers compute
+	// identical values, so last-write-wins is benign.
 	exactPt []atomic.Pointer[pointMetrics]
 
 	// scan, when non-nil, holds the full precheck classification of
@@ -570,44 +563,6 @@ type buildCtx struct {
 type shardScan struct {
 	counters Counters
 	surv     []Org
-}
-
-type sharedEntry struct {
-	sh  *mat.Shared
-	err error
-}
-
-// sharedFor returns the memoized mux-independent mat model for a
-// (rows, cols) grid slot, computing and publishing it on first use.
-func (bc *buildCtx) sharedFor(rows, cols int) (*mat.Shared, error) {
-	ri := bits.TrailingZeros(uint(rows)) - 5
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	slot := &bc.shared[ri*len(enumCols)+ci]
-	if e := slot.Load(); e != nil {
-		return e.sh, e.err
-	}
-	sh, err := mat.NewShared(mat.Config{
-		Tech: bc.spec.Tech, RAM: bc.spec.RAM,
-		Rows: rows, Cols: cols, Ports: bc.spec.Ports,
-	})
-	slot.Store(&sharedEntry{sh: sh, err: err})
-	return sh, err
-}
-
-// muxPartsFor returns the memoized mux-dependent circuit results for a
-// (cols, mux) grid slot, computing and publishing them on first use.
-func (bc *buildCtx) muxPartsFor(sh *mat.Shared, cols, mux int) *mat.MuxParts {
-	// enumCols starts at 32 = 2^5 and enumMux at 1 = 2^0; both are
-	// powers of two, so the slot index is positional in the grid.
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	mi := bits.TrailingZeros(uint(mux))
-	slot := &bc.muxParts[ci*len(enumMux)+mi]
-	if p := slot.Load(); p != nil {
-		return p
-	}
-	p := sh.MuxParts(mux)
-	slot.Store(&p)
-	return &p
 }
 
 func newBuildCtx(spec Spec) (*buildCtx, error) {
@@ -634,9 +589,6 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	}
 	// Output drivers at the bank edge.
 	bc.outDrv = circuit.TristateDriver(per, 60e-15)
-	bc.muxParts = make([]atomic.Pointer[mat.MuxParts], len(enumCols)*len(enumMux))
-	bc.shardLB = make([]atomic.Pointer[mat.ShardLB], len(enumRows)*len(enumCols))
-	bc.shared = make([]atomic.Pointer[sharedEntry], len(enumRows)*len(enumCols))
 	bc.exactPt = make([]atomic.Pointer[pointMetrics], len(enumRows)*len(enumCols)*len(enumMux))
 	bc.bnd = newBounder(bc)
 	if cell.Kind == tech.Kind1T1C && spec.Ports <= 1 {
@@ -707,7 +659,10 @@ func (bc *buildCtx) checkErr(o Org, r pruneReason) error {
 
 // Build evaluates one organization. It returns an error when the
 // organization is infeasible (mat-level signal margin, divisibility,
-// or output-width violations).
+// or output-width violations). Build models its mat cold through
+// mat.New and never reads or fills the mat-stage table, so it is the
+// oracle the table's byte-identity tests compare the enumeration
+// against.
 func Build(spec Spec, o Org) (*Bank, error) {
 	bc, err := newBuildCtx(spec)
 	if err != nil {

@@ -128,28 +128,14 @@ func (bc *buildCtx) shardBounds(rows, cols int) (areaLB, accLB float64) {
 // shardBoundsTight computes the tightened shard-level lower bounds
 // (mat.NewShardLB): exact wordline chain, decoder-wire Elmore term,
 // wordline-driver strip width and minimum sense-strip height. It
-// costs roughly a quarter of NewShared, so the result is memoized per
-// (rows, cols) slot — the prescan warms the memo and the enumeration
-// reuses it — and the enumeration consults it only after the cheap
-// tier fails to discard a shard.
+// costs roughly a quarter of NewShared, so the spec-independent mat
+// part is kept per (rows, cols) slot in the mat-stage table, where
+// every later walk, enumeration and solve of the same technology
+// reuses it; the enumeration consults it only after the cheap tier
+// fails to discard a shard.
 func (bc *buildCtx) shardBoundsTight(rows, cols int) (areaLB, accLB float64) {
-	lb := bc.shardLBFor(rows, cols)
+	lb := bc.mats.shardLBFor(rows, cols)
 	return bc.bnd.bankBounds(matsFor(bc.spec, rows, cols), lb.MatW*lb.MatH, lb.Access)
-}
-
-// shardLBFor returns the memoized tightened shard lower bound of a
-// (rows, cols) pair, computing it on first use.
-func (bc *buildCtx) shardLBFor(rows, cols int) *mat.ShardLB {
-	ri := bits.TrailingZeros(uint(rows)) - 5
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	slot := &bc.shardLB[ri*len(enumCols)+ci]
-	lb := slot.Load()
-	if lb == nil {
-		v := mat.NewShardLB(bc.spec.Tech, bc.spec.RAM, bc.spec.Ports, rows, cols)
-		slot.Store(&v)
-		lb = &v
-	}
-	return lb
 }
 
 // pointBoundsLite computes per-point lower bounds before mat.NewShared
@@ -252,8 +238,9 @@ type PrescanPoint struct {
 // Prescanned is the result of Prescan: the feasibility/bounds summary
 // of one spec's enumeration grid plus the (reusable) build context
 // behind it, so probe builds and the bounded enumeration share the
-// memoized shard bounds, mux parts and mat models instead of
-// recomputing them per call.
+// memoized exact point metrics and the spec's mat-stage table entry
+// (shard bounds, mux parts and mat models) instead of recomputing
+// them per call.
 type Prescanned struct {
 	bc *buildCtx
 	// Points holds one entry per (rows, cols) pair with at least one
@@ -274,6 +261,7 @@ func Prescan(spec Spec) (*Prescanned, error) {
 	if err != nil {
 		return nil, err
 	}
+	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
 	bc.scan = make([]shardScan, len(enumRows)*len(enumCols))
 	slab := make([]Org, len(enumRows)*len(enumCols)*len(enumMux))
 	n := 0
@@ -336,7 +324,7 @@ func (bc *buildCtx) shardSurv(rows, cols int) []Org {
 // area-bound order, skips those whose tightened bound cannot beat the
 // best exact area seen, and stops as soon as the cheap bound alone
 // proves no remaining shard can improve it; every model it does build
-// (mat.Shared, MuxParts) lands in the prescan's memos, where the
+// (mat.Shared, MuxParts) lands in the mat-stage table, where the
 // following Enumerate reuses it. ok is false when no point builds.
 func (p *Prescanned) MinArea() (best float64, ok bool) {
 	bc := p.bc
@@ -355,7 +343,7 @@ func (p *Prescanned) MinArea() (best float64, ok bool) {
 		if aT, _ := bc.shardBoundsTight(rows, cols); aT >= best {
 			continue
 		}
-		lb := bc.shardLBFor(rows, cols)
+		lb := bc.mats.shardLBFor(rows, cols)
 		var sh *mat.Shared
 		for _, o := range bc.shardSurv(rows, cols) {
 			if aL, _ := bc.pointBoundsLite(lb, o); aL >= best {
@@ -363,11 +351,11 @@ func (p *Prescanned) MinArea() (best float64, ok bool) {
 			}
 			if sh == nil {
 				var err error
-				if sh, err = bc.sharedFor(rows, cols); err != nil {
+				if sh, err = bc.mats.sharedFor(rows, cols); err != nil {
 					break // contributes no solutions; nothing to minimize
 				}
 			}
-			parts := bc.muxPartsFor(sh, cols, o.Mux)
+			parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 			if a, _ := bc.pointExact(sh, parts, o); a < best {
 				best = a
 				ok = true
@@ -407,7 +395,7 @@ func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best floa
 		if accT >= best || nb*(aT+tagArea) > areaWindow {
 			continue
 		}
-		lb := bc.shardLBFor(rows, cols)
+		lb := bc.mats.shardLBFor(rows, cols)
 		var sh *mat.Shared
 		for _, o := range bc.shardSurv(rows, cols) {
 			aL, accL := bc.pointBoundsLite(lb, o)
@@ -416,11 +404,11 @@ func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best floa
 			}
 			if sh == nil {
 				var err error
-				if sh, err = bc.sharedFor(rows, cols); err != nil {
+				if sh, err = bc.mats.sharedFor(rows, cols); err != nil {
 					break
 				}
 			}
-			parts := bc.muxPartsFor(sh, cols, o.Mux)
+			parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 			a, acc := bc.pointExact(sh, parts, o)
 			if nb*(a+tagArea) <= areaWindow && acc < best {
 				best = acc
@@ -440,14 +428,15 @@ func (p *Prescanned) Build(o Org) (*Bank, error) {
 	if reason := bc.precheck(o); reason != prOK {
 		return nil, bc.checkErr(o, reason)
 	}
-	sh, err := bc.sharedFor(o.Rows, o.Cols)
+	sh, err := bc.mats.sharedFor(o.Rows, o.Cols)
 	if err != nil {
 		return nil, err
 	}
 	m := new(mat.Mat)
-	if err := sh.BuildInto(o.Mux, bc.muxPartsFor(sh, o.Cols, o.Mux), m); err != nil {
+	if err := sh.BuildInto(o.Mux, bc.mats.muxPartsFor(sh, o.Cols, o.Mux), m); err != nil {
 		return nil, err
 	}
+	m.Tech = bc.spec.Tech // the caller's, not the table's private copy
 	return bc.finish(o, m), nil
 }
 

@@ -55,11 +55,11 @@ func TestBoundTiersAdmissible(t *testing.T) {
 		bc := pre.bc
 		for _, b := range banks {
 			o := b.Org
-			sh, err := bc.sharedFor(o.Rows, o.Cols)
+			sh, err := bc.mats.sharedFor(o.Rows, o.Cols)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, o, err)
 			}
-			parts := bc.muxPartsFor(sh, o.Cols, o.Mux)
+			parts := bc.mats.muxPartsFor(sh, o.Cols, o.Mux)
 			tiers := []struct {
 				tier      string
 				area, acc float64
@@ -74,7 +74,7 @@ func TestBoundTiersAdmissible(t *testing.T) {
 			add("shard-cheap", aC, accC)
 			aT, accT := bc.shardBoundsTight(o.Rows, o.Cols)
 			add("shard-tight", aT, accT)
-			aL, accL := bc.pointBoundsLite(bc.shardLBFor(o.Rows, o.Cols), o)
+			aL, accL := bc.pointBoundsLite(bc.mats.shardLBFor(o.Rows, o.Cols), o)
 			add("point-lite", aL, accL)
 			aP, accP := bc.pointBounds(sh, parts, o)
 			add("point-amgm", aP, accP)
