@@ -51,15 +51,18 @@ race:
 # provider resolution and overlay tables, per-kind mat models and
 # bound-ladder admissibility, the pinned STT-RAM/gain-cell solves, the
 # ITRS byte-identity goldens, the cross-technology mat-stage table
-# (warm vs cold byte identity, key safety, /metrics counters), and the
-# cross-technology fabric/server integration tests. TECH narrows the
+# (warm vs cold byte identity, key safety, /metrics counters), the
+# per-slot precheck classification and off-grid probe builds against
+# their per-organization references, bounded == exhaustive solves on
+# generated specs of every provider, and the cross-technology
+# fabric/server integration tests. TECH narrows the
 # per-provider legs of the CI matrix to one provider's subtests (e.g.
 # TECH=stt-ram).
 TECH ?=
 test-tech:
-	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable' \
-		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/explore/ \
-		./internal/fabric/ ./cmd/cactid-serve/
+	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|OffGrid|ExhaustiveGenerated' \
+		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/core/ \
+		./internal/explore/ ./internal/fabric/ ./cmd/cactid-serve/
 ifneq ($(TECH),)
 	go run ./cmd/cactid -tech $(TECH) -size 4MB -assoc 8 -node 32 >/dev/null
 endif
@@ -83,20 +86,22 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzSolveBody -fuzztime $(FUZZTIME) ./cmd/cactid-serve/
 	go test -run '^$$' -fuzz FuzzStoreRecover -fuzztime $(FUZZTIME) ./internal/store/
 	go test -run '^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME) ./internal/sim/workload/
+	go test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/array/
 
 # vulncheck scans the module against the Go vulnerability database.
 # Requires network; run from CI or a connected workstation.
 vulncheck:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# bench runs the single-solve hot-path micro-benchmark and the array
-# layer with the mat-stage table warm and cold (compare runs with
+# bench runs the single-solve hot-path micro-benchmark, the array
+# layer with the mat-stage table warm and cold, and the spec-dependent
+# prescan with its exact-minimum walks (compare runs with
 # golang.org/x/perf/cmd/benchstat if available). The recorded, gated
 # performance ledger is the end-to-end benchmark in bench/
 # (`bash bench/run.sh`, see bench/README.md).
 bench:
 	go test -run '^$$' -bench BenchmarkSolve -benchmem -count=5 .
-	go test -run '^$$' -bench BenchmarkMatTable -benchmem -count=5 ./internal/array/
+	go test -run '^$$' -bench 'BenchmarkMatTable|BenchmarkPrescan' -benchmem -count=5 ./internal/array/
 
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
 # sweeps, the warm sweep rendered as JSON and as CSV, and the per-point

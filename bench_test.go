@@ -223,8 +223,9 @@ func solveSpecs() map[string]core.Spec {
 // (internal/array) and every later one reuses it, as every solve of a
 // technology after its first does in a running server;
 // BenchmarkMatTable in internal/array times the array layer with the
-// table warm and cold. Run with `make bench` for benchstat-ready
-// output.
+// table warm and cold, and TestSolveAllocBudget holds each spec's
+// bytes per warm solve under 64 KB. Run with `make bench` for
+// benchstat-ready output.
 func BenchmarkSolve(b *testing.B) {
 	specs := solveSpecs()
 	names := make([]string, 0, len(specs))

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -148,22 +149,38 @@ func (b *Bank) EReadTotal() float64 { return b.EActivate + b.ERead + b.EPrecharg
 // exists for a spec.
 var ErrNoOrganization = errors.New("array: no valid organization for spec")
 
-func pow2sUpTo(lo, hi int) []int {
-	var out []int
-	for v := lo; v <= hi; v *= 2 {
-		out = append(out, v)
-	}
-	return out
+// The Section 2.4 enumeration grid: subarray rows and columns from 32
+// to 8192, column mux degrees from 1 to 1024, all powers of two, so a
+// value's position on its axis is its base-2 logarithm less that of
+// the axis's first value. Fixed-length arrays, so the per-solve tables
+// sized by the grid are arrays too.
+var (
+	enumRows = [...]int{32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+	enumCols = enumRows
+	enumMux  = [...]int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+)
+
+// gridSlots is the number of (rows, cols) slots of the grid; each slot
+// owns a column-mux loop of len(enumMux) points.
+const gridSlots = len(enumRows) * len(enumCols)
+
+// slotOf returns the slot index of an on-grid (rows, cols) pair, in
+// grid order (rows-major).
+func slotOf(rows, cols int) int {
+	return (bits.TrailingZeros(uint(rows))-5)*len(enumCols) + bits.TrailingZeros(uint(cols)) - 5
 }
 
-// The Section 2.4 enumeration grid: subarray rows and columns from 32
-// to 8192, column mux degrees from 1 to 1024. Precomputed once — the
-// enumeration loop allocates nothing for the grid itself.
-var (
-	enumRows = pow2sUpTo(32, 8192)
-	enumCols = pow2sUpTo(32, 8192)
-	enumMux  = pow2sUpTo(1, 1024)
-)
+// slotRC returns the (rows, cols) pair of a slot index.
+func slotRC(slot int) (rows, cols int) {
+	return enumRows[slot/len(enumCols)], enumCols[slot%len(enumCols)]
+}
+
+// onGrid reports whether o's (rows, cols, mux) triple lies on the
+// enumeration grid, the only triples the per-slot tables index.
+func onGrid(o Org) bool {
+	return slices.Contains(enumRows[:], o.Rows) && slices.Contains(enumCols[:], o.Cols) &&
+		slices.Contains(enumMux[:], o.Mux)
+}
 
 // Counters audits one enumeration: every (rows, cols, mux) triple of
 // the grid lands in exactly one bucket, so
@@ -199,8 +216,8 @@ func (c Counters) PrunedTotal() int64 {
 }
 
 // Add accumulates another enumeration's counters: core combines the
-// data- and tag-array scans with it, and EnumerateContext merges the
-// per-shard counters through the same single code path.
+// data- and tag-array scans with it, and the enumeration merges its
+// per-worker sums through the same single code path.
 func (c *Counters) Add(o Counters) {
 	c.Considered += o.Considered
 	c.PrunedMux += o.PrunedMux
@@ -235,125 +252,98 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 		return nil, Counters{}, err
 	}
 	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
+	bc.classifyGrid()
 	return enumerateWith(ctx, bc, workers, NoLimits())
 }
 
 // enumerateWith is the shared engine behind EnumerateContext
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
-// thresholds).
+// thresholds). bc's grid must already be classified.
 func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) ([]*Bank, Counters, error) {
-	type shard struct{ rows, cols int }
-	shards := make([]shard, 0, len(enumRows)*len(enumCols))
-	for _, rows := range enumRows {
-		for _, cols := range enumCols {
-			shards = append(shards, shard{rows, cols})
-		}
-	}
-	results := make([]shardResult, len(shards))
-
+	results := make([][]*Bank, gridSlots)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+	workers = min(workers, gridSlots)
+
+	var c Counters
 	if workers == 1 {
-		for i, sh := range shards {
+		for slot := range results {
 			if ctx.Err() != nil {
 				break
 			}
-			results[i] = enumerateShard(bc, sh.rows, sh.cols, lim)
+			results[slot] = enumerateShard(bc, slot, lim, &c)
 		}
 	} else {
+		// Each worker sums the counters of the slots it takes and
+		// publishes the sum once; integer sums are independent of
+		// which worker took which slot, so the merged counters are
+		// the serial scan's for any worker count.
+		sums := make([]Counters, workers)
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := range sums {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var sum Counters
 				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(shards) || ctx.Err() != nil {
-						return
+					slot := int(next.Add(1)) - 1
+					if slot >= gridSlots || ctx.Err() != nil {
+						break
 					}
-					results[i] = enumerateShard(bc, shards[i].rows, shards[i].cols, lim)
+					results[slot] = enumerateShard(bc, slot, lim, &sum)
 				}
+				sums[w] = sum
 			}()
 		}
 		wg.Wait()
-	}
-
-	var c Counters
-	total := 0
-	for i := range results {
-		total += len(results[i].banks)
-		c.Add(results[i].counters)
+		for _, sum := range sums {
+			c.Add(sum)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, c, err
 	}
-	// Merge in shard order: shards enumerate (rows, cols) in the same
-	// order as the serial triple loop, and each shard's banks are in
+
+	// Merge in slot order: slots enumerate (rows, cols) in the same
+	// order as the serial triple loop, and each slot's banks are in
 	// ascending mux order, so the concatenation reproduces the serial
 	// output exactly.
+	total := 0
+	for _, banks := range results {
+		total += len(banks)
+	}
 	out := make([]*Bank, 0, total)
-	for i := range results {
-		out = append(out, results[i].banks...)
+	for _, banks := range results {
+		out = append(out, banks...)
 	}
 	return out, c, nil
 }
 
-type shardResult struct {
-	banks    []*Bank
-	counters Counters
-}
-
-// enumerateShard scans the column-mux inner loop for one (rows, cols)
-// pair in two passes. Pass 1 classifies every mux point with integer
-// arithmetic only (no circuit modeling) and collects the survivors;
-// pass 2 builds the mux-independent mat model once and evaluates the
-// survivors into slab-allocated []mat.Mat / []Bank blocks sized
-// exactly from the post-precheck survivor count, so the shard does one
-// allocation per slab instead of one per point. The emitted banks stay
-// in ascending mux order, preserving the serial-scan byte identity.
-func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
-	var r shardResult
-
-	// Pass 1: integer prechecks over the mux loop — or the prescan's
-	// stored classification when one exists (the survivor list is
-	// copied to scratch space because the point-level bound filter
-	// below compacts it in place).
-	var survBuf [16]Org
-	surv := survBuf[:0]
-	if bc.scan != nil {
-		sc := &bc.scan[(bits.TrailingZeros(uint(rows))-5)*len(enumCols)+bits.TrailingZeros(uint(cols))-5]
-		r.counters = sc.counters
-		surv = append(surv, sc.surv...)
-	} else {
-		for _, mux := range enumMux {
-			r.counters.Considered++
-			if mux > cols {
-				r.counters.PrunedMux++
-				continue
-			}
-			o := OrgFor(bc.spec, rows, cols, mux)
-			if reason := bc.precheck(o); reason != prOK {
-				r.counters.bump(reason)
-				continue
-			}
-			surv = append(surv, o)
-		}
-	}
+// enumerateShard evaluates one (rows, cols) slot of the grid and adds
+// its counters to c. The slot's precheck survivors are rebuilt from its
+// classification mask into a stack buffer, which the bound tiers below
+// compact in place; the mux-independent mat model is then built once
+// and the final survivors are evaluated into []mat.Mat / []Bank slabs
+// sized exactly, one allocation per slab instead of one per point. The
+// emitted banks stay in ascending mux order, preserving the serial-scan
+// byte identity.
+func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) []*Bank {
+	c.addSlot(&bc.class[slot])
+	var buf [len(enumMux)]Org
+	surv := bc.survivors(slot, bc.class[slot].surv, &buf)
 	if len(surv) == 0 {
-		return r
+		return nil
 	}
+	rows, cols := slotRC(slot)
 
 	// DRAM signal-margin fast path: the closed-form check mirrors
 	// NewShared's ErrSignalMargin test bit for bit, so the shard can be
 	// charged to the same counter bucket without paying for the model.
-	if !bc.marginOK(rows) {
-		r.counters.PrunedMargin += int64(len(surv))
-		return r
+	if bc.marginFail[slot/len(enumCols)] {
+		c.PrunedMargin += int64(len(surv))
+		return nil
 	}
 
 	// Shard-level bounds, two tiers: when the cheap geometric lower
@@ -369,8 +359,8 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 			pruned = true
 		}
 		if pruned {
-			r.counters.PrunedBoundShard += int64(len(surv))
-			return r
+			c.PrunedBoundShard += int64(len(surv))
+			return nil
 		}
 
 		// Lite point tier: per-point bounds from the memoized shard
@@ -381,28 +371,28 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 		kept := surv[:0]
 		for _, o := range surv {
 			if areaLB, accLB := bc.pointBoundsLite(lb, o); lim.prune(areaLB, accLB) {
-				r.counters.PrunedBoundPoint++
+				c.PrunedBoundPoint++
 				continue
 			}
 			kept = append(kept, o)
 		}
 		surv = kept
 		if len(surv) == 0 {
-			return r
+			return nil
 		}
 	}
 
-	// Pass 2: batch-build the survivors against one shared mat model.
+	// Batch-build the survivors against one shared mat model.
 	sh, shErr := bc.mats.sharedFor(rows, cols)
 	if shErr != nil {
 		// The serial scan charges the shared-model failure to every
 		// surviving mux point in turn; keep that accounting.
 		if errors.Is(shErr, mat.ErrSignalMargin) {
-			r.counters.PrunedMargin += int64(len(surv))
+			c.PrunedMargin += int64(len(surv))
 		} else {
-			r.counters.BuildErrors += int64(len(surv))
+			c.BuildErrors += int64(len(surv))
 		}
-		return r
+		return nil
 	}
 
 	// Point-level bounds: with the memoized mux parts in hand the
@@ -414,7 +404,7 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 		for _, o := range surv {
 			parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 			if areaLB, accLB := bc.pointBounds(sh, parts, o); lim.prune(areaLB, accLB) {
-				r.counters.PrunedBoundPoint++
+				c.PrunedBoundPoint++
 				continue
 			}
 			// Final tier: the exact bank metrics (finishInto's own
@@ -422,42 +412,47 @@ func enumerateShard(bc *buildCtx, rows, cols int, lim Limits) shardResult {
 			// above lets through but the limits exclude is caught here,
 			// so only true filter candidates reach BuildInto.
 			if area, acc := bc.pointExact(sh, parts, o); lim.prune(area, acc) {
-				r.counters.PrunedBoundPoint++
+				c.PrunedBoundPoint++
 				continue
 			}
 			kept = append(kept, o)
 		}
 		surv = kept
 		if len(surv) == 0 {
-			return r
+			return nil
 		}
 	}
 
 	mats := make([]mat.Mat, len(surv))
 	banks := make([]Bank, len(surv))
-	r.banks = make([]*Bank, 0, len(surv))
+	out := make([]*Bank, 0, len(surv))
 	n := 0
 	for _, o := range surv {
 		parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
 		if err := sh.BuildInto(o.Mux, parts, &mats[n]); err != nil {
-			r.counters.BuildErrors++
+			c.BuildErrors++
 			continue
 		}
 		mats[n].Tech = bc.spec.Tech // the caller's, not the table's private copy
-		r.counters.Built++
+		c.Built++
 		bc.finishInto(o, &mats[n], &banks[n])
-		r.banks = append(r.banks, &banks[n])
+		out = append(out, &banks[n])
 		n++
 	}
-	return r
+	return out
 }
 
 // OrgFor derives the full organization implied by a (rows, cols, mux)
 // choice under spec's output and page constraints. The returned Org
-// may be invalid; Build validates.
+// may be invalid — MatsPerSubbank 0 when no subbank shape exists, as
+// for a non-positive dimension or a mux wider than a mat's 4*cols
+// sensed bits; Build validates.
 func OrgFor(spec Spec, rows, cols, mux int) Org {
 	o := Org{Rows: rows, Cols: cols, Mux: mux}
 	bitsPerMat := 4 * rows * cols
+	if bitsPerMat <= 0 || mux <= 0 {
+		return o // invalid; Build rejects
+	}
 	capacityBits := spec.CapacityBytes * 8
 	o.Mats = int((capacityBits + int64(bitsPerMat) - 1) / int64(bitsPerMat))
 
@@ -466,8 +461,7 @@ func OrgFor(spec Spec, rows, cols, mux int) Org {
 		// DRAM page constraint: sensed columns per subbank ==
 		// PageBits (all columns of the activated mats are sensed).
 		o.MatsPerSubbank = spec.PageBits / (4 * cols)
-	} else {
-		bitsPerMatOut := 4 * cols / mux
+	} else if bitsPerMatOut := 4 * cols / mux; bitsPerMatOut > 0 {
 		o.MatsPerSubbank = (internalOut + bitsPerMatOut - 1) / bitsPerMatOut
 	}
 	if o.MatsPerSubbank < 1 {
@@ -478,36 +472,37 @@ func OrgFor(spec Spec, rows, cols, mux int) Org {
 	return o
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // pruneReason classifies why an organization is rejected before
 // circuit modeling.
 type pruneReason int
 
 const (
 	prOK pruneReason = iota
+	prMux
 	prGeom
 	prPage
 	prOutput
 	prWaste
 )
 
-func (c *Counters) bump(r pruneReason) {
-	switch r {
-	case prGeom:
-		c.PrunedGeom++
-	case prPage:
-		c.PrunedPage++
-	case prOutput:
-		c.PrunedOutput++
-	case prWaste:
-		c.PrunedWaste++
-	}
+// slotClass is the precheck classification of one (rows, cols) slot's
+// column-mux loop, held by value: which mux points survive and how
+// many land in each prune bucket.
+type slotClass struct {
+	surv   uint16             // bit i set: enumMux[i] passes every precheck
+	off    uint16             // exactPt index of the slot's first survivor
+	pruned [prWaste + 1]uint8 // mux points pruned per reason (at most len(enumMux))
+}
+
+// addSlot charges one slot's precheck classification: its whole mux
+// loop is considered, and every pruned point lands in its bucket.
+func (c *Counters) addSlot(sc *slotClass) {
+	c.Considered += int64(len(enumMux))
+	c.PrunedMux += int64(sc.pruned[prMux])
+	c.PrunedGeom += int64(sc.pruned[prGeom])
+	c.PrunedPage += int64(sc.pruned[prPage])
+	c.PrunedOutput += int64(sc.pruned[prOutput])
+	c.PrunedWaste += int64(sc.pruned[prWaste])
 }
 
 // buildCtx caches every organization-independent quantity of Build:
@@ -515,7 +510,7 @@ func (c *Counters) bump(r pruneReason) {
 // output driver. It is shared across enumeration workers: the exactPt
 // memo and the slots of the table entry mats fill lazily with pure
 // values through atomic pointers, and everything else is immutable
-// after construction.
+// once the grid is classified.
 type buildCtx struct {
 	spec Spec
 	cell *tech.CellParams
@@ -533,8 +528,8 @@ type buildCtx struct {
 
 	// marginFail memoizes mat.SignalMarginOK per enumRows slot so the
 	// enumeration can charge DRAM margin failures without running
-	// NewShared; nil for cell types the check never fails for.
-	marginFail []bool
+	// NewShared; all false for cell types the check never fails for.
+	marginFail [len(enumRows)]bool
 
 	// mats is the spec's entry in the process-wide mat-stage table
 	// (mattable.go): the mat models, shard bounds and mux parts of the
@@ -542,27 +537,20 @@ type buildCtx struct {
 	// type and ports. Nil for Build, which models its mat cold.
 	mats *matStage
 
-	// exactPt memoizes pointExact per (rows, cols, mux) slot: the
+	// class holds the precheck classification of every (rows, cols)
+	// slot (classifyGrid); the enumeration, the walks and the exact
+	// point memo read survivors from its masks. Zero for Build.
+	class [gridSlots]slotClass
+
+	// exactPt memoizes pointExact per precheck survivor of the grid,
+	// slot by slot in grid order and ascending mux within a slot: the
 	// solver's exact-minimum walks and the enumeration's final pruning
 	// tier visit overlapping points, and the H-tree repeated-wire
 	// solution inside is the only per-point cost worth skipping. Slots
 	// are published with atomic pointers; racing workers compute
-	// identical values, so last-write-wins is benign.
+	// identical values, so last-write-wins is benign. Allocated by
+	// Prescan only: the unbounded enumeration never calls pointExact.
 	exactPt []atomic.Pointer[pointMetrics]
-
-	// scan, when non-nil, holds the full precheck classification of
-	// the grid (one entry per (rows, cols) slot, filled serially by
-	// Prescan); the enumeration reads it instead of rescanning the mux
-	// loop. Read-only once published.
-	scan []shardScan
-}
-
-// shardScan is one (rows, cols) slot of a prescan: the precheck
-// counter buckets of its mux loop and the surviving organizations in
-// ascending mux order.
-type shardScan struct {
-	counters Counters
-	surv     []Org
 }
 
 func newBuildCtx(spec Spec) (*buildCtx, error) {
@@ -589,10 +577,8 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	}
 	// Output drivers at the bank edge.
 	bc.outDrv = circuit.TristateDriver(per, 60e-15)
-	bc.exactPt = make([]atomic.Pointer[pointMetrics], len(enumRows)*len(enumCols)*len(enumMux))
 	bc.bnd = newBounder(bc)
 	if cell.Kind == tech.Kind1T1C && spec.Ports <= 1 {
-		bc.marginFail = make([]bool, len(enumRows))
 		for i, rows := range enumRows {
 			bc.marginFail[i] = !mat.SignalMarginOK(t, spec.RAM, spec.Ports, rows)
 		}
@@ -600,24 +586,120 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	return bc, nil
 }
 
-// marginOK reports (from the memo) whether a row count passes the DRAM
-// signal-margin test; rows outside the enumeration grid fall through
-// to NewShared's own check.
-func (bc *buildCtx) marginOK(rows int) bool {
-	if bc.marginFail == nil {
-		return true
+// classifyGrid classifies every slot of the grid into bc.class and lays
+// out the survivor-indexed exactPt memo, returning the grid's survivor
+// count.
+func (bc *buildCtx) classifyGrid() int {
+	n := 0
+	for slot := range bc.class {
+		sc := &bc.class[slot]
+		*sc = bc.classify(slotRC(slot))
+		sc.off = uint16(n)
+		n += bits.OnesCount16(sc.surv)
 	}
-	i := bits.TrailingZeros(uint(rows)) - 5
-	if i < 0 || i >= len(bc.marginFail) {
-		return true
-	}
-	return !bc.marginFail[i]
+	return n
 }
 
-// precheck runs the cheap integer feasibility tests of Build, in the
-// same order, without allocating error values.
+// slotTerms are the mux-independent terms of the organizations of one
+// (rows, cols) slot, as OrgFor computes them.
+type slotTerms struct {
+	mats     int // total mats: capacity bits over bits per mat, rounded up
+	colShift int // log2(4*cols), the bits one mat senses
+	pageMPS  int // mats per subbank under a page constraint
+}
+
+// terms computes a slot's mux-independent terms. Every divisor is a
+// power of two, so the divisions are shifts; they match OrgFor's
+// truncating divisions wherever the dividend is nonnegative, and a
+// negative dividend (only an overflowed capacity or output width makes
+// one) leaves a mat or subbank count below 1 on both paths, which the
+// precheck rejects as geometry either way.
+func (bc *buildCtx) terms(rows, cols int) slotTerms {
+	bitsPerMat := int64(4 * rows * cols)
+	t := slotTerms{colShift: bits.TrailingZeros(uint(4 * cols))}
+	t.mats = int((bc.spec.CapacityBytes*8 + bitsPerMat - 1) >> bits.TrailingZeros64(uint64(bitsPerMat)))
+	if bc.spec.PageBits > 0 {
+		t.pageMPS = bc.spec.PageBits >> t.colShift
+	}
+	return t
+}
+
+// matsPerSubbank returns OrgFor's MatsPerSubbank (below 1 when no
+// subbank shape exists) for enumMux[mi] in the slot of t; the mux
+// degree must not exceed the slot's columns.
+func (bc *buildCtx) matsPerSubbank(t *slotTerms, mi int) int {
+	if bc.spec.PageBits > 0 {
+		return t.pageMPS
+	}
+	sh := t.colShift - mi // log2(4*cols/mux), at least 2
+	return (bc.internalOut + 1<<sh - 1) >> sh
+}
+
+// classify runs the precheck over the mux loop of one (rows, cols)
+// slot. It reaches the verdict that OrgFor followed by precheck
+// reaches for every enumMux value, bucket for bucket
+// (TestClassifyMatchesPrecheck), but computes the mux-independent
+// terms (the mat count, the waste test) once per slot, does the
+// power-of-two divisions as shifts and copies no Spec. Calling OrgFor
+// and precheck per point instead makes a solve about twice as slow
+// (EXPERIMENTS.md, "Single-solve hot path", round 4).
+func (bc *buildCtx) classify(rows, cols int) slotClass {
+	var sc slotClass
+	t := bc.terms(rows, cols)
+	waste := int64(t.mats)*int64(4*rows*cols) > 2*bc.spec.CapacityBytes*8
+	page := bc.spec.PageBits
+	for mi, mux := range enumMux {
+		if mux > cols { // and so is every wider mux
+			sc.pruned[prMux] += uint8(len(enumMux) - mi)
+			break
+		}
+		mps := bc.matsPerSubbank(&t, mi)
+		sensed := mps << t.colShift // mps*4*cols
+		var r pruneReason
+		switch {
+		case mps < 1 || t.mats < 1 || mps > t.mats || t.mats%mps != 0:
+			r = prGeom
+		case page > 0 && sensed != page:
+			r = prPage
+		case sensed>>mi < bc.internalOut: // nonnegative: mps <= mats bounds it
+			r = prOutput
+		case waste:
+			r = prWaste
+		default:
+			sc.surv |= 1 << mi
+			continue
+		}
+		sc.pruned[r]++
+	}
+	return sc
+}
+
+// survivors rebuilds the slot's precheck survivors named by mask (a
+// subset of the slot's survivor mask) into buf, in ascending mux
+// order: the Orgs OrgFor returns for them.
+func (bc *buildCtx) survivors(slot int, mask uint16, buf *[len(enumMux)]Org) []Org {
+	if mask == 0 {
+		return buf[:0]
+	}
+	rows, cols := slotRC(slot)
+	t := bc.terms(rows, cols)
+	n := 0
+	for ; mask != 0; mask &= mask - 1 {
+		mi := bits.TrailingZeros16(mask)
+		mps := bc.matsPerSubbank(&t, mi)
+		o := &buf[n]
+		o.Rows, o.Cols, o.Mux = rows, cols, enumMux[mi]
+		o.MatsPerSubbank, o.Mats = mps, t.mats
+		o.Subbanks = t.mats / mps
+		n++
+	}
+	return buf[:n]
+}
+
+// precheck runs the cheap integer feasibility tests of Build on one
+// organization, in order, without allocating error values.
 func (bc *buildCtx) precheck(o Org) pruneReason {
-	if o.MatsPerSubbank < 1 || o.Mats < 1 {
+	if o.MatsPerSubbank < 1 || o.Mats < 1 || o.Mux < 1 {
 		return prGeom
 	}
 	if o.MatsPerSubbank > o.Mats || o.Mats%o.MatsPerSubbank != 0 {
@@ -643,6 +725,9 @@ func (bc *buildCtx) precheck(o Org) pruneReason {
 func (bc *buildCtx) checkErr(o Org, r pruneReason) error {
 	switch r {
 	case prGeom:
+		if o.Mux < 1 {
+			return fmt.Errorf("array: org needs a positive column mux degree: %v", o)
+		}
 		if o.MatsPerSubbank < 1 || o.Mats < 1 {
 			return fmt.Errorf("array: org needs at least one mat: %v", o)
 		}

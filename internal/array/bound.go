@@ -23,7 +23,8 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync/atomic"
 
 	"cactid/internal/circuit"
 	"cactid/internal/mat"
@@ -94,13 +95,6 @@ func (bd *bounder) htreeDelayLB(length float64) float64 {
 	return math.Max(bd.htreeFixed+bd.htreeLin*length, bd.htreePerLen*length)
 }
 
-// matsFor returns the (mux-independent) mat count of a (rows, cols)
-// shard.
-func matsFor(spec Spec, rows, cols int) int {
-	bitsPerMat := int64(4 * rows * cols)
-	return int((spec.CapacityBytes*8 + bitsPerMat - 1) / bitsPerMat)
-}
-
 // bankBounds assembles bank-level lower bounds from a mat-area lower
 // bound and a mat-access lower bound: Mats mats plus the H-tree wire
 // area, and the fixed path plus two H-tree traversals of at least the
@@ -122,7 +116,7 @@ func (bc *buildCtx) shardBounds(rows, cols int) (areaLB, accLB float64) {
 	matW := 2 * float64(cols) * bd.cellW
 	matH := 2 * float64(rows) * bd.cellH
 	matAccLB := mat.AccessLB(bc.spec.Tech, bc.spec.RAM, bc.spec.Ports, rows, cols)
-	return bd.bankBounds(matsFor(bc.spec, rows, cols), matW*matH, matAccLB)
+	return bd.bankBounds(bc.terms(rows, cols).mats, matW*matH, matAccLB)
 }
 
 // shardBoundsTight computes the tightened shard-level lower bounds
@@ -135,7 +129,7 @@ func (bc *buildCtx) shardBounds(rows, cols int) (areaLB, accLB float64) {
 // fails to discard a shard.
 func (bc *buildCtx) shardBoundsTight(rows, cols int) (areaLB, accLB float64) {
 	lb := bc.mats.shardLBFor(rows, cols)
-	return bc.bnd.bankBounds(matsFor(bc.spec, rows, cols), lb.MatW*lb.MatH, lb.Access)
+	return bc.bnd.bankBounds(bc.terms(rows, cols).mats, lb.MatW*lb.MatH, lb.Access)
 }
 
 // pointBoundsLite computes per-point lower bounds before mat.NewShared
@@ -183,12 +177,13 @@ func (bc *buildCtx) pointBounds(sh *mat.Shared, parts *mat.MuxParts, o Org) (are
 // equals the value) pruning tier; only points that pass it pay for
 // BuildInto and finishInto. The AM-GM tier in pointBounds never
 // exceeds it, so running it second filters the same final set while
-// skipping the repeated-wire solution for far-out points.
+// skipping the repeated-wire solution for far-out points. o must be a
+// precheck survivor of a prescanned grid: its memo slot is the slot's
+// first survivor index plus the survivors below it in mux order.
 func (bc *buildCtx) pointExact(sh *mat.Shared, parts *mat.MuxParts, o Org) (area, acc float64) {
-	ri := bits.TrailingZeros(uint(o.Rows)) - 5
-	ci := bits.TrailingZeros(uint(o.Cols)) - 5
-	mi := bits.TrailingZeros(uint(o.Mux))
-	slot := &bc.exactPt[(ri*len(enumCols)+ci)*len(enumMux)+mi]
+	sc := &bc.class[slotOf(o.Rows, o.Cols)]
+	below := sc.surv & (1<<bits.TrailingZeros(uint(o.Mux)) - 1)
+	slot := &bc.exactPt[int(sc.off)+bits.OnesCount16(below)]
 	if pm := slot.Load(); pm != nil {
 		return pm.area, pm.acc
 	}
@@ -253,69 +248,66 @@ type Prescanned struct {
 // entry per (rows, cols) pair that has at least one feasible mux
 // point, in grid order. The solver uses it to pick deterministic
 // probe points and to floor the feasible set's minimum area when
-// deriving pruning thresholds (see core's bounded explore). The full
-// precheck classification is retained on the build context, so a
-// following Enumerate reuses it instead of rescanning the grid.
+// deriving pruning thresholds (see core's bounded explore). The
+// classification (one survivor mask per slot) is retained on the
+// build context, so a following Enumerate reuses it instead of
+// rescanning the grid.
 func Prescan(spec Spec) (*Prescanned, error) {
 	bc, err := newBuildCtx(spec)
 	if err != nil {
 		return nil, err
 	}
 	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
-	bc.scan = make([]shardScan, len(enumRows)*len(enumCols))
-	slab := make([]Org, len(enumRows)*len(enumCols)*len(enumMux))
+	bc.exactPt = make([]atomic.Pointer[pointMetrics], bc.classifyGrid())
+
+	// Shards that cannot develop the DRAM sense signal have no feasible
+	// point at all; excluding them keeps the prescan's area floor tight
+	// (the floor feeds the solver's probe provability check). Their
+	// classification still feeds the enumeration's counters.
+	feasible := func(slot int) bool {
+		return bc.class[slot].surv != 0 && !bc.marginFail[slot/len(enumCols)]
+	}
 	n := 0
-	var out []PrescanPoint
-	for ri, rows := range enumRows {
-		// Shards that cannot develop the DRAM sense signal have no
-		// feasible point at all; excluding them keeps the prescan's
-		// area floor tight (the floor feeds the solver's probe
-		// provability check). Their precheck classification is still
-		// recorded for the enumeration's counter accounting.
-		marginOK := bc.marginOK(rows)
-		for ci, cols := range enumCols {
-			sc := &bc.scan[ri*len(enumCols)+ci]
-			start := n
-			for _, mux := range enumMux {
-				sc.counters.Considered++
-				if mux > cols {
-					sc.counters.PrunedMux++
-					continue
-				}
-				o := OrgFor(spec, rows, cols, mux)
-				if reason := bc.precheck(o); reason != prOK {
-					sc.counters.bump(reason)
-					continue
-				}
-				slab[n] = o
-				n++
-			}
-			sc.surv = slab[start:n:n]
-			if n == start || !marginOK {
-				continue
-			}
-			areaLB, accLB := bc.shardBounds(rows, cols)
-			out = append(out, PrescanPoint{Org: sc.surv[0], AreaLB: areaLB, AccLB: accLB})
+	for slot := range bc.class {
+		if feasible(slot) {
+			n++
 		}
 	}
-	return &Prescanned{bc: bc, Points: out}, nil
+	pts := make([]PrescanPoint, 0, n)
+	for slot := range bc.class {
+		if !feasible(slot) {
+			continue
+		}
+		var buf [len(enumMux)]Org
+		surv := bc.class[slot].surv
+		first := bc.survivors(slot, surv&-surv, &buf)[0]
+		areaLB, accLB := bc.shardBounds(first.Rows, first.Cols)
+		pts = append(pts, PrescanPoint{Org: first, AreaLB: areaLB, AccLB: accLB})
+	}
+	return &Prescanned{bc: bc, Points: pts}, nil
 }
 
-// ShardBounds returns the tightened (memoized) shard-level lower
-// bounds for an organization's (rows, cols) pair, in data-bank units.
-// They dominate the cheap PrescanPoint bounds on every pair — the
-// exact-minimum walks below lean on that ordering to evaluate the
-// expensive tiers lazily.
-func (p *Prescanned) ShardBounds(o Org) (areaLB, accLB float64) {
-	return p.bc.shardBoundsTight(o.Rows, o.Cols)
-}
-
-// shardSurv returns the precheck survivors of a (rows, cols) pair
-// recorded by Prescan.
-func (bc *buildCtx) shardSurv(rows, cols int) []Org {
-	ri := bits.TrailingZeros(uint(rows)) - 5
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	return bc.scan[ri*len(enumCols)+ci].surv
+// Order appends the indices of p.Points to dst in ascending key order,
+// grid order breaking ties, and returns the extended slice: the order
+// the exact-minimum walks visit shards in and the solver tries probes
+// in. The comparator is <, the walks' own test, so the order is that
+// of any stable sort by that comparison.
+func (p *Prescanned) Order(dst []int, key func(*PrescanPoint) float64) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, len(p.Points))
+	for i := range p.Points {
+		dst = append(dst, i)
+	}
+	slices.SortStableFunc(dst[n:], func(a, b int) int {
+		switch ka, kb := key(&p.Points[a]), key(&p.Points[b]); {
+		case ka < kb:
+			return -1
+		case kb < ka:
+			return 1
+		}
+		return 0
+	})
+	return dst
 }
 
 // MinArea returns the exact minimum bank area over every feasible
@@ -329,13 +321,9 @@ func (bc *buildCtx) shardSurv(rows, cols int) []Org {
 func (p *Prescanned) MinArea() (best float64, ok bool) {
 	bc := p.bc
 	pts := p.Points
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pts[idx[a]].AreaLB < pts[idx[b]].AreaLB })
+	var ord [gridSlots]int
 	best = math.Inf(1)
-	for _, i := range idx {
+	for _, i := range p.Order(ord[:0], func(pt *PrescanPoint) float64 { return pt.AreaLB }) {
 		if pts[i].AreaLB >= best {
 			break
 		}
@@ -345,7 +333,9 @@ func (p *Prescanned) MinArea() (best float64, ok bool) {
 		}
 		lb := bc.mats.shardLBFor(rows, cols)
 		var sh *mat.Shared
-		for _, o := range bc.shardSurv(rows, cols) {
+		var buf [len(enumMux)]Org
+		slot := slotOf(rows, cols)
+		for _, o := range bc.survivors(slot, bc.class[slot].surv, &buf) {
 			if aL, _ := bc.pointBoundsLite(lb, o); aL >= best {
 				continue
 			}
@@ -377,13 +367,9 @@ func (p *Prescanned) MinArea() (best float64, ok bool) {
 func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best float64, ok bool) {
 	bc := p.bc
 	pts := p.Points
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return pts[idx[a]].AccLB < pts[idx[b]].AccLB })
+	var ord [gridSlots]int
 	best = math.Inf(1)
-	for _, i := range idx {
+	for _, i := range p.Order(ord[:0], func(pt *PrescanPoint) float64 { return pt.AccLB }) {
 		if pts[i].AccLB >= best {
 			break
 		}
@@ -397,7 +383,9 @@ func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best floa
 		}
 		lb := bc.mats.shardLBFor(rows, cols)
 		var sh *mat.Shared
-		for _, o := range bc.shardSurv(rows, cols) {
+		var buf [len(enumMux)]Org
+		slot := slotOf(rows, cols)
+		for _, o := range bc.survivors(slot, bc.class[slot].surv, &buf) {
 			aL, accL := bc.pointBoundsLite(lb, o)
 			if accL >= best || nb*(aL+tagArea) > areaWindow {
 				continue
@@ -422,9 +410,13 @@ func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best floa
 // Build evaluates one organization against the prescan's shared build
 // context — same result as the package-level Build, but reusing the
 // memoized mat models and mux parts (probe builds hit the same grid
-// slots the enumeration will).
+// slots the enumeration will). An organization off the enumeration
+// grid has no table slot, so it is handed to the package-level Build.
 func (p *Prescanned) Build(o Org) (*Bank, error) {
 	bc := p.bc
+	if !onGrid(o) {
+		return Build(bc.spec, o)
+	}
 	if reason := bc.precheck(o); reason != prOK {
 		return nil, bc.checkErr(o, reason)
 	}

@@ -135,12 +135,14 @@ func matStageFor(t *tech.Technology, ram tech.RAMType, ports int) *matStage {
 	return st
 }
 
+// The slot accessors index the grid positionally: rows, cols and mux
+// must lie on the enumeration grid (Prescanned.Build routes any other
+// organization to the package-level Build).
+
 // sharedFor returns the mux-independent mat model of a (rows, cols)
 // grid slot, computing and publishing it on first use.
 func (st *matStage) sharedFor(rows, cols int) (*mat.Shared, error) {
-	ri := bits.TrailingZeros(uint(rows)) - 5
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	slot := &st.shared[ri*len(enumCols)+ci]
+	slot := &st.shared[slotOf(rows, cols)]
 	if e := slot.Load(); e != nil {
 		return e.sh, e.err
 	}
@@ -155,9 +157,7 @@ func (st *matStage) sharedFor(rows, cols int) (*mat.Shared, error) {
 // shardLBFor returns the tightened shard lower bound of a (rows, cols)
 // grid slot, computing and publishing it on first use.
 func (st *matStage) shardLBFor(rows, cols int) *mat.ShardLB {
-	ri := bits.TrailingZeros(uint(rows)) - 5
-	ci := bits.TrailingZeros(uint(cols)) - 5
-	slot := &st.shardLB[ri*len(enumCols)+ci]
+	slot := &st.shardLB[slotOf(rows, cols)]
 	if lb := slot.Load(); lb != nil {
 		return lb
 	}

@@ -189,13 +189,9 @@ const probeTries = 8
 // buildProbe picks and builds probe organizations from a prescan, in
 // a deterministic order (sorted by the given key, grid order breaking
 // ties), returning the first that builds plus its bank.
-func buildProbe(pre *array.Prescanned, key func(array.PrescanPoint) float64) (*array.Bank, bool) {
+func buildProbe(pre *array.Prescanned, key func(*array.PrescanPoint) float64) (*array.Bank, bool) {
 	pts := pre.Points
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return key(pts[idx[a]]) < key(pts[idx[b]]) })
+	idx := pre.Order(nil, key)
 	tries := probeTries
 	if tries > len(idx) {
 		tries = len(idx)
@@ -221,7 +217,7 @@ func optimizeTagBounded(ctx context.Context, spec Spec, t *tech.Technology, opts
 	if err != nil || len(pre.Points) == 0 {
 		return optimizeTag(ctx, spec, t, opts)
 	}
-	probe, built := buildProbe(pre, func(p array.PrescanPoint) float64 { return p.AccLB })
+	probe, built := buildProbe(pre, func(p *array.PrescanPoint) float64 { return p.AccLB })
 	if !built {
 		return optimizeTag(ctx, spec, t, opts)
 	}
