@@ -87,6 +87,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzStoreRecover -fuzztime $(FUZZTIME) ./internal/store/
 	go test -run '^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME) ./internal/sim/workload/
 	go test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/array/
+	go test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/fabric/
 
 # vulncheck scans the module against the Go vulnerability database.
 # Requires network; run from CI or a connected workstation.
@@ -104,11 +105,14 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkMatTable|BenchmarkPrescan' -benchmem -count=5 ./internal/array/
 
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
-# sweeps, the warm sweep rendered as JSON and as CSV, and the per-point
-# spec fingerprint.
+# sweeps, the warm sweep rendered as JSON and as CSV, the per-point
+# spec fingerprint, and the fabric wire's decoding of a 16-point chunk
+# (reply indented and compact, and request; typed decoder against
+# encoding/json).
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
 	go test -run '^$$' -bench BenchmarkFingerprint -benchmem ./internal/core/
+	go test -run '^$$' -bench BenchmarkWire -benchmem ./internal/fabric/
 
 # fabric-test runs the sweep-fabric suite under the race detector:
 # the coordinator/ring/steal/reroute unit and chaos tests in

@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 
@@ -38,9 +40,13 @@ func newFabric(cfg config, eng *explore.Engine) *fabric.Coordinator {
 // failing the batch: the coordinator re-dispatches exactly the points
 // that were cut off.
 func (s *server) handleSolveBatchFabric(w http.ResponseWriter, r *http.Request) error {
-	req, err := decode[fabric.BatchRequest](r)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return err
+		return bodyError(err)
+	}
+	req, err := fabric.DecodeBatchRequest(body)
+	if err != nil {
+		return bodyError(err)
 	}
 	if err := s.checkBatch(len(req.Specs)); err != nil {
 		return err
@@ -50,7 +56,16 @@ func (s *server) handleSolveBatchFabric(w http.ResponseWriter, r *http.Request) 
 	for i, res := range results {
 		out.Results[i] = fabric.ToWire(res)
 	}
-	return writeJSON(w, http.StatusOK, out)
+	// The reply is compact: the coordinator's decoder takes any
+	// layout. It is marshaled before the header goes out, so a metric
+	// JSON cannot carry (NaN, ±Inf) answers 500 with the error rather
+	// than a 200.
+	if body, err = json.Marshal(out); err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+	return nil
 }
 
 // handleStats serves the engine's counters for cluster aggregation

@@ -2,11 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"cactid/internal/array"
+	"cactid/internal/core"
+	"cactid/internal/fabric"
+	"cactid/internal/tech"
 )
 
 // sweepBody is a 24-point grid request reused across the cluster
@@ -254,5 +262,31 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Solves != 1 {
 		t.Fatalf("/v1/stats solves = %d, want 1", st.Solves)
+	}
+}
+
+// TestFabricReplyNaNAnswers500: a worker reply JSON cannot carry (a
+// NaN metric) answers 500 with the encoder's error. Writing the 200
+// header before encoding used to send the error object as a 200
+// reply.
+func TestFabricReplyNaNAnswers500(t *testing.T) {
+	nan := func(_ context.Context, spec core.Spec) (*core.Solution, error) {
+		return &core.Solution{Spec: spec, AccessTime: math.NaN(),
+			Data: &array.Bank{Org: array.Org{Rows: 1, Cols: 1, Mux: 1,
+				MatsPerSubbank: 1, Subbanks: 1, Mats: 1}, PipelineStages: 1}}, nil
+	}
+	ts := newTestServer(t, config{solver: nan})
+	body, err := json.Marshal(fabric.BatchRequest{Specs: []core.Spec{{Node: tech.Node32,
+		RAM: tech.SRAM, CapacityBytes: 64 << 10, BlockBytes: 64, Associativity: 4, IsCache: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := post(t, ts.URL+"/v1/solve-batch?wire=fabric", string(body))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, out)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(out, &e); err != nil || !strings.Contains(e["error"], "NaN") {
+		t.Fatalf("error body %q does not name the NaN", out)
 	}
 }

@@ -467,14 +467,20 @@ func decode[T any](r *http.Request) (T, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return v, httpError{http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
-		}
-		return v, badRequest(fmt.Errorf("bad request body: %w", err))
+		return v, bodyError(err)
 	}
 	return v, nil
+}
+
+// bodyError classifies a request body that could not be read or
+// decoded: 413 past the body bound, 400 otherwise.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return httpError{http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return badRequest(fmt.Errorf("bad request body: %w", err))
 }
 
 // checkPoints is the one multi-point bound: every grid, spec list and

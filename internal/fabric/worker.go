@@ -66,9 +66,45 @@ func (w *HTTPWorker) client() *http.Client {
 	return httpWorkerClient
 }
 
+// maxIdleConnsPerWorker is how many idle connections the
+// coordinator keeps open to each worker node. Every request a
+// coordinator serves holds at most one dispatch per worker, and it
+// serves up to cactid-serve's default -max-inflight of 32 requests at
+// once, so a pool this deep takes back every connection a burst of
+// dispatches used. http.DefaultTransport keeps 2 per host
+// (http.DefaultMaxIdleConnsPerHost) and closes the rest after each
+// use, so the next burst dials again.
+const maxIdleConnsPerWorker = 32
+
 // httpWorkerClient is shared across HTTPWorkers so connections are
 // pooled per remote node.
-var httpWorkerClient = &http.Client{Timeout: 2 * time.Minute}
+var httpWorkerClient = &http.Client{Timeout: 2 * time.Minute, Transport: workerTransport()}
+
+func workerTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerWorker
+	return t
+}
+
+// do sends req and returns the whole body of a 200 reply; any other
+// status is an error. The body is read to EOF before it is closed:
+// net/http returns a connection to the idle pool only then, and
+// otherwise the next dispatch dials afresh.
+func (w *HTTPWorker) do(req *http.Request) ([]byte, error) {
+	resp, err := w.client().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil:
+		return nil, err
+	case resp.StatusCode != http.StatusOK:
+		return nil, fmt.Errorf("worker %s: %s: %s", w.BaseURL, resp.Status, bytes.TrimSpace(body[:min(len(body), 512)]))
+	}
+	return body, nil
+}
 
 func (w *HTTPWorker) SolveBatch(ctx context.Context, specs []core.Spec) ([]WireResult, error) {
 	body, err := json.Marshal(BatchRequest{Specs: specs})
@@ -81,17 +117,12 @@ func (w *HTTPWorker) SolveBatch(ctx context.Context, specs []core.Spec) ([]WireR
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(req)
+	reply, err := w.do(req)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("worker %s: %s: %s", w.BaseURL, resp.Status, bytes.TrimSpace(msg))
-	}
-	var out BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	out, err := DecodeBatchResponse(reply)
+	if err != nil {
 		return nil, fmt.Errorf("worker %s: decode: %w", w.BaseURL, err)
 	}
 	return out.Results, nil
@@ -102,13 +133,8 @@ func (w *HTTPWorker) Healthy(ctx context.Context) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 64))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	_, err = w.do(req)
+	return err == nil
 }
 
 func (w *HTTPWorker) Stats(ctx context.Context) (explore.Stats, error) {
@@ -116,16 +142,12 @@ func (w *HTTPWorker) Stats(ctx context.Context) (explore.Stats, error) {
 	if err != nil {
 		return explore.Stats{}, err
 	}
-	resp, err := w.client().Do(req)
+	body, err := w.do(req)
 	if err != nil {
 		return explore.Stats{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return explore.Stats{}, fmt.Errorf("worker %s: %s", w.BaseURL, resp.Status)
-	}
 	var st explore.Stats
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return st, json.Unmarshal(body, &st)
 }
 
 // EngineWorker adapts an in-process explore.Engine to the Worker
