@@ -1,7 +1,7 @@
 # Tier-1 verify is `go build ./... && go test ./...` (ROADMAP.md);
-# `make verify` runs that plus vet, the repository's own static-
-# analysis suite (cmd/cactid-lint) and the race detector over every
-# package.
+# `make verify` runs that plus a gofmt check, vet, the repository's
+# own static-analysis suite (cmd/cactid-lint) and the race detector
+# over every package.
 
 # Tool versions are pinned here so CI and local runs agree. The repo
 # has no module dependencies, so there is no tools.go; external tools
@@ -9,9 +9,13 @@
 # only, see .github/workflows/ci.yml).
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: verify build test vet lint lint-new lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
+.PHONY: verify fmt build test vet lint lint-new lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
 
-verify: vet lint build test race
+verify: fmt vet lint build test race
+
+# fmt fails when any Go file is not gofmt-clean, naming the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...
@@ -68,10 +72,12 @@ ifneq ($(TECH),)
 endif
 
 # stress runs the chaos/overload suite under the race detector: the
-# fault-injection tests in internal/chaos and internal/explore plus
-# the cactid-serve admission-control and load-shedding tests.
+# fault-injection tests in internal/chaos and internal/explore, the
+# cactid-serve admission-control and load-shedding tests, and
+# concurrent solves through the solver's pooled scratch, ten times.
 stress:
 	go test -race ./internal/chaos/
+	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
 	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/
 

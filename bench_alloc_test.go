@@ -16,12 +16,16 @@ import (
 
 // TestSolveAllocBudget bounds what one warm solve allocates: every
 // BenchmarkSolve spec, solved on one worker with the mat-stage table
-// filled, must average at most 64 KB of heap per core.OptimizeContext
-// call. The six specs measure 19-39 KB per solve, and 97-200 KB when
-// the prescan still held an Org per grid triple, so per-solve scratch
-// sized by the grid cannot come back unnoticed.
+// filled, must average at most 16 KB of heap per core.OptimizeContext
+// call. The six specs measure 6-12 KB per solve: the chosen solution,
+// the banks and mats the enumeration built, the tag probe and the
+// solve's Technology copy. They measured 19-39 KB while the build
+// context's grid-sized scratch was allocated per prescan and every
+// candidate was assembled on the heap, and 97-200 KB when the prescan
+// still held an Org per grid triple, so neither can come back
+// unnoticed.
 func TestSolveAllocBudget(t *testing.T) {
-	const budget = 64 << 10
+	const budget = 16 << 10
 	const solves = 16
 	specs := solveSpecs()
 	names := make([]string, 0, len(specs))

@@ -224,7 +224,7 @@ func solveSpecs() map[string]core.Spec {
 // technology after its first does in a running server;
 // BenchmarkMatTable in internal/array times the array layer with the
 // table warm and cold, and TestSolveAllocBudget holds each spec's
-// bytes per warm solve under 64 KB. Run with `make bench` for
+// bytes per warm solve under 16 KB. Run with `make bench` for
 // benchstat-ready output.
 func BenchmarkSolve(b *testing.B) {
 	specs := solveSpecs()

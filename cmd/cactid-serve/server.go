@@ -133,10 +133,12 @@ func (m *metrics) observe(d time.Duration) {
 }
 
 // defaultCacheBound is the result-cache entry bound when the flag is
-// left at its zero value. One cached solve holds its evaluated design:
-// 8-18 KB of heap, measured over SRAM, DRAM and mixed-technology grids
-// of 8 to 896 specs. 16Ki entries keep a hot sweep working set while
-// bounding a long-lived server's tier 0 to about 300 MB.
+// left at its zero value. One cached solve holds the engine's
+// projection of its design, not the design: about 1 KB of heap with
+// its key and bookkeeping (TestTier0HeapPerEntry measures 1.0 KB over
+// 3000 generated specs of every technology). 16Ki entries keep a hot
+// sweep working set while bounding a long-lived server's tier 0 to
+// about 16 MB.
 const defaultCacheBound = 16384
 
 // server is the cactid-serve HTTP API: the exploration engine behind
@@ -546,13 +548,16 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) error {
 // writeSolution renders a solved spec exactly like `cactid -json`,
 // with the cache-hit marker header.
 func writeSolution(w http.ResponseWriter, sol *core.Solution, cached bool) error {
-	out, err := explore.AppendSolutionJSON(make([]byte, 0, resultBytesHint), sol, "", "  ")
+	body := getBody(resultBytesHint)
+	defer putBody(body)
+	out, err := explore.AppendSolutionJSON(*body, sol, "", "  ")
 	if err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cactid-Cached", strconv.FormatBool(cached))
-	w.Write(append(out, '\n'))
+	*body = append(out, '\n')
+	w.Write(*body)
 	return nil
 }
 
@@ -770,6 +775,37 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 // result object is about 850 bytes.
 const resultBytesHint = 1024
 
+// maxPooledBody is the largest response buffer bodyPool keeps, about a
+// 300-point result set. A larger one, from a bigger sweep, is left to
+// the collector, so one large request does not pin its body.
+const maxPooledBody = 256 << 10
+
+// bodyPool recycles the response bodies writeSolution and writeResults
+// render into: a body is dead once w.Write returns, and rendering
+// into a fresh one was half of what a warm request allocated.
+var bodyPool sync.Pool
+
+// getBody returns an empty pooled buffer with room for at least n
+// bytes. Hand it back with putBody after the body is written, storing
+// any grown slice through the pointer first.
+func getBody(n int) *[]byte {
+	b, _ := bodyPool.Get().(*[]byte)
+	if b == nil {
+		b = new([]byte)
+	}
+	if cap(*b) < n {
+		*b = make([]byte, 0, n)
+	}
+	*b = (*b)[:0]
+	return b
+}
+
+func putBody(b *[]byte) {
+	if cap(*b) <= maxPooledBody {
+		bodyPool.Put(b)
+	}
+}
+
 // writeResults renders a result set as CSV (?format=csv) or as a JSON
 // envelope whose entries carry the same fields as /v1/solve. The
 // envelope is laid out as writeJSON lays out the map
@@ -780,14 +816,16 @@ func writeResults(w http.ResponseWriter, r *http.Request, results []explore.Resu
 		return explore.WriteCSV(w, results)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	b := make([]byte, 0, resultBytesHint*(len(results)+1))
-	b = strconv.AppendInt(append(b, "{\n  \"points\": "...), int64(swept), 10)
+	body := getBody(resultBytesHint * (len(results) + 1))
+	defer putBody(body)
+	b := strconv.AppendInt(append(*body, "{\n  \"points\": "...), int64(swept), 10)
 	b, err := explore.AppendResultsJSON(append(b, ",\n  \"results\": "...), results, "  ", "  ")
 	if err != nil {
 		return err
 	}
 	b = strconv.AppendInt(append(b, ",\n  \"skipped\": "...), int64(skipped), 10)
-	_, err = w.Write(append(b, "\n}\n"...))
+	*body = append(b, "\n}\n"...)
+	_, err = w.Write(*body)
 	return err
 }
 

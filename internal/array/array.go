@@ -251,6 +251,7 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 	if err != nil {
 		return nil, Counters{}, err
 	}
+	defer bc.release()
 	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
 	bc.classifyGrid()
 	return enumerateWith(ctx, bc, workers, NoLimits())
@@ -258,9 +259,10 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 
 // enumerateWith is the shared engine behind EnumerateContext
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
-// thresholds). bc's grid must already be classified.
+// thresholds). bc's grid must already be classified. Each slot's banks
+// land in bc.results, which release clears.
 func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) ([]*Bank, Counters, error) {
-	results := make([][]*Bank, gridSlots)
+	results := &bc.results
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -509,8 +511,14 @@ func (c *Counters) addSlot(sc *slotClass) {
 // resolved technology pointers, address/data widths, and the bank-edge
 // output driver. It is shared across enumeration workers: the exactPt
 // memo and the slots of the table entry mats fill lazily with pure
-// values through atomic pointers, and everything else is immutable
-// once the grid is classified.
+// values through atomics, and everything else is immutable once the
+// grid is classified.
+//
+// Its grid-sized scratch (the classification, the exact-point memo,
+// the prescan's points and the enumeration's per-slot results) is
+// held by value, and contexts come from ctxPool: newBuildCtx takes
+// one and release returns it, so a solve allocates only the banks it
+// returns (DESIGN.md §1.2d).
 type buildCtx struct {
 	spec Spec
 	cell *tech.CellParams
@@ -546,13 +554,32 @@ type buildCtx struct {
 	// slot by slot in grid order and ascending mux within a slot: the
 	// solver's exact-minimum walks and the enumeration's final pruning
 	// tier visit overlapping points, and the H-tree repeated-wire
-	// solution inside is the only per-point cost worth skipping. Slots
-	// are published with atomic pointers; racing workers compute
-	// identical values, so last-write-wins is benign. Allocated by
-	// Prescan only: the unbounded enumeration never calls pointExact.
-	exactPt []atomic.Pointer[pointMetrics]
+	// solution inside is the only per-point cost worth skipping.
+	// Racing workers compute identical values, so last-write-wins is
+	// benign. Prescan sizes it to the survivor count over memo and
+	// clears it: the unbounded enumeration never calls pointExact.
+	exactPt []exactPoint
+
+	// The grid-sized scratch behind exactPt, Prescanned.Points and
+	// enumerateWith's per-slot result index.
+	memo    [gridSlots * len(enumMux)]exactPoint
+	points  [gridSlots]PrescanPoint
+	results [gridSlots][]*Bank
+
+	// pre is the Prescanned that Prescan returns, held here so a
+	// prescan allocates nothing of its own.
+	pre Prescanned
 }
 
+// ctxPool recycles build contexts, scratch included, across solves.
+var ctxPool = sync.Pool{New: func() any { return new(buildCtx) }}
+
+// newBuildCtx takes a context from ctxPool and sets it up for spec;
+// the caller hands it back with release (Prescan's callers, through
+// Prescanned.Release). The grid scratch is left as the last user left
+// it: classifyGrid rewrites every slot's class, Prescan clears the
+// memo it uses and rewrites the points it returns, and release clears
+// the results.
 func newBuildCtx(spec Spec) (*buildCtx, error) {
 	if spec.CapacityBytes <= 0 || spec.OutputBits <= 0 {
 		return nil, fmt.Errorf("array: bad spec: capacity %d, output %d", spec.CapacityBytes, spec.OutputBits)
@@ -560,12 +587,11 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	t := spec.Tech
 	cell := t.Cell(spec.RAM)
 	per := t.Device(cell.PeripheralDevice)
-	bc := &buildCtx{
-		spec: spec,
-		cell: cell,
-		per:  per,
-		wire: t.Wire(tech.WireGlobal),
-	}
+	bc := ctxPool.Get().(*buildCtx)
+	bc.spec = spec
+	bc.cell = cell
+	bc.per = per
+	bc.wire = t.Wire(tech.WireGlobal)
 	bc.internalOut = spec.OutputBits * max(1, spec.AssocReadout)
 	bc.addrBits = int(math.Ceil(math.Log2(float64(spec.CapacityBytes*8)))) + 8 // address + control
 	// Way select happens at the subbank edge, so only OutputBits
@@ -578,12 +604,26 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	// Output drivers at the bank edge.
 	bc.outDrv = circuit.TristateDriver(per, 60e-15)
 	bc.bnd = newBounder(bc)
+	bc.marginFail = [len(enumRows)]bool{}
 	if cell.Kind == tech.Kind1T1C && spec.Ports <= 1 {
 		for i, rows := range enumRows {
 			bc.marginFail[i] = !mat.SignalMarginOK(t, spec.RAM, spec.Ports, rows)
 		}
 	}
 	return bc, nil
+}
+
+// release drops every reference the last solve left on bc (its spec
+// and technology, the table entry, the enumeration's banks) and
+// returns bc to ctxPool: pooled scratch pins nothing, and nothing a
+// caller keeps points into it. bc must not be used afterwards.
+func (bc *buildCtx) release() {
+	bc.spec = Spec{}
+	bc.cell, bc.per, bc.wire, bc.mats = nil, nil, nil, nil
+	bc.exactPt = nil
+	clear(bc.results[:])
+	bc.pre = Prescanned{}
+	ctxPool.Put(bc)
 }
 
 // classifyGrid classifies every slot of the grid into bc.class and lays
@@ -753,6 +793,7 @@ func Build(spec Spec, o Org) (*Bank, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer bc.release()
 	if reason := bc.precheck(o); reason != prOK {
 		return nil, bc.checkErr(o, reason)
 	}

@@ -183,9 +183,9 @@ func (bc *buildCtx) pointBounds(sh *mat.Shared, parts *mat.MuxParts, o Org) (are
 func (bc *buildCtx) pointExact(sh *mat.Shared, parts *mat.MuxParts, o Org) (area, acc float64) {
 	sc := &bc.class[slotOf(o.Rows, o.Cols)]
 	below := sc.surv & (1<<bits.TrailingZeros(uint(o.Mux)) - 1)
-	slot := &bc.exactPt[int(sc.off)+bits.OnesCount16(below)]
-	if pm := slot.Load(); pm != nil {
-		return pm.area, pm.acc
+	pm := &bc.exactPt[int(sc.off)+bits.OnesCount16(below)]
+	if a := pm.area.Load(); a != 0 {
+		return math.Float64frombits(a), math.Float64frombits(pm.acc.Load())
 	}
 	mw, mh := sh.MatDimsOf(parts)
 
@@ -214,12 +214,17 @@ func (bc *buildCtx) pointExact(sh *mat.Shared, parts *mat.MuxParts, o Org) (area
 	wireArea := float64(bc.addrBits+bc.dataBits) * bc.wire.Pitch * htreeLen
 	repArea := float64(bc.addrBits)*htreeWire.Res.Area + float64(bc.dataBits)*htreeWire.Res.Area
 	area = matsArea + wireArea + repArea
-	slot.Store(&pointMetrics{area: area, acc: acc})
+	pm.acc.Store(math.Float64bits(acc))
+	pm.area.Store(math.Float64bits(area))
 	return area, acc
 }
 
-// pointMetrics is one memoized pointExact result.
-type pointMetrics struct{ area, acc float64 }
+// exactPoint is one memoized pointExact result, held as the bits of
+// its two floats. The area is stored last and loaded first, so nonzero
+// area bits publish the entry: a reader that sees them also sees the
+// access time (racing writers store identical values). No bank has a
+// zero area, so zero bits mean "not computed yet".
+type exactPoint struct{ area, acc atomic.Uint64 }
 
 // PrescanPoint summarizes one feasible (rows, cols) shard of the
 // enumeration grid: its first precheck-passing mux point and the
@@ -235,7 +240,9 @@ type PrescanPoint struct {
 // behind it, so probe builds and the bounded enumeration share the
 // memoized exact point metrics and the spec's mat-stage table entry
 // (shard bounds, mux parts and mat models) instead of recomputing
-// them per call.
+// them per call. It lives in pooled scratch: a caller done with it
+// calls Release once, after which neither it nor its Points may be
+// read.
 type Prescanned struct {
 	bc *buildCtx
 	// Points holds one entry per (rows, cols) pair with at least one
@@ -258,7 +265,8 @@ func Prescan(spec Spec) (*Prescanned, error) {
 		return nil, err
 	}
 	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
-	bc.exactPt = make([]atomic.Pointer[pointMetrics], bc.classifyGrid())
+	bc.exactPt = bc.memo[:bc.classifyGrid()]
+	clear(bc.exactPt)
 
 	// Shards that cannot develop the DRAM sense signal have no feasible
 	// point at all; excluding them keeps the prescan's area floor tight
@@ -269,12 +277,6 @@ func Prescan(spec Spec) (*Prescanned, error) {
 	}
 	n := 0
 	for slot := range bc.class {
-		if feasible(slot) {
-			n++
-		}
-	}
-	pts := make([]PrescanPoint, 0, n)
-	for slot := range bc.class {
 		if !feasible(slot) {
 			continue
 		}
@@ -282,9 +284,21 @@ func Prescan(spec Spec) (*Prescanned, error) {
 		surv := bc.class[slot].surv
 		first := bc.survivors(slot, surv&-surv, &buf)[0]
 		areaLB, accLB := bc.shardBounds(first.Rows, first.Cols)
-		pts = append(pts, PrescanPoint{Org: first, AreaLB: areaLB, AccLB: accLB})
+		bc.points[n] = PrescanPoint{Org: first, AreaLB: areaLB, AccLB: accLB}
+		n++
 	}
-	return &Prescanned{bc: bc, Points: pts}, nil
+	bc.pre = Prescanned{bc: bc, Points: bc.points[:n:n]}
+	return &bc.pre, nil
+}
+
+// Release hands the prescan's build context and scratch back for the
+// next solve. Call it once, after the last Enumerate, Build or walk:
+// afterwards neither p nor its Points may be read. The banks Enumerate
+// and Build returned never point into the scratch and stay valid.
+func (p *Prescanned) Release() {
+	if p.bc != nil {
+		p.bc.release()
+	}
 }
 
 // Order appends the indices of p.Points to dst in ascending key order,

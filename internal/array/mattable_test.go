@@ -78,12 +78,13 @@ func banksDiff(got, want []*Bank) string {
 
 // tableSolve runs the array half of a solve: the prescan, the exact
 // minimum-area walk and the full enumeration, as the solver reaches
-// them through the table.
+// them through the table, releasing the prescan as the solver does.
 func tableSolve(spec Spec, workers int) ([]*Bank, error) {
 	pre, err := Prescan(spec)
 	if err != nil {
 		return nil, err
 	}
+	defer pre.Release()
 	pre.MinArea()
 	banks, _, err := pre.Enumerate(context.Background(), workers, NoLimits())
 	return banks, err

@@ -234,7 +234,8 @@ func TestPrescannedBuildOffGrid(t *testing.T) {
 // stage with the mat-stage table warm: the prescan plus the exact
 // minimum-area and minimum-access walks, on an SRAM and a COMM-DRAM
 // data array and on the tag array of a 4 MB 8-way SRAM cache, whose
-// capacity and output width are not powers of two.
+// capacity and output width are not powers of two. Each prescan is
+// released as the solver releases it, so its scratch is reused.
 func BenchmarkPrescan(b *testing.B) {
 	for _, leg := range []struct {
 		name string
@@ -256,6 +257,7 @@ func BenchmarkPrescan(b *testing.B) {
 					b.Fatal("no feasible point")
 				}
 				pre.MinAccessWithin(1, 0, math.Inf(1))
+				pre.Release()
 			}
 			walk() // fill the table
 			b.ResetTimer()

@@ -72,27 +72,29 @@ func (s *Spec) boundable() bool {
 		!(s.IncludeBankRouting && s.Banks > 1)
 }
 
-// exploreBounded runs the branch-and-bound explore. ok reports
-// whether the bounded path applied; on !ok the caller falls back to
-// ExploreContext (empty feasible set or an unsupported spec shape —
-// both rare, neither an error).
-func exploreBounded(ctx context.Context, spec Spec, opts *Options) (sols []*Solution, ok bool, err error) {
+// boundedCandidates runs the branch-and-bound explore, returning the
+// candidates the staged filter may keep as unassembled data banks
+// over the chosen tag bank. ok reports whether the bounded path
+// applied; on !ok the caller falls back to ExploreContext (empty
+// feasible set or an unsupported spec shape — both rare, neither an
+// error).
+func boundedCandidates(ctx context.Context, spec Spec, opts *Options) (c candidates, ok bool, err error) {
 	if err := spec.normalize(); err != nil {
-		return nil, false, err
+		return c, false, err
 	}
 	if !spec.boundable() {
-		return nil, false, nil
+		return c, false, nil
 	}
 	t, err := tech.TechnologyOf(spec.Technology, spec.Node)
 	if err != nil {
-		return nil, false, err
+		return c, false, err
 	}
 
 	var tag *array.Bank
 	if spec.IsCache {
 		tag, err = optimizeTagBounded(ctx, spec, t, opts)
 		if err != nil {
-			return nil, false, fmt.Errorf("core: tag array: %w", err)
+			return c, false, fmt.Errorf("core: tag array: %w", err)
 		}
 	}
 	tagArea, tagAcc := 0.0, 0.0
@@ -102,8 +104,12 @@ func exploreBounded(ctx context.Context, spec Spec, opts *Options) (sols []*Solu
 
 	dataSpec := dataArraySpec(spec, t)
 	pre, err := array.Prescan(dataSpec)
-	if err != nil || len(pre.Points) == 0 {
-		return nil, false, nil
+	if err != nil {
+		return c, false, nil
+	}
+	defer pre.Release()
+	if len(pre.Points) == 0 {
+		return c, false, nil
 	}
 	nb := float64(spec.Banks)
 	c1, c2 := spec.MaxAreaConstraint, spec.MaxAcctimeConstraint
@@ -115,7 +121,7 @@ func exploreBounded(ctx context.Context, spec Spec, opts *Options) (sols []*Solu
 	// the argmin and its exact ties survive with no nudge.
 	aMin, okArea := pre.MinArea()
 	if !okArea {
-		return nil, false, nil
+		return c, false, nil
 	}
 	minSolArea := nb * (aMin + tagArea)
 	window := minSolArea * (1 + c1) // Filter's stage-1 cut, bitwise
@@ -163,23 +169,17 @@ func exploreBounded(ctx context.Context, spec Spec, opts *Options) (sols []*Solu
 		opts.Stats.Data = counters
 	}
 	if err != nil {
-		return nil, false, err
+		return c, false, err
 	}
 	if len(banks) == 0 {
 		// The exact area argmin provably survives its own thresholds,
 		// so this cannot happen; stay safe and fall back.
-		return nil, false, nil
-	}
-	backing := make([]Solution, len(banks))
-	sols = make([]*Solution, len(banks))
-	for i, b := range banks {
-		assemble(spec, b, tag, &backing[i])
-		sols[i] = &backing[i]
+		return c, false, nil
 	}
 	// No access-time pre-sort here: Filter's final comparison is a
-	// total order, so its output sequence is independent of input
-	// order (ExploreContext keeps its sorted contract for API users).
-	return sols, true, nil
+	// total order, so its winner is independent of input order
+	// (ExploreContext keeps its sorted contract for API users).
+	return candidates{spec: spec, banks: banks, tag: tag}, true, nil
 }
 
 // probeTries bounds how many candidate organizations the tag probe
@@ -214,7 +214,11 @@ func buildProbe(pre *array.Prescanned, key func(*array.PrescanPoint) float64) (*
 func optimizeTagBounded(ctx context.Context, spec Spec, t *tech.Technology, opts *Options) (*array.Bank, error) {
 	tagSpec := tagArraySpec(spec, t)
 	pre, err := array.Prescan(tagSpec)
-	if err != nil || len(pre.Points) == 0 {
+	if err != nil {
+		return optimizeTag(ctx, spec, t, opts)
+	}
+	defer pre.Release()
+	if len(pre.Points) == 0 {
 		return optimizeTag(ctx, spec, t, opts)
 	}
 	probe, built := buildProbe(pre, func(p *array.PrescanPoint) float64 { return p.AccLB })

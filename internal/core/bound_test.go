@@ -134,7 +134,8 @@ func boundableSpec(r *rand.Rand) Spec {
 // TestBoundedFilterOutputIdentical from its hand-picked specs to
 // generated ones over every provider: wherever the bounded path
 // applies, its filtered list equals the filtered exhaustive list,
-// value for value and in order, and its counters keep the accounting
+// value for value and in order, OptimizeContext's winner pick returns
+// that list's first solution, and its counters keep the accounting
 // invariant; where it falls back, the exhaustive path must agree that
 // the spec has no solution or handle it alone.
 func TestBoundedMatchesExhaustiveGenerated(t *testing.T) {
@@ -160,9 +161,17 @@ func TestBoundedMatchesExhaustiveGenerated(t *testing.T) {
 			t.Fatalf("spec %d %+v: exhaustive explore: %v", i, spec, errU)
 		}
 		applied++
-		if fb, fu := Filter(spec, sols), Filter(spec, all); !reflect.DeepEqual(fb, fu) {
+		fu := Filter(spec, all)
+		if fb := Filter(spec, sols); !reflect.DeepEqual(fb, fu) {
 			t.Fatalf("spec %d %+v: filtered %d bounded solutions differ from %d exhaustive ones",
 				i, spec, len(fb), len(fu))
+		}
+		best, err := OptimizeContext(ctx, spec, nil)
+		if err != nil || len(fu) == 0 {
+			t.Fatalf("spec %d %+v: OptimizeContext: %v (%d exhaustive survivors)", i, spec, err, len(fu))
+		}
+		if !reflect.DeepEqual(best, fu[0]) {
+			t.Fatalf("spec %d %+v: OptimizeContext's winner differs from Filter's first solution", i, spec)
 		}
 		if total := st.Total(); total.Considered != total.PrunedTotal()+total.Built+total.BuildErrors {
 			t.Fatalf("spec %d %+v: accounting invariant broken: %+v", i, spec, total)

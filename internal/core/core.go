@@ -415,14 +415,18 @@ func Optimize(spec Spec) (*Solution, error) {
 // (ExploreContext) whenever its preconditions do not hold. The chosen
 // solution is byte-identical to Filter(spec, ExploreContext(...))[0].
 func OptimizeContext(ctx context.Context, spec Spec, opts *Options) (*Solution, error) {
-	sols, ok, err := exploreBounded(ctx, spec, opts)
+	c, ok, err := boundedCandidates(ctx, spec, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !ok || sols == nil {
-		if sols, err = ExploreContext(ctx, spec, opts); err != nil {
-			return nil, err
-		}
+	if ok {
+		// Filter's first solution, assembled on the stack candidate
+		// by candidate: only the winner reaches the heap.
+		return c.best()
+	}
+	sols, err := ExploreContext(ctx, spec, opts)
+	if err != nil {
+		return nil, err
 	}
 	filtered := Filter(spec, sols)
 	if len(filtered) == 0 {
@@ -437,49 +441,141 @@ func Filter(spec Spec, sols []*Solution) []*Solution {
 	if err := spec.normalize(); err != nil || len(sols) == 0 {
 		return nil
 	}
-	// Stage 1: max area constraint relative to the best-area solution.
-	minArea := math.Inf(1)
-	for _, s := range sols {
-		minArea = math.Min(minArea, s.Area)
-	}
-	pass1 := make([]*Solution, 0, len(sols))
-	for _, s := range sols {
-		if s.Area <= minArea*(1+spec.MaxAreaConstraint) {
-			pass1 = append(pass1, s)
-		}
-	}
-	// Stage 2: max access-time constraint within the reduced set.
-	minAcc := math.Inf(1)
-	for _, s := range pass1 {
-		minAcc = math.Min(minAcc, s.AccessTime)
-	}
+	c := candidates{spec: spec, sols: sols}
+	st := c.stages()
 	var pass2 []*Solution
-	for _, s := range pass1 {
-		if s.AccessTime <= minAcc*(1+spec.MaxAcctimeConstraint) {
+	for _, s := range sols {
+		if st.keeps(s) {
 			pass2 = append(pass2, s)
 		}
 	}
-	// Stage 3: normalized weighted objective.
-	minE, minL, minC, minI := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-	for _, s := range pass2 {
-		minE = math.Min(minE, s.EReadPerAccess)
-		minL = math.Min(minL, s.LeakagePower)
-		minC = math.Min(minC, s.RandomCycle)
-		minI = math.Min(minI, s.InterleaveCycle)
-	}
-	w := *spec.Weights
 	// Objectives kept in a slice parallel to pass2 (sorted together):
 	// cheaper than a map and the same total order.
 	objs := make([]float64, len(pass2))
 	for i, s := range pass2 {
-		objs[i] = s.objective(w, minE, minL, minC, minI)
+		objs[i] = st.objective(s)
 	}
 	sort.Sort(&byObjective{sols: pass2, objs: objs})
 	return pass2
 }
 
+// candidates is a solution set as the staged filter reads it: Filter's
+// assembled solutions, or the bounded solver's data banks, which at
+// assembles over the tag bank one at a time into a caller's scratch.
+// spec is normalized.
+type candidates struct {
+	spec  Spec
+	sols  []*Solution
+	banks []*array.Bank
+	tag   *array.Bank
+}
+
+func (c *candidates) len() int {
+	if c.sols != nil {
+		return len(c.sols)
+	}
+	return len(c.banks)
+}
+
+// at returns candidate i, assembling it into scratch when the set
+// holds banks.
+func (c *candidates) at(i int, scratch *Solution) *Solution {
+	if c.sols != nil {
+		return c.sols[i]
+	}
+	assemble(c.spec, c.banks[i], c.tag, scratch)
+	return scratch
+}
+
+// stageCuts are the staged filter's thresholds and objective
+// normalizers over one candidate set (Section 2.4): stage 1 keeps the
+// solutions within MaxAreaConstraint of the minimum area, stage 2
+// those of them within MaxAcctimeConstraint of their minimum access
+// time, and stage 3 ranks the survivors by the weighted objective
+// normalized to their own minima.
+type stageCuts struct {
+	area, acc              float64
+	w                      Weights
+	minE, minL, minC, minI float64
+}
+
+// stages derives the staged filter's cuts over c, one pass per stage.
+func (c *candidates) stages() stageCuts {
+	var scratch Solution
+	n := c.len()
+	// Stage 1: max area constraint relative to the best-area solution.
+	minArea := math.Inf(1)
+	for i := 0; i < n; i++ {
+		minArea = math.Min(minArea, c.at(i, &scratch).Area)
+	}
+	st := stageCuts{area: minArea * (1 + c.spec.MaxAreaConstraint), w: *c.spec.Weights}
+	// Stage 2: max access-time constraint within the reduced set.
+	minAcc := math.Inf(1)
+	for i := 0; i < n; i++ {
+		if s := c.at(i, &scratch); s.Area <= st.area {
+			minAcc = math.Min(minAcc, s.AccessTime)
+		}
+	}
+	st.acc = minAcc * (1 + c.spec.MaxAcctimeConstraint)
+	// Stage 3: the objective's normalization minima over the survivors.
+	st.minE, st.minL, st.minC, st.minI = math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	for i := 0; i < n; i++ {
+		if s := c.at(i, &scratch); st.keeps(s) {
+			st.minE = math.Min(st.minE, s.EReadPerAccess)
+			st.minL = math.Min(st.minL, s.LeakagePower)
+			st.minC = math.Min(st.minC, s.RandomCycle)
+			st.minI = math.Min(st.minI, s.InterleaveCycle)
+		}
+	}
+	return st
+}
+
+// keeps reports whether s survives stages 1 and 2.
+func (st *stageCuts) keeps(s *Solution) bool {
+	return s.Area <= st.area && s.AccessTime <= st.acc
+}
+
+func (st *stageCuts) objective(s *Solution) float64 {
+	return s.objective(st.w, st.minE, st.minL, st.minC, st.minI)
+}
+
+// ranksBefore is Filter's total order on survivors with objectives oa
+// and ob: objective, then access time, then organization order.
+func ranksBefore(oa float64, a *Solution, ob float64, b *Solution) bool {
+	if oa != ob {
+		return oa < ob
+	}
+	if a.AccessTime != b.AccessTime {
+		return a.AccessTime < b.AccessTime
+	}
+	return orgLess(a.Data.Org, b.Data.Org)
+}
+
+// best returns Filter's first solution over c without building the
+// survivor list: each candidate is assembled into a stack scratch, and
+// only the winner is copied out. The order is total, so the minimum is
+// the element Filter's sort puts first.
+func (c *candidates) best() (*Solution, error) {
+	st := c.stages()
+	var scratch, win Solution
+	winObj, found := 0.0, false
+	for i, n := 0, c.len(); i < n; i++ {
+		s := c.at(i, &scratch)
+		if !st.keeps(s) {
+			continue
+		}
+		if o := st.objective(s); !found || ranksBefore(o, s, winObj, &win) {
+			win, winObj, found = *s, o, true
+		}
+	}
+	if !found {
+		return nil, ErrNoSolution
+	}
+	return &win, nil
+}
+
 // byObjective sorts solutions and their precomputed objectives in
-// lockstep: objective, then access time, then organization order.
+// lockstep by ranksBefore.
 type byObjective struct {
 	sols []*Solution
 	objs []float64
@@ -491,13 +587,7 @@ func (b *byObjective) Swap(i, j int) {
 	b.objs[i], b.objs[j] = b.objs[j], b.objs[i]
 }
 func (b *byObjective) Less(i, j int) bool {
-	if b.objs[i] != b.objs[j] {
-		return b.objs[i] < b.objs[j]
-	}
-	if b.sols[i].AccessTime != b.sols[j].AccessTime {
-		return b.sols[i].AccessTime < b.sols[j].AccessTime
-	}
-	return orgLess(b.sols[i].Data.Org, b.sols[j].Data.Org)
+	return ranksBefore(b.objs[i], b.sols[i], b.objs[j], b.sols[j])
 }
 
 // dataArraySpec derives the data-array enumeration spec from a

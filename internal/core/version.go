@@ -15,11 +15,12 @@ package core
 // pinned outputs to this constant — so a numeric change cannot land
 // without touching both the pins and ModelVersion.
 // Version history:
-//   2 — pluggable technology providers: Spec gained the Technology
-//       axis, Solution gained WriteTime/WriteEndurance, and the
-//       persisted/wire record shapes grew accordingly. ITRS numbers
-//       are byte-identical to version 1 (the pinned-output digest did
-//       not move), but records written by mixed-technology fleets are
-//       not interpretable by version-1 readers.
-//   1 — initial persisted-format version.
+//
+//	2 — pluggable technology providers: Spec gained the Technology
+//	    axis, Solution gained WriteTime/WriteEndurance, and the
+//	    persisted/wire record shapes grew accordingly. ITRS numbers
+//	    are byte-identical to version 1 (the pinned-output digest did
+//	    not move), but records written by mixed-technology fleets are
+//	    not interpretable by version-1 readers.
+//	1 — initial persisted-format version.
 const ModelVersion = 2

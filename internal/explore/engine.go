@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cactid/internal/array"
 	"cactid/internal/chaos"
 	"cactid/internal/core"
 	"cactid/internal/store"
@@ -99,15 +100,26 @@ type Result struct {
 	Index       int
 	Spec        core.Spec
 	Fingerprint string
-	Solution    *core.Solution
-	Cached      bool
-	Err         error
+	// Solution is the engine's projection of the solved design (see
+	// Engine.Solve): the spec, the scalar metrics, and Data and Tag
+	// banks that carry only Org and PipelineStages.
+	Solution *core.Solution
+	Cached   bool
+	Err      error
 }
 
 // Solve optimizes one spec through the cache: repeated and concurrent
 // calls for fingerprint-equal specs run the solver once. cached
 // reports whether the result existed (or was already being computed)
 // before this call.
+//
+// The solution is a projection, shared with tier 0 and every other
+// caller of the same fingerprint: the spec and the scalar metrics,
+// with Data and Tag banks that keep only Org and PipelineStages — all
+// that the renderers, Frontier, the durable tier and the fabric wire
+// read. The mat models and electrical detail behind it are dropped
+// when the solve finishes; core.Optimize returns the full design for
+// callers that need it, such as core.Report.
 func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution, cached bool, err error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
@@ -149,7 +161,8 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string) (*core.So
 		e.tier1Misses.Add(1)
 	}
 	e.solves.Add(1)
-	ent.sol, ent.err = e.runSolver(ctx, spec)
+	sol, err := e.runSolver(ctx, spec)
+	ent.sol, ent.err = project(sol), err
 	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
 		// The solver was cut short by this requester's context: the
 		// failure says nothing about the spec, so don't poison the
@@ -180,6 +193,36 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec) (sol *core.Solut
 		return nil, err
 	}
 	return e.solver(ctx, spec)
+}
+
+// projection is one solver result as the engine keeps it, in a single
+// allocation: the solution with its banks cut down to what the
+// renderers, Frontier, the durable tier and the fabric wire read.
+type projection struct {
+	sol       core.Solution
+	data, tag array.Bank
+}
+
+// project copies sol's spec and scalar metrics and, for each of its
+// banks, only Org and PipelineStages. Nothing of sol's candidate
+// backing array, bank slabs, mats or Technology stays reachable, so a
+// cached result costs about a kilobyte instead of its whole evaluated
+// design.
+func project(sol *core.Solution) *core.Solution {
+	if sol == nil {
+		return nil
+	}
+	p := &projection{sol: *sol}
+	p.sol.Data, p.sol.Tag = nil, nil
+	if b := sol.Data; b != nil {
+		p.data = array.Bank{Org: b.Org, PipelineStages: b.PipelineStages}
+		p.sol.Data = &p.data
+	}
+	if b := sol.Tag; b != nil {
+		p.tag = array.Bank{Org: b.Org, PipelineStages: b.PipelineStages}
+		p.sol.Tag = &p.tag
+	}
+	return &p.sol
 }
 
 // sweepOne evaluates one sweep point, confining panics that escape

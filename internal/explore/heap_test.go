@@ -1,0 +1,89 @@
+//go:build !race
+
+// The race detector's shadow memory and instrumentation allocations
+// would count against the live heap, so the budget is checked only in
+// normal builds.
+
+package explore
+
+import (
+	"context"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+
+	"cactid/internal/core"
+	"cactid/internal/tech"
+)
+
+// heapSpecs draws n specs with distinct fingerprints across every
+// provider, the four study nodes, the three RAM types, 16 KB-64 MB,
+// blocks, associativities, banks and access modes: the shape of a
+// design-space exploration's fresh grids. Some admit no solution,
+// which tier 0 caches too.
+func heapSpecs(n int, seed uint64) []core.Spec {
+	r := rand.New(rand.NewPCG(seed, 19))
+	providers := tech.Providers()
+	seen := map[string]bool{}
+	specs := make([]core.Spec, 0, n)
+	for len(specs) < n {
+		s := core.Spec{
+			Technology:    providers[r.IntN(len(providers))],
+			Node:          []tech.Node{32, 45, 65, 90}[r.IntN(4)],
+			RAM:           []tech.RAMType{tech.SRAM, tech.LPDRAM, tech.COMMDRAM}[r.IntN(3)],
+			BlockBytes:    []int{32, 64, 128}[r.IntN(3)],
+			Associativity: 1 << r.IntN(5),
+			Banks:         1 << r.IntN(3),
+			IsCache:       r.IntN(4) != 0,
+			Mode:          core.AccessMode(r.IntN(3)),
+		}
+		s.CapacityBytes = int64(s.Banks) * (int64(16<<10) << r.IntN(12))
+		fp, err := s.Fingerprint()
+		if err != nil || seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// liveHeap returns the bytes of live heap objects after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestTier0HeapPerEntry bounds what one cached result keeps alive.
+// It sweeps a few thousand generated specs into an unbounded engine
+// and charges the live heap the engine holds afterwards to its tier-0
+// entries: at most 2 KB each. A projected entry (spec, scalar metrics,
+// organizations and stages, plus the cache's key, list element and
+// ready channel) measures about 1 KB; one holding the whole evaluated
+// design measured 18.6 KB. A first sweep through a throwaway engine
+// fills the process-wide mat-stage table, so its growth is not
+// charged to the entries.
+func TestTier0HeapPerEntry(t *testing.T) {
+	const budget = 2 << 10
+	specs := heapSpecs(3000, 1)
+	ctx := context.Background()
+	New(Options{}).Sweep(ctx, specs)
+
+	before := liveHeap()
+	e := New(Options{})
+	e.Sweep(ctx, specs)
+	after := liveHeap()
+	entries := e.Stats().CacheEntries
+	runtime.KeepAlive(e)
+	if entries != len(specs) {
+		t.Fatalf("tier 0 holds %d entries after sweeping %d distinct specs", entries, len(specs))
+	}
+	perEntry := int64(after-before) / int64(entries)
+	t.Logf("%d entries: %d B of live heap each", entries, perEntry)
+	if perEntry > budget {
+		t.Errorf("%d B of live heap per tier-0 entry, budget %d", perEntry, budget)
+	}
+}

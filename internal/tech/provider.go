@@ -197,8 +197,8 @@ type overlayProvider struct {
 	cells   map[Node]CellParams
 }
 
-func (p *overlayProvider) Name() string                    { return p.name }
-func (p *overlayProvider) Aliases() []string               { return p.aliases }
+func (p *overlayProvider) Name() string                     { return p.name }
+func (p *overlayProvider) Aliases() []string                { return p.aliases }
 func (p *overlayProvider) DataRAM(RAMType) (RAMType, error) { return p.ram, nil }
 
 func (p *overlayProvider) Supports(r RAMType) bool {
