@@ -9,7 +9,7 @@
 # only, see .github/workflows/ci.yml).
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: verify fmt build test vet lint lint-new lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
+.PHONY: verify fmt build test vet lint lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
 
 verify: fmt vet lint build test race
 
@@ -27,18 +27,11 @@ vet:
 	go vet ./...
 
 # lint runs the in-repo analyzer suite: the per-function checks
-# (floatdet, ctxflow, lockguard, unitname) plus the interprocedural
-# distributed-surface suite (detpure, wirecompat, atomicmix,
-# httpclose, chaoscover) — see internal/analysis and DESIGN.md §1.3.
-# It needs no network: the suite is built from this module's own
-# source.
+# (floatdet, ctxflow, lockguard) plus the program-level detpure and
+# wirecompat — see internal/analysis and DESIGN.md §1.3. It needs no
+# network: the suite is built from this module's own source.
 lint:
 	go run ./cmd/cactid-lint ./...
-
-# lint-new runs only the interprocedural suite — the fast loop while
-# iterating on the distributed surface.
-lint-new:
-	go run ./cmd/cactid-lint -run detpure,wirecompat,atomicmix,httpclose,chaoscover ./...
 
 # lint-digests proves the wirecompat golden digest file is fresh:
 # regenerate it in place and fail if the checked-in copy differs.

@@ -1,14 +1,11 @@
 // Command cactid-lint runs the repository's custom static-analysis
-// suite (internal/analysis). The per-function analyzers — floatdet,
-// ctxflow, lockguard, unitname — mechanically enforce the invariants
-// the model's trustworthiness rests on: deterministic float paths,
-// propagated cancellation, annotated lock discipline, and consistent
-// unit naming. The interprocedural suite — detpure, wirecompat,
-// atomicmix, httpclose, chaoscover — guards the distributed surface:
-// a call-graph-bounded determinism cone under the solver entry
-// points, golden-pinned wire/store type shapes, all-or-nothing
-// sync/atomic field discipline, closed HTTP response bodies and
-// cancel funcs, and test coverage for every chaos injection point.
+// suite (internal/analysis): the invariants the model's byte-identical
+// results rest on that neither `go vet` nor `go test -race` catches.
+// The per-function analyzers — floatdet, ctxflow, lockguard — enforce
+// deterministic float paths, propagated cancellation and annotated
+// lock discipline. The program-level analyzers — detpure, wirecompat —
+// keep a call-graph-bounded determinism cone under the solver entry
+// points and pin the wire and store type shapes to a golden digest.
 //
 // Usage:
 //

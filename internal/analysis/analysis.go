@@ -4,9 +4,9 @@
 // plus the standard library's gc export-data importer, and the
 // suppression convention used across the repository.
 //
-// The suite exists to mechanically enforce invariants the model's
-// correctness (and PR 2's byte-identical parallel hot path) depends
-// on:
+// The suite enforces the invariants the model's byte-identical
+// results depend on that neither `go vet` nor `go test -race`
+// catches:
 //
 //   - floatdet: no nondeterminism on float result paths (map-order
 //     accumulation, math.FMA, exact equality of computed floats);
@@ -15,9 +15,11 @@
 //     cancellation;
 //   - lockguard: struct fields annotated `// guarded by <mu>` are
 //     only touched with that mutex held;
-//   - unitname: identifiers carrying unit suffixes (Ns, NJ, MM2,
-//     Ohm, ...) are never assigned or compared across mismatched
-//     units or scales.
+//   - detpure: no wall-clock, randomness, map-order or
+//     goroutine-order output anywhere the call graph reaches from the
+//     solver entry points whose outputs are pinned;
+//   - wirecompat: the shapes of every wire and store type match a
+//     golden digest, so a shape change demands a ModelVersion bump.
 //
 // Deliberate exceptions are written as
 //
@@ -50,9 +52,8 @@ type Analyzer struct {
 	// loaded packages, shared FileSet, call graph) through
 	// pass.Report. Program-level analyzers see every package at once:
 	// detpure walks call-graph reachability across package
-	// boundaries, wirecompat closes over serialized types wherever
-	// they are declared, chaoscover cross-references test files
-	// against another package's constants.
+	// boundaries, and wirecompat closes over serialized types
+	// wherever they are declared.
 	RunProgram func(pass *ProgramPass) error
 }
 
@@ -121,39 +122,14 @@ type suppression struct {
 	used     bool
 }
 
-// RunPackage applies every analyzer to pkg and returns the surviving
-// diagnostics sorted by position: suppressed findings are dropped,
-// malformed or unused suppressions are reported as findings of the
-// pseudo-analyzer "lint".
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			diags:     &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
-		}
-	}
-	sups, bad := collectSuppressions(pkg.Fset, pkg.Files)
-	return finish(pkg.Fset, diags, sups, bad, analyzers), nil
-}
-
 // RunProgram applies the full analyzer set — package-level analyzers
 // per package, program-level analyzers once over the whole program —
-// and returns the surviving diagnostics sorted by position.
-// Suppressions are collected program-wide (source and test files), so
-// a //lint:ignore next to a finding works identically for both
-// analyzer kinds, and unused suppressions are judged against every
-// analyzer that actually ran.
+// and returns the surviving diagnostics sorted by position:
+// suppressed findings are dropped, malformed or unused suppressions
+// are reported as findings of the pseudo-analyzer "lint".
+// Suppressions are collected program-wide, so a //lint:ignore next to
+// a finding works identically for both analyzer kinds, and unused
+// suppressions are judged against every analyzer that actually ran.
 func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -182,8 +158,7 @@ func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var sups []*suppression
 	var bad []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		files := append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-		s, b := collectSuppressions(pkg.Fset, files)
+		s, b := collectSuppressions(pkg.Fset, pkg.Files)
 		sups = append(sups, s...)
 		bad = append(bad, b...)
 	}
@@ -192,9 +167,9 @@ func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // finish applies suppressions to diags, reports malformed and unused
 // ones, and sorts. A suppression counts as unused only when its
-// analyzer actually ran (or is "all"): running a subset — cactid-lint
-// -run, make lint-new — must not flag the other analyzers'
-// legitimate suppressions.
+// analyzer actually ran (or is "all"): running a subset with
+// cactid-lint -run must not flag the other analyzers' legitimate
+// suppressions.
 func finish(fset *token.FileSet, diags []Diagnostic, sups []*suppression, bad []Diagnostic, analyzers []*Analyzer) []Diagnostic {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
@@ -283,16 +258,8 @@ func suppress(sups []*suppression, d Diagnostic) bool {
 	return false
 }
 
-// All returns the full analyzer suite in stable order: the PR-4
-// per-function checks first, then the interprocedural/program-level
-// suite guarding the distributed surface.
+// All returns the full analyzer suite in stable order: the
+// per-function checks first, then the program-level ones.
 func All() []*Analyzer {
-	return []*Analyzer{FloatDet, CtxFlow, LockGuard, UnitName,
-		DetPure, WireCompat, AtomicMix, HTTPClose, ChaosCover}
-}
-
-// NewSuite returns only the analyzers added for the distributed
-// surface (PR 9) — the set `make lint-new` iterates on.
-func NewSuite() []*Analyzer {
-	return []*Analyzer{DetPure, WireCompat, AtomicMix, HTTPClose, ChaosCover}
+	return []*Analyzer{FloatDet, CtxFlow, LockGuard, DetPure, WireCompat}
 }

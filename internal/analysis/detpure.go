@@ -161,8 +161,9 @@ func checkDetPureMapRange(pass *ProgramPass, info *types.Info, rng *ast.RangeStm
 			pass.Report(e.Pos(), "channel send in map iteration order in %s (reachable from %s): receivers observe a nondeterministic sequence; sort the keys first", n.ID, root)
 			return false
 		case *ast.CallExpr:
-			if name, ok := detPureCalleeName(info, e); ok {
-				if name == "append" && appendTargetOutside(info, e, rng) && !sortedInBody(info, funcBody, e.Args[0]) {
+			if name, ok := calleeName(info, e); ok {
+				if name == "append" && len(e.Args) > 0 && declaredOutside(info, e.Args[0], rng) &&
+					!sortedInBody(info, funcBody, e.Args[0]) {
 					pass.Report(e.Pos(), "append in map iteration order in %s (reachable from %s): element order is nondeterministic; sort the keys first", n.ID, root)
 					return false
 				}
@@ -196,7 +197,7 @@ func sortedInBody(info *types.Info, body *ast.BlockStmt, target ast.Expr) bool {
 		if !ok || found {
 			return !found
 		}
-		name, ok := detPureCalleeName(info, call)
+		name, ok := calleeName(info, call)
 		if !ok || !sortFns[name] || len(call.Args) == 0 {
 			return true
 		}
@@ -207,62 +208,6 @@ func sortedInBody(info *types.Info, body *ast.BlockStmt, target ast.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// rootObject resolves the root identifier's object of a selector/
-// index/star/paren chain, or nil.
-func rootObject(info *types.Info, expr ast.Expr) types.Object {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return info.ObjectOf(e)
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		default:
-			return nil
-		}
-	}
-}
-
-// appendTargetOutside reports whether the append call grows a slice
-// rooted in a variable declared outside the range statement, so the
-// accumulated order escapes the loop.
-func appendTargetOutside(info *types.Info, call *ast.CallExpr, rng *ast.RangeStmt) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	return exprRootDeclaredOutside(info, call.Args[0], rng)
-}
-
-// exprRootDeclaredOutside reports whether the root identifier of expr
-// is declared outside the node span [outer.Pos(), outer.End()].
-func exprRootDeclaredOutside(info *types.Info, expr ast.Expr, outer ast.Node) bool {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			obj := info.ObjectOf(e)
-			if obj == nil {
-				return false
-			}
-			return obj.Pos() < outer.Pos() || obj.Pos() > outer.End()
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		default:
-			return false
-		}
-	}
 }
 
 // checkDetPureGoroutine flags appends to shared slices inside a
@@ -277,8 +222,8 @@ func checkDetPureGoroutine(pass *ProgramPass, info *types.Info, g *ast.GoStmt, n
 		if !ok {
 			return true
 		}
-		if name, ok := detPureCalleeName(info, call); ok && name == "append" &&
-			len(call.Args) > 0 && exprRootDeclaredOutside(info, call.Args[0], lit) {
+		if name, ok := calleeName(info, call); ok && name == "append" &&
+			len(call.Args) > 0 && declaredOutside(info, call.Args[0], lit) {
 			// Only assignment back into the shared slice is hazardous;
 			// `tmp := append(shared, ...)` inside the goroutine still
 			// races but does not reorder shared itself. The append
@@ -289,11 +234,4 @@ func checkDetPureGoroutine(pass *ProgramPass, info *types.Info, g *ast.GoStmt, n
 		}
 		return true
 	})
-}
-
-// detPureCalleeName resolves a call to "pkg.Func", a builtin name, or
-// a method name; ok is false for indirect calls. (Same contract as
-// floatdet's calleeName, shared here for the ProgramPass context.)
-func detPureCalleeName(info *types.Info, call *ast.CallExpr) (string, bool) {
-	return calleeName(info, call)
 }

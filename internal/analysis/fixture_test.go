@@ -48,14 +48,14 @@ func runFixture(t *testing.T, a *Analyzer, filename string) {
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", path, err)
 	}
-	pkg := &Package{
+	prog := &Program{Fset: fixtureFset, Pkgs: []*Package{{
 		ImportPath: tpkg.Path(),
 		Fset:       fixtureFset,
 		Files:      []*ast.File{f},
 		Types:      tpkg,
 		Info:       info,
-	}
-	diags, err := RunPackage(pkg, []*Analyzer{a})
+	}}}
+	diags, err := RunProgram(prog, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
@@ -87,11 +87,9 @@ func runFixture(t *testing.T, a *Analyzer, filename string) {
 
 // loadFixtureProgram builds a Program from testdata/<dir>: each
 // subdirectory is one package with import path "fixture/<dir>/<sub>",
-// _test.go files are parsed (with comments) but not type-checked —
-// mirroring the real loader — and a wiredigest.json at the fixture
-// root becomes the program's golden digest file. Fixture packages may
-// import each other; type-checking retries until the dependency order
-// resolves.
+// and a wiredigest.json at the fixture root becomes the program's
+// golden digest file. Fixture packages may import each other;
+// type-checking retries until the dependency order resolves.
 func loadFixtureProgram(t *testing.T, dir string) *Program {
 	t.Helper()
 	root := filepath.Join("testdata", dir)
@@ -103,7 +101,6 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 	type rawPkg struct {
 		path  string
 		files []*ast.File
-		tests []*ast.File
 	}
 	var raws []*rawPkg
 	for _, e := range entries {
@@ -125,13 +122,9 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 			if err != nil {
 				t.Fatalf("parse %s: %v", path, err)
 			}
-			if strings.HasSuffix(fi.Name(), "_test.go") {
-				rp.tests = append(rp.tests, f)
-			} else {
-				rp.files = append(rp.files, f)
-			}
+			rp.files = append(rp.files, f)
 		}
-		if len(rp.files) > 0 || len(rp.tests) > 0 {
+		if len(rp.files) > 0 {
 			raws = append(raws, rp)
 		}
 	}
@@ -157,7 +150,6 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 				ImportPath: rp.path,
 				Fset:       fixtureFset,
 				Files:      rp.files,
-				TestFiles:  rp.tests,
 				Types:      tpkg,
 				Info:       info,
 			})
@@ -198,7 +190,7 @@ func fileExists(path string) bool {
 
 // runProgramFixture applies one analyzer to a fixture program and
 // compares diagnostics (after suppression filtering) with want
-// comments across every file, source and test alike.
+// comments across every file.
 func runProgramFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	prog := loadFixtureProgram(t, dir)
@@ -209,7 +201,7 @@ func runProgramFixture(t *testing.T, a *Analyzer, dir string) {
 
 	wants := map[string]map[int][]string{}
 	for _, pkg := range prog.Pkgs {
-		for _, f := range append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...) {
+		for _, f := range pkg.Files {
 			name := fixtureFset.Position(f.Pos()).Filename
 			wants[name] = fixtureWants(t, f)
 		}

@@ -82,7 +82,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt) {
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				for _, lhs := range n.Lhs {
-					if isFloat(pass.TypesInfo.TypeOf(lhs)) && declaredOutside(pass, lhs, rng) {
+					if isFloat(pass.TypesInfo.TypeOf(lhs)) && declaredOutside(pass.TypesInfo, lhs, rng) {
 						pass.Report(n.Pos(), "float accumulation in map iteration order is nondeterministic; sort the keys first")
 						return false
 					}
@@ -90,7 +90,7 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt) {
 			case token.ASSIGN:
 				// x = x + v (or x = v + x) forms.
 				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) || !isFloat(pass.TypesInfo.TypeOf(lhs)) || !declaredOutside(pass, lhs, rng) {
+					if i >= len(n.Rhs) || !isFloat(pass.TypesInfo.TypeOf(lhs)) || !declaredOutside(pass.TypesInfo, lhs, rng) {
 						continue
 					}
 					if bin, ok := n.Rhs[i].(*ast.BinaryExpr); ok &&
@@ -126,17 +126,21 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt) {
 }
 
 // declaredOutside reports whether the root identifier of expr is
-// declared outside the range statement (so mutations survive the
-// loop and the final value depends on iteration order).
-func declaredOutside(pass *Pass, expr ast.Expr, rng *ast.RangeStmt) bool {
+// declared outside the node span [outer.Pos(), outer.End()] (for a
+// range statement: mutations survive the loop, so the final value
+// depends on iteration order).
+func declaredOutside(info *types.Info, expr ast.Expr, outer ast.Node) bool {
+	obj := rootObject(info, expr)
+	return obj != nil && (obj.Pos() < outer.Pos() || obj.Pos() > outer.End())
+}
+
+// rootObject resolves the root identifier's object of a selector/
+// index/star/paren chain, or nil.
+func rootObject(info *types.Info, expr ast.Expr) types.Object {
 	for {
 		switch e := expr.(type) {
 		case *ast.Ident:
-			obj := pass.TypesInfo.ObjectOf(e)
-			if obj == nil {
-				return false
-			}
-			return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
+			return info.ObjectOf(e)
 		case *ast.SelectorExpr:
 			expr = e.X
 		case *ast.IndexExpr:
@@ -146,7 +150,7 @@ func declaredOutside(pass *Pass, expr ast.Expr, rng *ast.RangeStmt) bool {
 		case *ast.StarExpr:
 			expr = e.X
 		default:
-			return false
+			return nil
 		}
 	}
 }

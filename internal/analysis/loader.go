@@ -18,51 +18,34 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	// TestFiles are the package's _test.go files (in-package and
-	// external), parsed but NOT type-checked: program-level analyzers
-	// that only need syntax (chaoscover's "is this chaos point armed
-	// by any test" cross-reference) read them without dragging test
-	// dependencies into the type-check.
-	TestFiles []*ast.File
 }
 
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	ImportPath   string
-	Dir          string
-	Name         string
-	Export       string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	DepOnly      bool
-	Standard     bool
-	Incomplete   bool
-	Error        *struct{ Err string }
-	Module       *struct{ Dir string }
+	ImportPath string
+	Dir        string
+	Name       string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
+	Standard   bool
+	Error      *struct{ Err string }
+	Module     *struct{ Dir string }
 }
 
-// Load lists, parses and type-checks the packages matching patterns
-// (plus nothing else: dependencies are consumed as compiled export
-// data, not re-analyzed). It shells out to `go list -deps -export`,
-// so it works offline against the local build cache and needs no
-// third-party modules — the whole point, given that this repository
-// pins zero dependencies.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, _, err := load(dir, patterns...)
-	return pkgs, err
-}
-
-// LoadProgram loads the packages matching patterns and assembles them
-// into a Program: the whole-program view (shared FileSet, parsed test
-// files, module root, package-level call graph) that interprocedural
-// analyzers consume.
+// LoadProgram lists, parses and type-checks the packages matching
+// patterns (plus nothing else: dependencies are consumed as compiled
+// export data, not re-analyzed) and assembles them into a Program:
+// the whole-program view (shared FileSet, module root, package-level
+// call graph) the analyzers consume. It shells out to
+// `go list -deps -export`, so it works offline against the local
+// build cache and needs no third-party modules — the whole point,
+// given that this repository pins zero dependencies.
 func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	pkgs, moduleDir, err := load(dir, patterns...)
 	if err != nil {
@@ -142,8 +125,7 @@ func load(dir string, patterns ...string) ([]*Package, string, error) {
 	return pkgs, moduleDir, nil
 }
 
-// check parses and type-checks one listed package from source. Test
-// files are parsed (for syntax-only analyzers) but not type-checked.
+// check parses and type-checks one listed package from source.
 func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package, error) {
 	files := make([]*ast.File, 0, len(lp.GoFiles))
 	for _, name := range lp.GoFiles {
@@ -153,14 +135,6 @@ func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package
 		}
 		files = append(files, f)
 	}
-	var testFiles []*ast.File
-	for _, name := range append(append([]string{}, lp.TestGoFiles...), lp.XTestGoFiles...) {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
-		}
-		testFiles = append(testFiles, f)
-	}
 	info := NewInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
@@ -169,12 +143,10 @@ func check(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package
 	}
 	return &Package{
 		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		TestFiles:  testFiles,
 	}, nil
 }
 

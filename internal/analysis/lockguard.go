@@ -66,12 +66,11 @@ func collectGuards(pass *Pass) map[types.Object]guardInfo {
 				if mu == "" {
 					continue
 				}
-				sibling, embedded, found := findMutexField(pass, st, mu)
+				embedded, found := findMutexField(pass, st, mu)
 				if !found {
 					pass.Report(field.Pos(), "guarded by %s: no such sibling field", mu)
 					continue
 				}
-				_ = sibling
 				for _, name := range field.Names {
 					if obj := pass.TypesInfo.Defs[name]; obj != nil {
 						guards[obj] = guardInfo{mu: mu, embedded: embedded}
@@ -98,13 +97,13 @@ func annotation(field *ast.Field) string {
 	return ""
 }
 
-// findMutexField locates the named sibling field and reports whether
-// it is an embedded sync.Mutex/RWMutex.
-func findMutexField(pass *Pass, st *ast.StructType, mu string) (*ast.Field, bool, bool) {
+// findMutexField reports whether the named sibling field exists
+// (found) and whether it is an embedded sync.Mutex/RWMutex.
+func findMutexField(pass *Pass, st *ast.StructType, mu string) (embedded, found bool) {
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
 			if name.Name == mu {
-				return field, false, true
+				return false, true
 			}
 		}
 		if len(field.Names) == 0 {
@@ -114,12 +113,11 @@ func findMutexField(pass *Pass, st *ast.StructType, mu string) (*ast.Field, bool
 				continue
 			}
 			if named, ok := t.(*types.Named); ok && named.Obj().Name() == mu {
-				sync := isSyncLocker(named)
-				return field, sync, true
+				return isSyncLocker(named), true
 			}
 		}
 	}
-	return nil, false, false
+	return false, false
 }
 
 func isSyncLocker(named *types.Named) bool {

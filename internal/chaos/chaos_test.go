@@ -3,6 +3,12 @@ package chaos
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +197,11 @@ func TestConcurrentArming(t *testing.T) {
 	}
 }
 
+// TestPointsCatalog checks that Points() lists every declared
+// injection point exactly once. The Point constants are read from the
+// package source, so a point declared without a catalog entry fails
+// here; every catalog entry must in turn arm and fire in cactid-serve's
+// TestChaosServerNoUnexpected5xx.
 func TestPointsCatalog(t *testing.T) {
 	pts := Points()
 	if len(pts) != 10 {
@@ -202,6 +213,51 @@ func TestPointsCatalog(t *testing.T) {
 			t.Fatalf("bad catalog entry %q", p)
 		}
 		seen[p] = true
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	declared := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if typ, ok := vs.Type.(*ast.Ident); !ok || typ.Name != "Point" {
+					continue
+				}
+				for i, id := range vs.Names {
+					lit, ok := vs.Values[i].(*ast.BasicLit)
+					if !ok {
+						t.Fatalf("%s: Point %s is not a string literal", fset.Position(id.Pos()), id.Name)
+					}
+					v, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					declared++
+					if !seen[Point(v)] {
+						t.Errorf("%s: Point %s = %q is missing from Points()", fset.Position(id.Pos()), id.Name, v)
+					}
+				}
+			}
+		}
+	}
+	if declared != len(pts) {
+		t.Errorf("parsed %d `Name Point = \"value\"` constants, catalog has %d points", declared, len(pts))
 	}
 }
 

@@ -353,3 +353,35 @@ func TestHTTPWorkerReusesConnections(t *testing.T) {
 		t.Fatalf("dispatches after a wave of %d dialed %d new connections, want 0 (reused %d)", wave, d, reused.Load())
 	}
 }
+
+// TestHTTPWorkerErrorRepliesKeepConnections checks that a worker's
+// error replies cost no connections either: do reads a non-200 body to
+// EOF before it returns the error, so 20 serial dispatches to a worker
+// that answers every one with a 503 share one connection. A do that
+// returned on the status before reading and closing the body would
+// dial once per dispatch.
+func TestHTTPWorkerErrorRepliesKeepConnections(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		http.Error(w, "worker draining", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+
+	var dialed atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if !info.Reused {
+				dialed.Add(1)
+			}
+		},
+	})
+	w := NewHTTPWorker(srv.URL)
+	for range 20 {
+		if _, err := w.SolveBatch(ctx, fakeSpecs(16)); err == nil {
+			t.Fatal("SolveBatch against a worker answering 503 returned no error")
+		}
+	}
+	if d := dialed.Load(); d != 1 {
+		t.Fatalf("20 serial dispatches answered with 503 dialed %d connections, want 1", d)
+	}
+}
