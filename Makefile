@@ -51,13 +51,14 @@ race:
 # (warm vs cold byte identity, key safety, /metrics counters), the
 # per-slot precheck classification and off-grid probe builds against
 # their per-organization references, bounded == exhaustive solves on
-# generated specs of every provider, and the cross-technology
-# fabric/server integration tests. TECH narrows the
+# generated specs of every provider, the tier-0/wire/store projection
+# round trip on generated specs of every provider, and the
+# cross-technology fabric/server integration tests. TECH narrows the
 # per-provider legs of the CI matrix to one provider's subtests (e.g.
 # TECH=stt-ram).
 TECH ?=
 test-tech:
-	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|OffGrid|ExhaustiveGenerated' \
+	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|OffGrid|ExhaustiveGenerated|RoundTripGenerated' \
 		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/core/ \
 		./internal/explore/ ./internal/fabric/ ./cmd/cactid-serve/
 ifneq ($(TECH),)
@@ -105,12 +106,14 @@ bench:
 
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
 # sweeps, the warm sweep rendered as JSON and as CSV, the per-point
-# spec fingerprint, and the fabric wire's decoding of a 16-point chunk
+# spec fingerprint, the durable tier's Lookup and Save of real
+# solutions, and the fabric wire's decoding of a 16-point chunk
 # (reply indented and compact, and request; typed decoder against
 # encoding/json).
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
 	go test -run '^$$' -bench BenchmarkFingerprint -benchmem ./internal/core/
+	go test -run '^$$' -bench BenchmarkSolutions -benchmem ./internal/store/
 	go test -run '^$$' -bench BenchmarkWire -benchmem ./internal/fabric/
 
 # fabric-test runs the sweep-fabric suite under the race detector:

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,10 @@ const jobKeyPrefix = "j:"
 // jobRecord is the durable face of a sweep job: everything a
 // restarted server needs to resume it. The grid request (not the
 // expanded spec list) is persisted — expansion is deterministic, so
-// replaying it reproduces the identical point order.
+// replaying it reproduces the identical point order, and run fails a
+// job whose request no longer expands to Points and Skipped.
+//
+//wire:boundary
 type jobRecord struct {
 	ID           string               `json:"id"`
 	Request      explore.SweepRequest `json:"request"`
@@ -253,7 +257,13 @@ func (m *jobManager) run(j *job) {
 		m.fail(j, err)
 		return
 	}
-	specs, _ := grid.Expand()
+	specs, skipped := grid.Expand()
+	if len(specs) != rec.Points || skipped != rec.Skipped {
+		// An axis of the persisted request decoded empty, say.
+		m.fail(j, fmt.Errorf("sweep job grid expands to %d points (%d skipped), checkpoint recorded %d (%d skipped)",
+			len(specs), skipped, rec.Points, rec.Skipped))
+		return
+	}
 	for cur := 0; cur < len(specs); {
 		if m.ctx.Err() != nil {
 			return // interrupted: checkpoint already reflects the done prefix

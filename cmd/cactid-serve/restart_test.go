@@ -16,6 +16,8 @@ import (
 
 	"cactid/internal/array"
 	"cactid/internal/core"
+	"cactid/internal/explore"
+	"cactid/internal/store"
 )
 
 // warmStoreDir returns the store directory for the warm-restart
@@ -247,6 +249,51 @@ func TestSweepJobKillResume(t *testing.T) {
 	}
 	if m.SweepJobs.Resumed != 1 || m.SweepJobs.Completed != 1 {
 		t.Fatalf("sweep_jobs metrics = %+v, want resumed=1 completed=1", m.SweepJobs)
+	}
+}
+
+// TestSweepJobResumeRefusesRegrid: a checkpoint whose request no
+// longer expands to the point count it recorded (here the banks axis
+// it was submitted with is gone, as when a renamed JSON tag decodes an
+// old record with that axis empty) fails on resume, naming both
+// counts, before any point is solved. Sweeping the shrunken grid
+// would finish "done" with fewer results than the job's points.
+func TestSweepJobResumeRefusesRegrid(t *testing.T) {
+	dir := warmStoreDir(t)
+	const id = "0123456789abcdef"
+	val, err := json.Marshal(jobRecord{
+		ID: id, ModelVersion: core.ModelVersion, State: jobRunning,
+		Request: explore.SweepRequest{Base: explore.SpecRequest{RAM: "sram", BlockBytes: 64},
+			Capacities: []string{"32KB", "64KB", "128KB"}},
+		Points: 6, Cursor: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(context.Background(), jobKeyPrefix+id, val); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	n, solver := persistableSolver()
+	ts := newTestServer(t, config{solver: solver, storeDir: dir})
+	final := pollJob(t, ts.URL+"/v1/sweep-jobs/"+id, func(m map[string]any) bool {
+		return m["state"] != jobRunning
+	})
+	if final["state"] != jobFailed {
+		t.Fatalf("resumed job with a shrunken grid ended %v, want %s: %v", final["state"], jobFailed, final)
+	}
+	if msg, _ := final["error"].(string); !strings.Contains(msg, "3 points") || !strings.Contains(msg, "recorded 6") {
+		t.Fatalf("error %q does not name both point counts", msg)
+	}
+	if got := n.Load(); got != 0 {
+		t.Fatalf("refused resume ran the solver %d times, want 0", got)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cactid/internal/array"
 	"cactid/internal/chaos"
 	"cactid/internal/core"
 	"cactid/internal/store"
@@ -100,9 +99,8 @@ type Result struct {
 	Index       int
 	Spec        core.Spec
 	Fingerprint string
-	// Solution is the engine's projection of the solved design (see
-	// Engine.Solve): the spec, the scalar metrics, and Data and Tag
-	// banks that carry only Org and PipelineStages.
+	// Solution is the solved design's core.Project form (see
+	// Engine.Solve).
 	Solution *core.Solution
 	Cached   bool
 	Err      error
@@ -113,13 +111,13 @@ type Result struct {
 // reports whether the result existed (or was already being computed)
 // before this call.
 //
-// The solution is a projection, shared with tier 0 and every other
-// caller of the same fingerprint: the spec and the scalar metrics,
-// with Data and Tag banks that keep only Org and PipelineStages — all
-// that the renderers, Frontier, the durable tier and the fabric wire
-// read. The mat models and electrical detail behind it are dropped
-// when the solve finishes; core.Optimize returns the full design for
-// callers that need it, such as core.Report.
+// The solution is core.Project of the solver's answer, shared with
+// tier 0 and every other caller of the same fingerprint: the spec, the
+// scalar metrics and banks that keep only their organizations and the
+// data array's pipeline stages — all that the renderers and Frontier
+// read, and the same value a tier-1 hit or a fabric reply rebuilds.
+// core.Optimize returns the full design for callers that need it,
+// such as core.Report.
 func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution, cached bool, err error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
@@ -162,7 +160,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string) (*core.So
 	}
 	e.solves.Add(1)
 	sol, err := e.runSolver(ctx, spec)
-	ent.sol, ent.err = project(sol), err
+	ent.sol, ent.err = core.Project(sol), err
 	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
 		// The solver was cut short by this requester's context: the
 		// failure says nothing about the spec, so don't poison the
@@ -193,36 +191,6 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec) (sol *core.Solut
 		return nil, err
 	}
 	return e.solver(ctx, spec)
-}
-
-// projection is one solver result as the engine keeps it, in a single
-// allocation: the solution with its banks cut down to what the
-// renderers, Frontier, the durable tier and the fabric wire read.
-type projection struct {
-	sol       core.Solution
-	data, tag array.Bank
-}
-
-// project copies sol's spec and scalar metrics and, for each of its
-// banks, only Org and PipelineStages. Nothing of sol's candidate
-// backing array, bank slabs, mats or Technology stays reachable, so a
-// cached result costs about a kilobyte instead of its whole evaluated
-// design.
-func project(sol *core.Solution) *core.Solution {
-	if sol == nil {
-		return nil
-	}
-	p := &projection{sol: *sol}
-	p.sol.Data, p.sol.Tag = nil, nil
-	if b := sol.Data; b != nil {
-		p.data = array.Bank{Org: b.Org, PipelineStages: b.PipelineStages}
-		p.sol.Data = &p.data
-	}
-	if b := sol.Tag; b != nil {
-		p.tag = array.Bank{Org: b.Org, PipelineStages: b.PipelineStages}
-		p.sol.Tag = &p.tag
-	}
-	return &p.sol
 }
 
 // sweepOne evaluates one sweep point, confining panics that escape
@@ -288,6 +256,9 @@ dispatch:
 }
 
 // Stats is a snapshot of the engine's cache and enumeration counters.
+// A fabric coordinator decodes it from every worker's /v1/stats.
+//
+//wire:boundary
 type Stats struct {
 	Solves       int64 `json:"solves"`
 	CacheHits    int64 `json:"cache_hits"` // tier-0 (in-memory) hits

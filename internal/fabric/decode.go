@@ -87,7 +87,7 @@ func decodeBody(data []byte, strict bool, key string, field func(*wireDecoder) e
 // telling a case-folded spelling of a field from an unknown key.
 var (
 	resultKeys   = wireKeys(WireResult{})
-	solutionKeys = wireKeys(WireSolution{})
+	solutionKeys = wireKeys(core.Projection{})
 	specKeys     = wireKeys(core.Spec{})
 	weightsKeys  = wireKeys(core.Weights{})
 	orgKeys      = wireKeys(array.Org{})
@@ -460,46 +460,44 @@ func (d *wireDecoder) result(r *WireResult) error {
 	})
 }
 
-func (d *wireDecoder) solution(s *WireSolution) error {
+func (d *wireDecoder) solution(p *core.Projection) error {
 	if d.literal("null") {
 		return nil
 	}
 	return d.object(func(key []byte) error {
 		switch string(key) {
 		case "spec":
-			return d.spec(&s.Spec)
+			return decodePtr(d, &p.Spec, d.spec)
 		case "access_time_s":
-			return d.float(&s.AccessTime)
+			return d.float(&p.AccessTime)
 		case "random_cycle_s":
-			return d.float(&s.RandomCycle)
+			return d.float(&p.RandomCycle)
 		case "interleave_cycle_s":
-			return d.float(&s.InterleaveCycle)
+			return d.float(&p.InterleaveCycle)
 		case "area_m2":
-			return d.float(&s.Area)
+			return d.float(&p.Area)
 		case "bank_area_m2":
-			return d.float(&s.BankArea)
+			return d.float(&p.BankArea)
 		case "area_efficiency":
-			return d.float(&s.AreaEff)
+			return d.float(&p.AreaEff)
 		case "read_energy_j":
-			return d.float(&s.ERead)
+			return d.float(&p.EReadPerAccess)
 		case "write_energy_j":
-			return d.float(&s.EWrite)
+			return d.float(&p.EWritePerAccess)
 		case "leakage_w":
-			return d.float(&s.Leakage)
+			return d.float(&p.LeakagePower)
 		case "refresh_w":
-			return d.float(&s.Refresh)
+			return d.float(&p.RefreshPower)
 		case "write_time_s":
-			return d.float(&s.WriteTime)
+			return d.float(&p.WriteTime)
 		case "write_endurance_cycles":
-			return d.float(&s.WriteEndurance)
+			return d.float(&p.WriteEndurance)
 		case "data_org":
-			return d.org(&s.DataOrg)
+			return decodePtr(d, &p.DataOrg, d.org)
 		case "data_pipeline_stages":
-			return integerTo(d, &s.DataStages)
+			return integerTo(d, &p.DataPipelineStages)
 		case "tag_org":
-			return decodePtr(d, &s.TagOrg, d.org)
-		case "tag_pipeline_stages":
-			return integerTo(d, &s.TagStages)
+			return decodePtr(d, &p.TagOrg, d.org)
 		}
 		return d.unknown(key, solutionKeys)
 	})

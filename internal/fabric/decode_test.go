@@ -100,15 +100,16 @@ func wireEdges(r WireResult) []WireResult {
 		e := WireResult{Index: -i, Spec: spec, Fingerprint: s, Cached: true}
 		if r.Solution != nil {
 			sol := *r.Solution
-			sol.Spec = spec
+			sol.Spec = &spec
 			sol.AccessTime, sol.RandomCycle, sol.InterleaveCycle, sol.Area = f, f, -f, f
-			sol.BankArea, sol.AreaEff, sol.ERead, sol.EWrite = f, f, f, f
-			sol.Leakage, sol.Refresh, sol.WriteTime, sol.WriteEndurance = f, f, f, f
+			sol.BankArea, sol.AreaEff, sol.EReadPerAccess, sol.EWritePerAccess = f, f, f, f
+			sol.LeakagePower, sol.RefreshPower, sol.WriteTime, sol.WriteEndurance = f, f, f, f
+			org := *sol.DataOrg
+			sol.DataOrg, sol.DataPipelineStages = &org, -i
 			if i%2 == 0 {
 				sol.TagOrg = nil
 			} else {
-				org := sol.DataOrg
-				sol.TagOrg, sol.TagStages = &org, i
+				sol.TagOrg = &org
 			}
 			e.Solution = &sol
 		} else {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"cactid/internal/array"
 	"cactid/internal/core"
 	"cactid/internal/explore"
 )
@@ -13,13 +12,14 @@ import (
 // result between a worker and the coordinator: the full core.Spec
 // (flat, all exported — JSON round-trips it exactly, including the
 // float constraints, since encoding/json emits shortest-round-trip
-// float64s), the solution's scalar metrics, and the data/tag
-// organizations as structs rather than pre-rendered strings. That is
-// everything explore.ResultJSON / explore.WriteCSV read, so a result
-// reconstructed from its wire form renders byte-identically to the
-// original — the property the fabric's "distributed == single-node"
-// guarantee rests on. Mat-level detail (timing components, electrical
-// parameters) stays on the worker that solved the point.
+// float64s) and, for a solved point, its core.Projection: the scalar
+// metrics and the data/tag organizations as structs rather than
+// pre-rendered strings. That is everything explore.ResultJSON /
+// explore.WriteCSV read, so a result reconstructed from its wire form
+// renders byte-identically to the original — the property the
+// fabric's "distributed == single-node" guarantee rests on. Mat-level
+// detail (timing components, electrical parameters) stays on the
+// worker that solved the point.
 
 // Error kinds let the coordinator keep errors.Is semantics across the
 // wire without shipping Go error chains.
@@ -69,41 +69,15 @@ func errKind(err error) string {
 	return errKindOther
 }
 
-// WireSolution is the transportable projection of core.Solution.
-type WireSolution struct {
-	Spec core.Spec `json:"spec"`
-
-	AccessTime      float64 `json:"access_time_s"`
-	RandomCycle     float64 `json:"random_cycle_s"`
-	InterleaveCycle float64 `json:"interleave_cycle_s"`
-	Area            float64 `json:"area_m2"`
-	BankArea        float64 `json:"bank_area_m2"`
-	AreaEff         float64 `json:"area_efficiency"`
-	ERead           float64 `json:"read_energy_j"`
-	EWrite          float64 `json:"write_energy_j"`
-	Leakage         float64 `json:"leakage_w"`
-	Refresh         float64 `json:"refresh_w"`
-
-	// Asymmetric-write metrics; zero (and absent from the wire) for
-	// technologies without a programming pulse or wear-out limit.
-	WriteTime      float64 `json:"write_time_s,omitempty"`
-	WriteEndurance float64 `json:"write_endurance_cycles,omitempty"`
-
-	DataOrg    array.Org  `json:"data_org"`
-	DataStages int        `json:"data_pipeline_stages"`
-	TagOrg     *array.Org `json:"tag_org,omitempty"`
-	TagStages  int        `json:"tag_pipeline_stages,omitempty"`
-}
-
 // WireResult is one evaluated point in transit.
 type WireResult struct {
-	Index       int           `json:"index"`
-	Spec        core.Spec     `json:"spec"`
-	Fingerprint string        `json:"fingerprint,omitempty"`
-	Cached      bool          `json:"cached,omitempty"`
-	Solution    *WireSolution `json:"solution,omitempty"`
-	Error       string        `json:"error,omitempty"`
-	ErrorKind   string        `json:"error_kind,omitempty"`
+	Index       int              `json:"index"`
+	Spec        core.Spec        `json:"spec"`
+	Fingerprint string           `json:"fingerprint,omitempty"`
+	Cached      bool             `json:"cached,omitempty"`
+	Solution    *core.Projection `json:"solution,omitempty"`
+	Error       string           `json:"error,omitempty"`
+	ErrorKind   string           `json:"error_kind,omitempty"`
 }
 
 // BatchRequest is the wire=fabric body of POST /v1/solve-batch:
@@ -132,31 +106,18 @@ func ToWire(r explore.Result) WireResult {
 		return w
 	}
 	if s := r.Solution; s != nil {
-		ws := &WireSolution{
-			Spec:       s.Spec,
-			AccessTime: s.AccessTime, RandomCycle: s.RandomCycle,
-			InterleaveCycle: s.InterleaveCycle,
-			Area:            s.Area, BankArea: s.BankArea, AreaEff: s.AreaEff,
-			ERead: s.EReadPerAccess, EWrite: s.EWritePerAccess,
-			Leakage: s.LeakagePower, Refresh: s.RefreshPower,
-			WriteTime: s.WriteTime, WriteEndurance: s.WriteEndurance,
-		}
-		if s.Data != nil {
-			ws.DataOrg, ws.DataStages = s.Data.Org, s.Data.PipelineStages
-		}
-		if s.Tag != nil {
-			org := s.Tag.Org
-			ws.TagOrg, ws.TagStages = &org, s.Tag.PipelineStages
-		}
-		w.Solution = ws
+		p := s.Projection()
+		w.Solution = &p
 	}
 	return w
 }
 
 // FromWire reconstructs a result the explore exporters render
 // byte-identically to the worker-side original. The rebuilt
-// core.Solution carries the API-visible fields only; Data/Tag are
-// organization-and-stages stubs.
+// core.Solution carries the API-visible fields only (see
+// core.Projection.Solution). A reply solution without a spec or a
+// data organization cannot be rendered: it becomes that point's error,
+// of kind "other".
 func FromWire(w WireResult) explore.Result {
 	r := explore.Result{
 		Index:       w.Index,
@@ -168,19 +129,11 @@ func FromWire(w WireResult) explore.Result {
 		r.Err = &wireError{msg: w.Error, kind: w.ErrorKind}
 		return r
 	}
-	if ws := w.Solution; ws != nil {
-		sol := &core.Solution{
-			Spec:       ws.Spec,
-			AccessTime: ws.AccessTime, RandomCycle: ws.RandomCycle,
-			InterleaveCycle: ws.InterleaveCycle,
-			Area:            ws.Area, BankArea: ws.BankArea, AreaEff: ws.AreaEff,
-			EReadPerAccess: ws.ERead, EWritePerAccess: ws.EWrite,
-			LeakagePower: ws.Leakage, RefreshPower: ws.Refresh,
-			WriteTime: ws.WriteTime, WriteEndurance: ws.WriteEndurance,
-			Data: &array.Bank{Org: ws.DataOrg, PipelineStages: ws.DataStages},
-		}
-		if ws.TagOrg != nil {
-			sol.Tag = &array.Bank{Org: *ws.TagOrg, PipelineStages: ws.TagStages}
+	if p := w.Solution; p != nil {
+		sol, err := p.Solution()
+		if err != nil {
+			r.Err = &wireError{msg: "fabric wire: reply solution: " + err.Error(), kind: errKindOther}
+			return r
 		}
 		r.Solution = sol
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cactid/internal/array"
 	"cactid/internal/core"
 )
 
@@ -43,38 +42,21 @@ func Persistable(solveErr error) bool {
 	return solveErr == nil || errors.Is(solveErr, core.ErrNoSolution)
 }
 
-// solutionRecord is the JSON payload persisted per fingerprint. It
-// carries the canonical spec, the solution's scalar metrics, and the
-// data/tag organizations — exactly the surface every exporter
-// (SolutionJSON, ResultJSON, WriteCSV, Frontier) consumes — rather
-// than the full evaluated design tree, which drags in technology
-// tables that ModelVersion already pins. encoding/json formats
-// float64 with the shortest representation that round-trips exactly,
-// so rehydrated metrics are bit-identical.
+// solutionRecord is the JSON payload persisted per fingerprint: a
+// no-solution verdict with its error text, or a solution's
+// core.Projection (the surface every exporter consumes) rather than
+// the full evaluated design tree. The projection is embedded by value,
+// so its omitempty keys sit flat beside model_version and decoding
+// allocates no extra struct. encoding/json formats float64 with the
+// shortest representation that round-trips exactly, so rehydrated
+// metrics are bit-identical.
 type solutionRecord struct {
 	ModelVersion int `json:"model_version"`
 
 	NoSolution bool   `json:"no_solution,omitempty"`
 	ErrText    string `json:"error,omitempty"`
 
-	Spec *core.Spec `json:"spec,omitempty"`
-
-	AccessTime      float64 `json:"access_time_s,omitempty"`
-	RandomCycle     float64 `json:"random_cycle_s,omitempty"`
-	InterleaveCycle float64 `json:"interleave_cycle_s,omitempty"`
-	Area            float64 `json:"area_m2,omitempty"`
-	BankArea        float64 `json:"bank_area_m2,omitempty"`
-	AreaEff         float64 `json:"area_efficiency,omitempty"`
-	EReadPerAccess  float64 `json:"read_energy_j,omitempty"`
-	EWritePerAccess float64 `json:"write_energy_j,omitempty"`
-	LeakagePower    float64 `json:"leakage_w,omitempty"`
-	RefreshPower    float64 `json:"refresh_w,omitempty"`
-	WriteTime       float64 `json:"write_time_s,omitempty"`
-	WriteEndurance  float64 `json:"write_endurance_cycles,omitempty"`
-
-	DataOrg            *array.Org `json:"data_org,omitempty"`
-	DataPipelineStages int        `json:"data_pipeline_stages,omitempty"`
-	TagOrg             *array.Org `json:"tag_org,omitempty"`
+	core.Projection
 }
 
 // Solutions adapts a Store into the Tiered interface, handling the
@@ -112,28 +94,10 @@ func (t *Solutions) Lookup(ctx context.Context, fingerprint string) (Hit, bool) 
 	if rec.NoSolution {
 		return Hit{Err: rehydrateNoSolution(rec.ErrText)}, true
 	}
-	if rec.Spec == nil || rec.DataOrg == nil {
+	sol, err := rec.Solution()
+	if err != nil {
 		t.s.corruptReads.Add(1)
 		return Hit{}, false
-	}
-	sol := &core.Solution{
-		Spec:            *rec.Spec,
-		Data:            &array.Bank{Org: *rec.DataOrg, PipelineStages: rec.DataPipelineStages},
-		AccessTime:      rec.AccessTime,
-		RandomCycle:     rec.RandomCycle,
-		InterleaveCycle: rec.InterleaveCycle,
-		Area:            rec.Area,
-		BankArea:        rec.BankArea,
-		AreaEff:         rec.AreaEff,
-		EReadPerAccess:  rec.EReadPerAccess,
-		EWritePerAccess: rec.EWritePerAccess,
-		LeakagePower:    rec.LeakagePower,
-		RefreshPower:    rec.RefreshPower,
-		WriteTime:       rec.WriteTime,
-		WriteEndurance:  rec.WriteEndurance,
-	}
-	if rec.TagOrg != nil {
-		sol.Tag = &array.Bank{Org: *rec.TagOrg}
 	}
 	return Hit{Solution: sol}, true
 }
@@ -151,27 +115,7 @@ func (t *Solutions) Save(ctx context.Context, fingerprint string, sol *core.Solu
 	case sol == nil || sol.Data == nil:
 		return
 	default:
-		spec := sol.Spec
-		rec.Spec = &spec
-		rec.AccessTime = sol.AccessTime
-		rec.RandomCycle = sol.RandomCycle
-		rec.InterleaveCycle = sol.InterleaveCycle
-		rec.Area = sol.Area
-		rec.BankArea = sol.BankArea
-		rec.AreaEff = sol.AreaEff
-		rec.EReadPerAccess = sol.EReadPerAccess
-		rec.EWritePerAccess = sol.EWritePerAccess
-		rec.LeakagePower = sol.LeakagePower
-		rec.RefreshPower = sol.RefreshPower
-		rec.WriteTime = sol.WriteTime
-		rec.WriteEndurance = sol.WriteEndurance
-		org := sol.Data.Org
-		rec.DataOrg = &org
-		rec.DataPipelineStages = sol.Data.PipelineStages
-		if sol.Tag != nil {
-			torg := sol.Tag.Org
-			rec.TagOrg = &torg
-		}
+		rec.Projection = sol.Projection()
 	}
 	val, err := json.Marshal(rec)
 	if err != nil {

@@ -458,6 +458,76 @@ func TestSolutionsModelVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestSolutionsRejectsUnrenderableRecord: a current-version solution
+// record without a spec or a data organization cannot be rebuilt into
+// a renderable solution, so Lookup counts it as a corrupt read and
+// misses instead of serving it.
+func TestSolutionsRejectsUnrenderableRecord(t *testing.T) {
+	s := openT(t, Config{Dir: t.TempDir()})
+	tier := NewSolutions(s)
+	org := `{"Rows":64,"Cols":128,"Mux":4,"MatsPerSubbank":2,"Subbanks":1,"Mats":2}`
+	for fp, val := range map[string]string{
+		"fp-no-org":  fmt.Sprintf(`{"model_version":%d,"spec":{"Node":32,"CapacityBytes":65536},"access_time_s":1e-9}`, core.ModelVersion),
+		"fp-no-spec": fmt.Sprintf(`{"model_version":%d,"access_time_s":1e-9,"data_org":%s}`, core.ModelVersion, org),
+	} {
+		mustPut(t, s, solutionKey(fp), []byte(val))
+		if hit, ok := tier.Lookup(context.Background(), fp); ok {
+			t.Fatalf("%s served: %+v", fp, hit)
+		}
+	}
+	if n := s.Stats().CorruptReads; n != 2 {
+		t.Fatalf("corrupt reads = %d, want 2", n)
+	}
+}
+
+// BenchmarkSolutions times the durable tier's codec on real
+// solutions: a 1 MB cache and a 1 MB plain memory on every technology
+// provider. Lookup decodes a record and rebuilds its solution; Save
+// encodes one and appends it to the log.
+func BenchmarkSolutions(b *testing.B) {
+	ctx := context.Background()
+	var sols []*core.Solution
+	var fps []string
+	for _, p := range tech.Providers() {
+		for _, cache := range []bool{true, false} {
+			sol, err := core.Optimize(core.Spec{Technology: p, Node: tech.Node32,
+				CapacityBytes: 1 << 20, BlockBytes: 64, Associativity: 8, IsCache: cache})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fp, err := sol.Spec.Fingerprint()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sols, fps = append(sols, sol), append(fps, fp)
+		}
+	}
+	s, err := Open(Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	tier := NewSolutions(s)
+	for i, sol := range sols {
+		tier.Save(ctx, fps[i], sol, nil)
+	}
+	b.Run("Lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := tier.Lookup(ctx, fps[i%len(fps)]); !ok {
+				b.Fatal("stored solution missed")
+			}
+		}
+	})
+	b.Run("Save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(sols)
+			tier.Save(ctx, fps[k], sols[k], nil)
+		}
+	})
+}
+
 func TestParseRecordRejectsFrameLies(t *testing.T) {
 	rec := encodeRecord("key", []byte("value"))
 	if _, _, ok := parseRecord(rec); !ok {
