@@ -67,11 +67,15 @@ endif
 
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the
-# cactid-serve admission-control and load-shedding tests, and
-# concurrent solves through the solver's pooled scratch, ten times.
+# cactid-serve admission-control and load-shedding tests, concurrent
+# solves through the solver's pooled scratch and concurrent walks and
+# enumerations of one shared prescan, ten times each, and sweeps that
+# share array sub-solves against per-point solves.
 stress:
 	go test -race ./internal/chaos/
 	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
+	go test -race -count=10 -run TestSharedPrescanConcurrentWalks ./internal/array/
+	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
 	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/
 
@@ -105,7 +109,9 @@ bench:
 	go test -run '^$$' -bench 'BenchmarkMatTable|BenchmarkPrescan' -benchmem -count=5 ./internal/array/
 
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
-# sweeps, the warm sweep rendered as JSON and as CSV, the per-point
+# sweeps (serial-cold and parallel-cold are the rows a solver change
+# names), 16 cold dse-style tiles across providers and nodes
+# (tiles-cold), the warm sweep rendered as JSON and as CSV, the per-point
 # spec fingerprint, the durable tier's Lookup and Save of real
 # solutions, and the fabric wire's decoding of a 16-point chunk
 # (reply indented and compact, and request; typed decoder against

@@ -288,10 +288,46 @@ func checkSweep(b *testing.B, results []explore.Result) {
 	}
 }
 
+// dseTiles returns 16 grids shaped like the end-to-end benchmark's
+// dse-cold sweeps (bench/workloads.go): a (technology, node, RAM type,
+// block) base crossed with a group of access modes, bank counts,
+// capacities and associativities, expanded as the server expands a
+// /v1/sweep body. Together they cover every provider and the four
+// ITRS nodes.
+func dseTiles(b *testing.B) [][]core.Spec {
+	b.Helper()
+	providers := tech.Providers()
+	capGroups := [][]string{{"16KB", "32KB", "64KB"}, {"128KB", "256KB", "512KB", "1MB"},
+		{"2MB", "4MB", "8MB"}, {"16MB", "32MB", "64MB"}}
+	tiles := make([][]core.Spec, 16)
+	for k := range tiles {
+		sr := explore.SweepRequest{
+			Base: explore.SpecRequest{
+				Technology: providers[k%len(providers)],
+				NodeNM:     []int{90, 65, 45, 32}[k%4],
+				RAM:        []string{"sram", "lp-dram", "comm-dram"}[k%3],
+				BlockBytes: []int{16, 32, 64, 128, 256}[k%5],
+			},
+			Modes:           [][]string{{"normal"}, {"sequential", "fast"}}[k%2],
+			Banks:           [][]int{{1, 2}, {4, 8}}[k/2%2],
+			Capacities:      capGroups[k/4%4],
+			Associativities: [][]int{{1, 2}, {4, 8, 16}}[k/3%2],
+		}
+		g, err := sr.Grid()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tiles[k], _ = g.Expand()
+	}
+	return tiles
+}
+
 // BenchmarkExploreSweep measures the batch engine over the 64-point
 // grid: serial vs parallel worker pools, cold vs warm result cache,
 // and the warm sweep rendered as JSON or CSV. The warm cases are the
 // zero-solver-call path every repeated or overlapping sweep takes.
+// tiles-cold sweeps 16 dse-style tiles, one Sweep call each as one
+// /v1/sweep request is, through a cold parallel engine.
 func BenchmarkExploreSweep(b *testing.B) {
 	specs := sweepSpecs(b)
 	ctx := context.Background()
@@ -309,6 +345,20 @@ func BenchmarkExploreSweep(b *testing.B) {
 			checkSweep(b, e.Sweep(ctx, specs))
 		}
 		b.ReportMetric(float64(len(specs)), "points/op")
+	})
+	b.Run("tiles-cold", func(b *testing.B) {
+		tiles := dseTiles(b)
+		points := 0
+		for _, tile := range tiles {
+			points += len(tile)
+		}
+		for i := 0; i < b.N; i++ {
+			e := explore.New(explore.Options{})
+			for _, tile := range tiles {
+				e.Sweep(ctx, tile)
+			}
+		}
+		b.ReportMetric(float64(points), "points/op")
 	})
 	b.Run("parallel-warm", func(b *testing.B) {
 		e := explore.New(explore.Options{})

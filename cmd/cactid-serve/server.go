@@ -860,6 +860,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	mt := array.MatTableCounters()
+	sub := core.SubSolveCounters()
 
 	body := map[string]any{
 		"requests":        reqs,
@@ -902,6 +903,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"mat_table_hits":   mt.Hits,
 			"mat_table_misses": mt.Misses,
 			"mat_table_clears": mt.Clears,
+			// Process-wide: tag banks and data-array prescans sweep
+			// points took from their sweep's shared sub-solve table
+			// (internal/core).
+			"shared_tag_hits":  sub.TagHits,
+			"shared_data_hits": sub.DataHits,
 		},
 		"runtime": map[string]any{
 			"goroutines":      runtime.NumGoroutine(),

@@ -272,6 +272,49 @@ func TestMetricsMatTableHits(t *testing.T) {
 	}
 }
 
+// TestMetricsSharedSubSolves: the points of one /v1/sweep share their
+// array sub-solves. A sequential cache reads one way, so its data
+// array ignores associativity, and the tag array ignores the access
+// mode, so a grid over associativities in the sequential and fast
+// modes raises both solver.shared_tag_hits and shared_data_hits in
+// /metrics. A /v1/solve solves per point and moves neither.
+func TestMetricsSharedSubSolves(t *testing.T) {
+	ts := newTestServer(t, config{})
+	shared := func() (tag, data int64) {
+		t.Helper()
+		_, body := get(t, ts.URL+"/metrics")
+		var m struct {
+			Solver map[string]float64 `json:"solver"`
+		}
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("metrics not JSON: %v\n%s", err, body)
+		}
+		for _, key := range []string{"shared_tag_hits", "shared_data_hits"} {
+			if _, ok := m.Solver[key]; !ok {
+				t.Fatalf("solver block lacks %s: %v", key, m.Solver)
+			}
+		}
+		return int64(m.Solver["shared_tag_hits"]), int64(m.Solver["shared_data_hits"])
+	}
+	tag0, data0 := shared()
+	resp, body := post(t, ts.URL+"/v1/sweep",
+		`{"base":{"ram":"sram","node_nm":45,"capacity":"256KB"},"associativities":[2,4,8],"modes":["sequential","fast"]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
+	}
+	tag1, data1 := shared()
+	if tag1 <= tag0 || data1 <= data0 {
+		t.Fatalf("shared_tag_hits %d -> %d, shared_data_hits %d -> %d: the sweep's points should share both", tag0, tag1, data0, data1)
+	}
+	resp, body = post(t, ts.URL+"/v1/solve", `{"ram":"sram","node_nm":45,"capacity":"512KB","associativity":4,"mode":"sequential"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve: status %d: %s", resp.StatusCode, body)
+	}
+	if tag2, data2 := shared(); tag2 != tag1 || data2 != data1 {
+		t.Fatalf("a single solve moved shared_tag_hits %d -> %d, shared_data_hits %d -> %d", tag1, tag2, data1, data2)
+	}
+}
+
 func TestMetricsReportCacheAndLatency(t *testing.T) {
 	ts := newTestServer(t, config{})
 	req := `{"ram":"sram","capacity":"32KB","associativity":2}`

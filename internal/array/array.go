@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cactid/internal/circuit"
 	"cactid/internal/mat"
@@ -257,12 +258,22 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 	return enumerateWith(ctx, bc, workers, NoLimits())
 }
 
+// resultsPool recycles enumerateWith's per-slot result index: one
+// enumeration holds it from its first slot to the merge, so several
+// enumerations of one shared prescan each take their own.
+var resultsPool = sync.Pool{New: func() any { return new([gridSlots][]*Bank) }}
+
 // enumerateWith is the shared engine behind EnumerateContext
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
-// thresholds). bc's grid must already be classified. Each slot's banks
-// land in bc.results, which release clears.
+// thresholds). bc's grid must already be classified; bc is only read,
+// so enumerations of one context may run at once. Each slot's banks
+// land in a pooled result index, cleared before it goes back.
 func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) ([]*Bank, Counters, error) {
-	results := &bc.results
+	results := resultsPool.Get().(*[gridSlots][]*Bank)
+	defer func() {
+		clear(results[:])
+		resultsPool.Put(results)
+	}()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -354,8 +365,10 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) []*Bank {
 	// outside the staged filter's reach; discard the whole shard
 	// before mat.NewShared runs.
 	if lim.active() {
+		// A bounded enumeration follows Prescan, which computed the
+		// cheap tier of every slot that reaches this point.
 		pruned := false
-		if areaLB, accLB := bc.shardBounds(rows, cols); lim.prune(areaLB, accLB) {
+		if pt := &bc.points[bc.pointOf[slot]]; lim.prune(pt.AreaLB, pt.AccLB) {
 			pruned = true
 		} else if areaLB, accLB := bc.shardBoundsTight(rows, cols); lim.prune(areaLB, accLB) {
 			pruned = true
@@ -509,16 +522,16 @@ func (c *Counters) addSlot(sc *slotClass) {
 
 // buildCtx caches every organization-independent quantity of Build:
 // resolved technology pointers, address/data widths, and the bank-edge
-// output driver. It is shared across enumeration workers: the exactPt
-// memo and the slots of the table entry mats fill lazily with pure
-// values through atomics, and everything else is immutable once the
-// grid is classified.
+// output driver. It is shared across enumeration workers, and across
+// the solves of a sweep that share one prescan: the exactPt memo and
+// the slots of the table entry mats fill lazily with pure values
+// through atomics, the walk orders sort once under a sync.Once, and
+// everything else is immutable once Prescan returns.
 //
-// Its grid-sized scratch (the classification, the exact-point memo,
-// the prescan's points and the enumeration's per-slot results) is
-// held by value, and contexts come from ctxPool: newBuildCtx takes
-// one and release returns it, so a solve allocates only the banks it
-// returns (DESIGN.md §1.2d).
+// Its grid-sized scratch (the classification, the exact-point memo
+// and the prescan's points) is held by value, and contexts come from
+// ctxPool: newBuildCtx takes one and release returns it, so a solve
+// allocates only the banks it returns (DESIGN.md §1.2d).
 type buildCtx struct {
 	spec Spec
 	cell *tech.CellParams
@@ -560,11 +573,17 @@ type buildCtx struct {
 	// clears it: the unbounded enumeration never calls pointExact.
 	exactPt []exactPoint
 
-	// The grid-sized scratch behind exactPt, Prescanned.Points and
-	// enumerateWith's per-slot result index.
-	memo    [gridSlots * len(enumMux)]exactPoint
-	points  [gridSlots]PrescanPoint
-	results [gridSlots][]*Bank
+	// The grid-sized scratch behind exactPt and Prescanned.Points.
+	memo   [gridSlots * len(enumMux)]exactPoint
+	points [gridSlots]PrescanPoint
+
+	// pointOf maps a feasible slot to its entry in points, whose
+	// cheap shard bounds the bounded enumeration reuses.
+	pointOf [gridSlots]uint8
+
+	// byArea and byAcc are the exact-minimum walks' visiting orders
+	// over points, each sorted once per prescan on first use.
+	byArea, byAcc walkOrder
 
 	// pre is the Prescanned that Prescan returns, held here so a
 	// prescan allocates nothing of its own.
@@ -574,12 +593,16 @@ type buildCtx struct {
 // ctxPool recycles build contexts, scratch included, across solves.
 var ctxPool = sync.Pool{New: func() any { return new(buildCtx) }}
 
+// PrescanBytes is the heap one live Prescanned pins until its
+// Release: its pooled build context, grid scratch included.
+const PrescanBytes = int64(unsafe.Sizeof(buildCtx{}))
+
 // newBuildCtx takes a context from ctxPool and sets it up for spec;
 // the caller hands it back with release (Prescan's callers, through
 // Prescanned.Release). The grid scratch is left as the last user left
-// it: classifyGrid rewrites every slot's class, Prescan clears the
-// memo it uses and rewrites the points it returns, and release clears
-// the results.
+// it: classifyGrid rewrites every slot's class, and Prescan clears the
+// memo it uses, rewrites the points it returns and resets the walk
+// orders.
 func newBuildCtx(spec Spec) (*buildCtx, error) {
 	if spec.CapacityBytes <= 0 || spec.OutputBits <= 0 {
 		return nil, fmt.Errorf("array: bad spec: capacity %d, output %d", spec.CapacityBytes, spec.OutputBits)
@@ -614,14 +637,13 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 }
 
 // release drops every reference the last solve left on bc (its spec
-// and technology, the table entry, the enumeration's banks) and
-// returns bc to ctxPool: pooled scratch pins nothing, and nothing a
-// caller keeps points into it. bc must not be used afterwards.
+// and technology, the table entry) and returns bc to ctxPool: pooled
+// scratch pins nothing, and nothing a caller keeps points into it. bc
+// must not be used afterwards.
 func (bc *buildCtx) release() {
 	bc.spec = Spec{}
 	bc.cell, bc.per, bc.wire, bc.mats = nil, nil, nil, nil
 	bc.exactPt = nil
-	clear(bc.results[:])
 	bc.pre = Prescanned{}
 	ctxPool.Put(bc)
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"cactid/internal/circuit"
@@ -240,9 +241,11 @@ type PrescanPoint struct {
 // behind it, so probe builds and the bounded enumeration share the
 // memoized exact point metrics and the spec's mat-stage table entry
 // (shard bounds, mux parts and mat models) instead of recomputing
-// them per call. It lives in pooled scratch: a caller done with it
-// calls Release once, after which neither it nor its Points may be
-// read.
+// them per call. MinArea, MinAccessWithin, Build and Enumerate may run
+// on several goroutines at once: the solves of a sweep that ask for
+// the same data array share one prescan. It lives in pooled scratch:
+// once every such call has returned, its owner calls Release once,
+// after which neither it nor its Points may be read.
 type Prescanned struct {
 	bc *buildCtx
 	// Points holds one entry per (rows, cols) pair with at least one
@@ -285,8 +288,10 @@ func Prescan(spec Spec) (*Prescanned, error) {
 		first := bc.survivors(slot, surv&-surv, &buf)[0]
 		areaLB, accLB := bc.shardBounds(first.Rows, first.Cols)
 		bc.points[n] = PrescanPoint{Org: first, AreaLB: areaLB, AccLB: accLB}
+		bc.pointOf[slot] = uint8(n)
 		n++
 	}
+	bc.byArea, bc.byAcc = walkOrder{}, walkOrder{}
 	bc.pre = Prescanned{bc: bc, Points: bc.points[:n:n]}
 	return &bc.pre, nil
 }
@@ -301,27 +306,46 @@ func (p *Prescanned) Release() {
 	}
 }
 
-// Order appends the indices of p.Points to dst in ascending key order,
-// grid order breaking ties, and returns the extended slice: the order
-// the exact-minimum walks visit shards in and the solver tries probes
-// in. The comparator is <, the walks' own test, so the order is that
-// of any stable sort by that comparison.
-func (p *Prescanned) Order(dst []int, key func(*PrescanPoint) float64) []int {
-	n := len(dst)
-	dst = slices.Grow(dst, len(p.Points))
-	for i := range p.Points {
-		dst = append(dst, i)
-	}
-	slices.SortStableFunc(dst[n:], func(a, b int) int {
-		switch ka, kb := key(&p.Points[a]), key(&p.Points[b]); {
-		case ka < kb:
-			return -1
-		case kb < ka:
-			return 1
+// walkOrder is one visiting order over a prescan's points, sorted
+// once on first use by whichever solve walks first.
+type walkOrder struct {
+	once sync.Once
+	idx  [gridSlots]uint8
+}
+
+// sorted returns the indices of p.Points in ascending key order, grid
+// order breaking ties, sorting them into w on the first call. The
+// comparator is <, the walks' own test, so the order is that of any
+// stable sort by that comparison.
+func (p *Prescanned) sorted(w *walkOrder, key func(*PrescanPoint) float64) []uint8 {
+	w.once.Do(func() {
+		for i := range p.Points {
+			w.idx[i] = uint8(i)
 		}
-		return 0
+		slices.SortStableFunc(w.idx[:len(p.Points)], func(a, b uint8) int {
+			switch ka, kb := key(&p.Points[a]), key(&p.Points[b]); {
+			case ka < kb:
+				return -1
+			case kb < ka:
+				return 1
+			}
+			return 0
+		})
 	})
-	return dst
+	return w.idx[:len(p.Points)]
+}
+
+// ByAccess returns the indices of p.Points in ascending cheap
+// access-bound order, grid order breaking ties: the order the
+// access-time walk visits shards in and the solver tries tag probes
+// in. It is sorted once per prescan; callers must not modify it.
+func (p *Prescanned) ByAccess() []uint8 {
+	return p.sorted(&p.bc.byAcc, func(pt *PrescanPoint) float64 { return pt.AccLB })
+}
+
+// byArea is ByAccess for the cheap area bound: the area walk's order.
+func (p *Prescanned) byArea() []uint8 {
+	return p.sorted(&p.bc.byArea, func(pt *PrescanPoint) float64 { return pt.AreaLB })
 }
 
 // MinArea returns the exact minimum bank area over every feasible
@@ -335,9 +359,8 @@ func (p *Prescanned) Order(dst []int, key func(*PrescanPoint) float64) []int {
 func (p *Prescanned) MinArea() (best float64, ok bool) {
 	bc := p.bc
 	pts := p.Points
-	var ord [gridSlots]int
 	best = math.Inf(1)
-	for _, i := range p.Order(ord[:0], func(pt *PrescanPoint) float64 { return pt.AreaLB }) {
+	for _, i := range p.byArea() {
 		if pts[i].AreaLB >= best {
 			break
 		}
@@ -381,9 +404,8 @@ func (p *Prescanned) MinArea() (best float64, ok bool) {
 func (p *Prescanned) MinAccessWithin(nb, tagArea, areaWindow float64) (best float64, ok bool) {
 	bc := p.bc
 	pts := p.Points
-	var ord [gridSlots]int
 	best = math.Inf(1)
-	for _, i := range p.Order(ord[:0], func(pt *PrescanPoint) float64 { return pt.AccLB }) {
+	for _, i := range p.ByAccess() {
 		if pts[i].AccLB >= best {
 			break
 		}

@@ -18,9 +18,9 @@ import (
 // size, slack and sleep transistors never enter them. One
 // process-wide table keyed by exactly those three inputs lets every
 // solve after the first reuse the grid's circuit models instead of
-// rebuilding them; the spec-dependent memos (exact point metrics,
-// the prescan, the margin memo and the bounder) stay per solve on
-// buildCtx.
+// rebuilding them; the spec-dependent memos (exact point metrics, the
+// margin memo and the bounder) live on buildCtx, behind a prescan the
+// points of one sweep may share.
 
 // matTableCap bounds the table's entry count. node_nm accepts
 // interpolated nodes and library callers may build their own

@@ -77,22 +77,27 @@ func (s *Spec) boundable() bool {
 // over the chosen tag bank. ok reports whether the bounded path
 // applied; on !ok the caller falls back to ExploreContext (empty
 // feasible set or an unsupported spec shape — both rare, neither an
-// error).
-func boundedCandidates(ctx context.Context, spec Spec, opts *Options) (c candidates, ok bool, err error) {
+// error). spec is point i of the sweep whose table t shares array
+// sub-solves: the technology, the tag bank and the data array's
+// prescan with its exact minimum area come from t when an earlier
+// point computed them. A nil t, or a point without keys, computes all
+// three itself.
+func boundedCandidates(ctx context.Context, spec Spec, opts *Options, t *SubSolves, i int) (c candidates, ok bool, err error) {
 	if err := spec.normalize(); err != nil {
 		return c, false, err
 	}
 	if !spec.boundable() {
 		return c, false, nil
 	}
-	t, err := tech.TechnologyOf(spec.Technology, spec.Node)
+	k := t.keysOf(i)
+	tt, err := t.technology(spec, k)
 	if err != nil {
 		return c, false, err
 	}
 
 	var tag *array.Bank
 	if spec.IsCache {
-		tag, err = optimizeTagBounded(ctx, spec, t, opts)
+		tag, err = t.tag(ctx, spec, tt, k, opts)
 		if err != nil {
 			return c, false, fmt.Errorf("core: tag array: %w", err)
 		}
@@ -102,27 +107,20 @@ func boundedCandidates(ctx context.Context, spec Spec, opts *Options) (c candida
 		tagArea, tagAcc = tag.Area, tag.AccessTime
 	}
 
-	dataSpec := dataArraySpec(spec, t)
-	pre, err := array.Prescan(dataSpec)
-	if err != nil {
-		return c, false, nil
-	}
-	defer pre.Release()
-	if len(pre.Points) == 0 {
-		return c, false, nil
-	}
-	nb := float64(spec.Banks)
-	c1, c2 := spec.MaxAreaConstraint, spec.MaxAcctimeConstraint
-
 	// Stage-1 threshold and guard: the walk recovers the exact minimum
 	// bank area, which composes (assemble's float ops) to the exact
 	// minimum solution area Filter will compute. The guard is the
 	// minimum itself — enumeration compares the identical floats, so
 	// the argmin and its exact ties survive with no nudge.
-	aMin, okArea := pre.MinArea()
-	if !okArea {
+	pre, aMin, shared := t.data(spec, tt, k, opts)
+	if pre == nil {
 		return c, false, nil
 	}
+	if !shared {
+		defer pre.Release()
+	}
+	nb := float64(spec.Banks)
+	c1, c2 := spec.MaxAreaConstraint, spec.MaxAcctimeConstraint
 	minSolArea := nb * (aMin + tagArea)
 	window := minSolArea * (1 + c1) // Filter's stage-1 cut, bitwise
 	lim := array.Limits{
@@ -187,11 +185,11 @@ func boundedCandidates(ctx context.Context, spec Spec, opts *Options) (c candida
 const probeTries = 8
 
 // buildProbe picks and builds probe organizations from a prescan, in
-// a deterministic order (sorted by the given key, grid order breaking
-// ties), returning the first that builds plus its bank.
-func buildProbe(pre *array.Prescanned, key func(*array.PrescanPoint) float64) (*array.Bank, bool) {
+// a deterministic order (ascending cheap access bound, grid order
+// breaking ties), returning the first that builds plus its bank.
+func buildProbe(pre *array.Prescanned) (*array.Bank, bool) {
 	pts := pre.Points
-	idx := pre.Order(nil, key)
+	idx := pre.ByAccess()
 	tries := probeTries
 	if tries > len(idx) {
 		tries = len(idx)
@@ -221,7 +219,7 @@ func optimizeTagBounded(ctx context.Context, spec Spec, t *tech.Technology, opts
 	if len(pre.Points) == 0 {
 		return optimizeTag(ctx, spec, t, opts)
 	}
-	probe, built := buildProbe(pre, func(p *array.PrescanPoint) float64 { return p.AccLB })
+	probe, built := buildProbe(pre)
 	if !built {
 		return optimizeTag(ctx, spec, t, opts)
 	}

@@ -8,7 +8,7 @@ import "context"
 // property the bounded path's byte identity rests on; OptimizeContext
 // itself never assembles the list (candidates.best).
 func exploreBounded(ctx context.Context, spec Spec, opts *Options) ([]*Solution, bool, error) {
-	c, ok, err := boundedCandidates(ctx, spec, opts)
+	c, ok, err := boundedCandidates(ctx, spec, opts, nil, -1)
 	if err != nil || !ok {
 		return nil, ok, err
 	}

@@ -167,25 +167,6 @@ type Solution struct {
 	WriteEndurance float64
 }
 
-// Objective computes the normalized weighted objective given the
-// normalization minima; lower is better.
-func (s *Solution) objective(w Weights, minE, minL, minC, minI float64) float64 {
-	obj := 0.0
-	if minE > 0 {
-		obj += w.DynamicEnergy * s.EReadPerAccess / minE
-	}
-	if minL > 0 {
-		obj += w.LeakagePower * s.LeakagePower / minL
-	}
-	if minC > 0 {
-		obj += w.RandomCycle * s.RandomCycle / minC
-	}
-	if minI > 0 {
-		obj += w.InterleaveCycle * s.InterleaveCycle / minI
-	}
-	return obj
-}
-
 // ErrNoSolution is returned when the spec admits no feasible design.
 var ErrNoSolution = errors.New("core: no feasible solution for spec")
 
@@ -321,11 +302,20 @@ type Options struct {
 }
 
 // SolveStats audits one Explore/Optimize call: how many organizations
-// each enumeration considered, pruned before circuit modeling, and
-// fully built.
+// each enumeration that ran considered, pruned before circuit
+// modeling, and fully built.
 type SolveStats struct {
 	Data array.Counters `json:"data"`
 	Tag  array.Counters `json:"tag"`
+
+	// TagShared and DataShared report that a sweep point took its tag
+	// bank and data-array prescan from its sweep's SubSolves table,
+	// where an earlier point computed them. No tag enumeration runs for
+	// a shared tag, so Tag stays zero, unless the data array then
+	// admits no bounded solve and the exhaustive fallback enumerates
+	// both arrays itself.
+	TagShared  bool `json:"tag_shared,omitempty"`
+	DataShared bool `json:"data_shared,omitempty"`
 }
 
 // Total returns the combined data+tag counters.
@@ -415,7 +405,13 @@ func Optimize(spec Spec) (*Solution, error) {
 // (ExploreContext) whenever its preconditions do not hold. The chosen
 // solution is byte-identical to Filter(spec, ExploreContext(...))[0].
 func OptimizeContext(ctx context.Context, spec Spec, opts *Options) (*Solution, error) {
-	c, ok, err := boundedCandidates(ctx, spec, opts)
+	return optimize(ctx, spec, opts, nil, -1)
+}
+
+// optimize is OptimizeContext for point i of the sweep whose table t
+// shares array sub-solves; a nil t solves per point.
+func optimize(ctx context.Context, spec Spec, opts *Options, t *SubSolves, i int) (*Solution, error) {
+	c, ok, err := boundedCandidates(ctx, spec, opts, t, i)
 	if err != nil {
 		return nil, err
 	}
@@ -442,18 +438,17 @@ func Filter(spec Spec, sols []*Solution) []*Solution {
 		return nil
 	}
 	c := candidates{spec: spec, sols: sols}
-	st := c.stages()
-	var pass2 []*Solution
-	for _, s := range sols {
-		if st.keeps(s) {
-			pass2 = append(pass2, s)
-		}
-	}
+	m := c.measure(make([]metric, 0, len(sols)))
+	st := c.stages(m)
 	// Objectives kept in a slice parallel to pass2 (sorted together):
 	// cheaper than a map and the same total order.
-	objs := make([]float64, len(pass2))
-	for i, s := range pass2 {
-		objs[i] = st.objective(s)
+	var pass2 []*Solution
+	var objs []float64
+	for i, s := range sols {
+		if st.keeps(&m[i]) {
+			pass2 = append(pass2, s)
+			objs = append(objs, st.objective(&m[i]))
+		}
 	}
 	sort.Sort(&byObjective{sols: pass2, objs: objs})
 	return pass2
@@ -487,6 +482,51 @@ func (c *candidates) at(i int, scratch *Solution) *Solution {
 	return scratch
 }
 
+// org returns candidate i's data organization, the last key of the
+// filter's order.
+func (c *candidates) org(i int) *array.Org {
+	if c.sols != nil {
+		return &c.sols[i].Data.Org
+	}
+	return &c.banks[i].Org
+}
+
+// metric is what the staged filter reads of one candidate: its area
+// and access time for the cuts, and the objective's four terms.
+type metric struct {
+	area, acc, energy, leakage, cycle, interleave float64
+}
+
+// measure appends every candidate's metric to dst, in candidate order,
+// assembling each bank candidate once.
+func (c *candidates) measure(dst []metric) []metric {
+	var scratch Solution
+	for i, n := 0, c.len(); i < n; i++ {
+		s := c.at(i, &scratch)
+		dst = append(dst, metric{s.Area, s.AccessTime, s.EReadPerAccess, s.LeakagePower, s.RandomCycle, s.InterleaveCycle})
+	}
+	return dst
+}
+
+// objective computes the normalized weighted objective given the
+// normalization minima; lower is better.
+func (m *metric) objective(w Weights, minE, minL, minC, minI float64) float64 {
+	obj := 0.0
+	if minE > 0 {
+		obj += w.DynamicEnergy * m.energy / minE
+	}
+	if minL > 0 {
+		obj += w.LeakagePower * m.leakage / minL
+	}
+	if minC > 0 {
+		obj += w.RandomCycle * m.cycle / minC
+	}
+	if minI > 0 {
+		obj += w.InterleaveCycle * m.interleave / minI
+	}
+	return obj
+}
+
 // stageCuts are the staged filter's thresholds and objective
 // normalizers over one candidate set (Section 2.4): stage 1 keeps the
 // solutions within MaxAreaConstraint of the minimum area, stage 2
@@ -499,79 +539,89 @@ type stageCuts struct {
 	minE, minL, minC, minI float64
 }
 
-// stages derives the staged filter's cuts over c, one pass per stage.
-func (c *candidates) stages() stageCuts {
-	var scratch Solution
-	n := c.len()
+// stages derives the staged filter's cuts over the candidates' metrics
+// m, one pass per stage.
+func (c *candidates) stages(m []metric) stageCuts {
 	// Stage 1: max area constraint relative to the best-area solution.
 	minArea := math.Inf(1)
-	for i := 0; i < n; i++ {
-		minArea = math.Min(minArea, c.at(i, &scratch).Area)
+	for i := range m {
+		minArea = math.Min(minArea, m[i].area)
 	}
 	st := stageCuts{area: minArea * (1 + c.spec.MaxAreaConstraint), w: *c.spec.Weights}
 	// Stage 2: max access-time constraint within the reduced set.
 	minAcc := math.Inf(1)
-	for i := 0; i < n; i++ {
-		if s := c.at(i, &scratch); s.Area <= st.area {
-			minAcc = math.Min(minAcc, s.AccessTime)
+	for i := range m {
+		if m[i].area <= st.area {
+			minAcc = math.Min(minAcc, m[i].acc)
 		}
 	}
 	st.acc = minAcc * (1 + c.spec.MaxAcctimeConstraint)
 	// Stage 3: the objective's normalization minima over the survivors.
 	st.minE, st.minL, st.minC, st.minI = math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-	for i := 0; i < n; i++ {
-		if s := c.at(i, &scratch); st.keeps(s) {
-			st.minE = math.Min(st.minE, s.EReadPerAccess)
-			st.minL = math.Min(st.minL, s.LeakagePower)
-			st.minC = math.Min(st.minC, s.RandomCycle)
-			st.minI = math.Min(st.minI, s.InterleaveCycle)
+	for i := range m {
+		if st.keeps(&m[i]) {
+			st.minE = math.Min(st.minE, m[i].energy)
+			st.minL = math.Min(st.minL, m[i].leakage)
+			st.minC = math.Min(st.minC, m[i].cycle)
+			st.minI = math.Min(st.minI, m[i].interleave)
 		}
 	}
 	return st
 }
 
-// keeps reports whether s survives stages 1 and 2.
-func (st *stageCuts) keeps(s *Solution) bool {
-	return s.Area <= st.area && s.AccessTime <= st.acc
+// keeps reports whether a candidate survives stages 1 and 2.
+func (st *stageCuts) keeps(m *metric) bool {
+	return m.area <= st.area && m.acc <= st.acc
 }
 
-func (st *stageCuts) objective(s *Solution) float64 {
-	return s.objective(st.w, st.minE, st.minL, st.minC, st.minI)
+func (st *stageCuts) objective(m *metric) float64 {
+	return m.objective(st.w, st.minE, st.minL, st.minC, st.minI)
 }
 
-// ranksBefore is Filter's total order on survivors with objectives oa
-// and ob: objective, then access time, then organization order.
-func ranksBefore(oa float64, a *Solution, ob float64, b *Solution) bool {
+// ranksBefore is Filter's total order on survivors a and b with
+// objectives oa and ob and access times acca and accb: objective, then
+// access time, then organization order.
+func ranksBefore(oa, acca float64, a *array.Org, ob, accb float64, b *array.Org) bool {
 	if oa != ob {
 		return oa < ob
 	}
-	if a.AccessTime != b.AccessTime {
-		return a.AccessTime < b.AccessTime
+	if acca != accb {
+		return acca < accb
 	}
-	return orgLess(a.Data.Org, b.Data.Org)
+	return orgLess(*a, *b)
 }
 
 // best returns Filter's first solution over c without building the
-// survivor list: each candidate is assembled into a stack scratch, and
-// only the winner is copied out. The order is total, so the minimum is
-// the element Filter's sort puts first.
+// survivor list: each candidate is assembled once to measure it, and
+// only the winner is assembled again, onto the heap. The order is
+// total, so the minimum is the element Filter's sort puts first.
 func (c *candidates) best() (*Solution, error) {
-	st := c.stages()
-	var scratch, win Solution
-	winObj, found := 0.0, false
-	for i, n := 0, c.len(); i < n; i++ {
-		s := c.at(i, &scratch)
-		if !st.keeps(s) {
+	// Most solves keep a few dozen candidates at most; the rare larger
+	// set gets one exact-size slice instead of repeated growth.
+	var buf [64]metric
+	m := buf[:0]
+	if n := c.len(); n > len(buf) {
+		m = make([]metric, 0, n)
+	}
+	m = c.measure(m)
+	st := c.stages(m)
+	win, winObj := -1, 0.0
+	for i := range m {
+		if !st.keeps(&m[i]) {
 			continue
 		}
-		if o := st.objective(s); !found || ranksBefore(o, s, winObj, &win) {
-			win, winObj, found = *s, o, true
+		if o := st.objective(&m[i]); win < 0 || ranksBefore(o, m[i].acc, c.org(i), winObj, m[win].acc, c.org(win)) {
+			win, winObj = i, o
 		}
 	}
-	if !found {
+	if win < 0 {
 		return nil, ErrNoSolution
 	}
-	return &win, nil
+	sol := new(Solution)
+	if s := c.at(win, sol); s != sol {
+		*sol = *s
+	}
+	return sol, nil
 }
 
 // byObjective sorts solutions and their precomputed objectives in
@@ -587,7 +637,8 @@ func (b *byObjective) Swap(i, j int) {
 	b.objs[i], b.objs[j] = b.objs[j], b.objs[i]
 }
 func (b *byObjective) Less(i, j int) bool {
-	return ranksBefore(b.objs[i], b.sols[i], b.objs[j], b.sols[j])
+	si, sj := b.sols[i], b.sols[j]
+	return ranksBefore(b.objs[i], si.AccessTime, &si.Data.Org, b.objs[j], sj.AccessTime, &sj.Data.Org)
 }
 
 // dataArraySpec derives the data-array enumeration spec from a

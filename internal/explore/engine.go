@@ -62,6 +62,10 @@ type Engine struct {
 
 	panics atomic.Int64 // panics recovered from solver calls and sweep workers
 
+	// custom is set when Options.Solver replaced the default solver:
+	// sweeps then solve every point through it, sharing nothing.
+	custom bool
+
 	// Enumeration coverage, accumulated from core.SolveStats by the
 	// default solver (zero when a custom Solver is injected).
 	orgsConsidered  atomic.Int64
@@ -77,19 +81,45 @@ func New(opts Options) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	if e.solver == nil {
+	e.custom = e.solver != nil
+	if !e.custom {
 		e.solver = func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
-			var st core.SolveStats
-			sol, err := core.OptimizeContext(ctx, spec, &core.Options{Stats: &st})
-			total := st.Total()
-			e.orgsConsidered.Add(total.Considered)
-			e.orgsPruned.Add(total.PrunedTotal())
-			e.orgsBuilt.Add(total.Built)
-			e.orgsPrunedBound.Add(total.PrunedBoundShard + total.PrunedBoundPoint)
-			return sol, err
+			return e.optimize(ctx, spec, nil, -1)
 		}
 	}
 	return e
+}
+
+// sweep is what one Sweep call hands the solves of its points.
+type sweep struct {
+	// sub is the sweep's table of shared array sub-solves.
+	sub *core.SubSolves
+	// workers is each point's enumeration pool (core.Options.Workers):
+	// 1 when the sweep runs on several workers, which keep the cores
+	// busy between them, else 0 for GOMAXPROCS.
+	workers int
+}
+
+// optimize is the default solver: core.OptimizeContext, or point i of
+// sweep sw when it is set, adding the solve's enumeration counters to
+// the engine's.
+func (e *Engine) optimize(ctx context.Context, spec core.Spec, sw *sweep, i int) (*core.Solution, error) {
+	var st core.SolveStats
+	opts := &core.Options{Stats: &st}
+	var sol *core.Solution
+	var err error
+	if sw != nil {
+		opts.Workers = sw.workers
+		sol, err = sw.sub.Optimize(ctx, i, opts)
+	} else {
+		sol, err = core.OptimizeContext(ctx, spec, opts)
+	}
+	total := st.Total()
+	e.orgsConsidered.Add(total.Considered)
+	e.orgsPruned.Add(total.PrunedTotal())
+	e.orgsBuilt.Add(total.Built)
+	e.orgsPrunedBound.Add(total.PrunedBoundShard + total.PrunedBoundPoint)
+	return sol, err
 }
 
 // Result is one evaluated sweep point. Err is non-nil when the spec
@@ -123,10 +153,13 @@ func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution,
 	if err != nil {
 		return nil, false, err
 	}
-	return e.solve(ctx, spec, fp)
+	return e.solve(ctx, spec, fp, nil, -1)
 }
 
-func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string) (*core.Solution, bool, error) {
+// solve is Solve for a fingerprinted spec; a sweep with the default
+// solver passes itself and the spec's index in it, nil and -1
+// otherwise.
+func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep, i int) (*core.Solution, bool, error) {
 	ent, created := e.cache.lookup(fp)
 	if !created {
 		select {
@@ -159,7 +192,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string) (*core.So
 		e.tier1Misses.Add(1)
 	}
 	e.solves.Add(1)
-	sol, err := e.runSolver(ctx, spec)
+	sol, err := e.runSolver(ctx, spec, sw, i)
 	ent.sol, ent.err = core.Project(sol), err
 	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
 		// The solver was cut short by this requester's context: the
@@ -180,7 +213,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string) (*core.So
 // or an injected fault) is converted into an ErrSolverPanic error for
 // this one solve instead of unwinding the worker goroutine — which
 // would strand every caller parked on the cache entry.
-func (e *Engine) runSolver(ctx context.Context, spec core.Spec) (sol *core.Solution, err error) {
+func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sw *sweep, i int) (sol *core.Solution, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			e.panics.Add(1)
@@ -190,13 +223,16 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec) (sol *core.Solut
 	if err := e.chaos.Inject(ctx, chaos.ExploreSolve); err != nil {
 		return nil, err
 	}
+	if sw != nil {
+		return e.optimize(ctx, spec, sw, i)
+	}
 	return e.solver(ctx, spec)
 }
 
 // sweepOne evaluates one sweep point, confining panics that escape
 // the per-solve recovery (the explore.worker injection point, or
 // fingerprinting) to this point's Result.
-func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int) (r Result) {
+func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sw *sweep) (r Result) {
 	r = Result{Index: i, Spec: spec}
 	defer func() {
 		if v := recover(); v != nil {
@@ -213,10 +249,17 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int) (r Result)
 		r.Err = err
 	} else {
 		r.Fingerprint = fp
-		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp)
+		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp, sw, i)
 	}
 	return r
 }
+
+// sweepRun is how many consecutive points a sweep worker takes at a
+// time. Points that share array sub-solves sit next to each other in
+// Grid.Expand order (modes innermost, then banks, then
+// associativities), so a run solves them back to back on one worker,
+// where the later ones find the earlier one's entries ready.
+const sweepRun = 4
 
 // Sweep evaluates every spec on the worker pool and returns one
 // Result per input, in input order — so the output is a deterministic
@@ -224,34 +267,49 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int) (r Result)
 // order. Specs the grid planner produced in error (or that admit no
 // solution) surface as per-point Errs; a cancelled context marks the
 // unfinished tail with ctx.Err().
+//
+// Workers take the points in runs of sweepRun consecutive indices.
+// With the default solver, the sweep's points share their array
+// sub-solves through one core.SubSolves table, released when Sweep
+// returns, and a sweep on several workers enumerates each point on
+// one; the answers are those of per-point solves, bit for bit.
 func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 	results := make([]Result, len(specs))
-	workers := max(1, min(e.workers, len(specs)))
-	jobs := make(chan int)
+	runs := (len(specs) + sweepRun - 1) / sweepRun
+	workers := max(1, min(e.workers, runs))
+	var sub *core.SubSolves
+	var sw *sweep
+	if !e.custom {
+		sub = core.NewSubSolves(specs)
+		defer sub.Close()
+		sw = &sweep{sub: sub}
+		if workers > 1 {
+			sw.workers = 1
+		}
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				results[i] = e.sweepOne(ctx, specs[i], i)
+			for {
+				start := int(next.Add(sweepRun)) - sweepRun
+				if start >= len(specs) {
+					return
+				}
+				for i := start; i < min(start+sweepRun, len(specs)); i++ {
+					if err := ctx.Err(); err != nil {
+						results[i] = Result{Index: i, Spec: specs[i], Err: err}
+					} else {
+						results[i] = e.sweepOne(ctx, specs[i], i, sw)
+					}
+					sub.Done(i)
+				}
 			}
 		}()
 	}
-	sent := 0
-dispatch:
-	for ; sent < len(specs); sent++ {
-		select {
-		case jobs <- sent:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
 	wg.Wait()
-	for i := sent; i < len(specs); i++ {
-		results[i] = Result{Index: i, Spec: specs[i], Err: ctx.Err()}
-	}
 	return results
 }
 

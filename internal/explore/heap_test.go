@@ -87,3 +87,42 @@ func TestTier0HeapPerEntry(t *testing.T) {
 		t.Errorf("%d B of live heap per tier-0 entry, budget %d", perEntry, budget)
 	}
 }
+
+// TestSweepHeapReturns: a sweep's shared sub-solve table lives only as
+// long as the Sweep call. A sweep through a throwaway engine, its
+// results dropped, must leave the live heap where it found it: every
+// data entry's build context is back in its pool, every tag entry is
+// unreachable, and nothing global keeps the table. Two collections
+// before each reading empty the pools, whose contents are not live
+// data; a first sweep of the same specs fills the process-wide
+// mat-stage table and the interpolated-node memo, which are not the
+// sweep's to return.
+func TestSweepHeapReturns(t *testing.T) {
+	const slack = 16 << 10
+	specs := heapSpecs(2000, 7)
+	for _, g := range subSolveGrids(8, 5) {
+		s, _ := g.Expand()
+		specs = append(specs, s...)
+	}
+	ctx := context.Background()
+	New(Options{}).Sweep(ctx, specs)
+
+	drained := func() uint64 {
+		runtime.GC()
+		return liveHeap()
+	}
+	before := drained()
+	hits := core.SubSolveCounters()
+	New(Options{}).Sweep(ctx, specs)
+	after := drained()
+	shared := core.SubSolveCounters().DataHits - hits.DataHits
+	runtime.KeepAlive(specs)
+	t.Logf("%d points, %d data sub-solves shared: %d B of live heap before the sweep, %d B after",
+		len(specs), shared, before, after)
+	if shared == 0 {
+		t.Fatal("the sweep shared no data sub-solve")
+	}
+	if diff := int64(after) - int64(before); diff > slack || diff < -slack {
+		t.Errorf("live heap moved by %d B across a discarded sweep, slack %d", diff, slack)
+	}
+}

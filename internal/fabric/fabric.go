@@ -590,7 +590,9 @@ func (c *Coordinator) failChunk(ctx context.Context, run *sweepRun, ws []*worker
 // deliverChunk records a completed chunk: good results deliver (and
 // shrink pending); results the worker's context cut off are requeued
 // as a fresh chunk — the worker engine forgets canceled entries, so
-// the retry re-solves them cold and the output stays byte-identical.
+// the retry re-solves them cold and the output stays byte-identical —
+// unless the run's own context is done, which leaves them to the
+// cancellation tail.
 func (c *Coordinator) deliverChunk(ctx context.Context, run *sweepRun, ws []*workerState, wi int, ch *chunk, wres []WireResult, deliver func(explore.Result)) {
 	st := ws[wi]
 	var retry *chunk
@@ -613,7 +615,13 @@ func (c *Coordinator) deliverChunk(ctx context.Context, run *sweepRun, ws []*wor
 	st.chunks.Add(1)
 	run.mu.Lock()
 	run.pending -= delivered
-	if retry != nil {
+	if retry != nil && ctx.Err() != nil {
+		// The run itself is dying, and its context cut the worker's
+		// points off: leave them unfilled for the cancellation tail,
+		// as failChunk does, instead of spending their attempts before
+		// the context's watcher marks the run.
+		run.canceled = true
+	} else if retry != nil {
 		retry.attempts++
 		if retry.attempts >= c.maxAttempts {
 			run.mu.Unlock()
