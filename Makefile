@@ -67,16 +67,17 @@ endif
 
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the
-# cactid-serve admission-control and load-shedding tests, concurrent
-# solves through the solver's pooled scratch and concurrent walks and
-# enumerations of one shared prescan, ten times each, and sweeps that
-# share array sub-solves against per-point solves.
+# cactid-serve admission-control and load-shedding tests (the running
+# sweep-job bound and finished-job eviction and read-back among them),
+# concurrent solves through the solver's pooled scratch and concurrent
+# walks and enumerations of one shared prescan, ten times each, and
+# sweeps that share array sub-solves against per-point solves.
 stress:
 	go test -race ./internal/chaos/
 	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
 	go test -race -count=10 -run TestSharedPrescanConcurrentWalks ./internal/array/
 	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
-	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|MissStorm|InFlight' \
+	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/
 
 # fuzz gives each native fuzz target a short randomized smoke run on

@@ -45,9 +45,11 @@ const (
 )
 
 // job is one in-memory sweep job. results grows monotonically as
-// chunks complete; updated is a broadcast channel, closed and
-// replaced on every append, so any number of streamers can wait for
-// "more results or done" without polling.
+// chunks complete, and rec.Cursor is its length (a finished job read
+// back without its results has only the record); updated is a
+// broadcast channel, closed and replaced on every append, so any
+// number of streamers can wait for "more results or done" without
+// polling.
 type job struct {
 	mu      sync.Mutex
 	rec     jobRecord        // guarded by mu
@@ -55,32 +57,32 @@ type job struct {
 	updated chan struct{}    // guarded by mu (the field; receivers hold a copy)
 }
 
-func (j *job) snapshot() (jobRecord, int) {
+// view returns the job's record, its completed results and a channel
+// that closes on the next change. The results slice is shared, not
+// copied: results only grow by append, so the elements it covers never
+// change.
+func (j *job) view() (jobRecord, []explore.Result, chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.rec, len(j.results)
+	return j.rec, j.results, j.updated
 }
 
-// wait returns the current result count, terminal state, and a
-// channel that closes on the next change.
-func (j *job) wait() (n int, terminal bool, ch chan struct{}) {
+func (j *job) record() jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.results), j.rec.State != jobRunning, j.updated
-}
-
-// resultAt copies one completed result.
-func (j *job) resultAt(i int) explore.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.results[i]
+	return j.rec
 }
 
 // jobManager owns the sweep jobs: submission, background execution
-// with durable checkpoints, and resume of interrupted jobs on server
-// start. Job workers run outside the admission gate — a long sweep
-// must not starve interactive /v1 traffic of its slots; the engine's
-// shared worker pool is the actual CPU bound.
+// with durable checkpoints, resume of interrupted jobs on server
+// start, and the memory finished jobs hold.
+//
+// Job workers run outside the admission gate — a long sweep must not
+// starve interactive /v1 traffic of its slots — so submit applies the
+// gate's -max-inflight bound to running jobs itself. A finished job
+// stays in memory only while the finished jobs resident with it hold
+// at most -max-points results; older ones are evicted and, with a
+// store, read back from their durable record when a client asks.
 type jobManager struct {
 	// sweep is the solve path for job chunks: the local engine's Sweep
 	// in worker mode, the fabric coordinator's distributed sweep in
@@ -90,20 +92,36 @@ type jobManager struct {
 	sweep           func(context.Context, []core.Spec) []explore.Result
 	st              *store.Store // nil: jobs run without durability
 	checkpointEvery int
+	maxRunning      int // jobs that may run at once (-max-inflight)
+	maxResident     int // results the resident finished jobs may hold together (-max-points)
 
 	ctx    context.Context // canceled on server drain
 	cancel context.CancelFunc
 
-	mu   sync.Mutex
-	jobs map[string]*job // guarded by mu
+	mu       sync.Mutex
+	jobs     map[string]*job // guarded by mu; every running job and the resident finished ones
+	finished []residentJob   // guarded by mu; the finished jobs in jobs, oldest first
+	// residentPoints is what finished holds, each job counting as at
+	// least one.
+	residentPoints int // guarded by mu
 
+	running   atomic.Int64 // jobs whose worker is sweeping; raised under mu
 	submitted atomic.Int64
 	completed atomic.Int64
 	resumed   atomic.Int64
+	evicted   atomic.Int64
+	readBacks atomic.Int64
 	wg        sync.WaitGroup
 }
 
-func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st *store.Store, checkpointEvery int) *jobManager {
+// residentJob is a finished job's place in the eviction order.
+type residentJob struct {
+	id     string
+	points int
+}
+
+func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st *store.Store, cfg config) *jobManager {
+	checkpointEvery := cfg.checkpointEvery
 	if checkpointEvery <= 0 {
 		checkpointEvery = 32
 	}
@@ -111,6 +129,8 @@ func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st
 	return &jobManager{
 		sweep: sweep, st: st,
 		checkpointEvery: checkpointEvery,
+		maxRunning:      cfg.maxInFlight,
+		maxResident:     cfg.maxPoints,
 		ctx:             ctx, cancel: cancel,
 		jobs: make(map[string]*job),
 	}
@@ -129,8 +149,9 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// submit registers a new job and starts its worker. The request must
-// already be validated (grid compiles, point count within bounds).
+// submit registers a new job and starts its worker, or returns nil
+// while maxRunning jobs are running. The request must already be
+// validated (grid compiles, point count within bounds).
 func (m *jobManager) submit(req explore.SweepRequest, points, skipped int) *job {
 	id := newJobID()
 	j := &job{
@@ -141,41 +162,87 @@ func (m *jobManager) submit(req explore.SweepRequest, points, skipped int) *job 
 		updated: make(chan struct{}),
 	}
 	m.mu.Lock()
+	if m.running.Load() >= int64(m.maxRunning) {
+		m.mu.Unlock()
+		return nil
+	}
+	m.running.Add(1)
 	m.jobs[id] = j
 	m.mu.Unlock()
 	m.submitted.Add(1)
-	m.checkpoint(j)
+	m.checkpoint(j.record())
 	m.start(j)
 	return j
 }
 
+// start runs a registered job's worker; the caller has counted it in
+// running.
 func (m *jobManager) start(j *job) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.run(j)
+		state, err := m.run(j)
+		// Before the terminal state is visible, so a client that saw
+		// its job finish can submit the next one.
+		m.running.Add(-1)
+		if state != jobRunning {
+			m.settle(j, state, err)
+		}
 	}()
 }
 
-// get returns a job by id, faulting it in from the durable store if
-// this process has never seen it (a poll or stream hitting a
-// restarted server before resume finished, or for a finished job
-// whose results replay for free out of tier 1).
-func (m *jobManager) get(id string) *job {
+// get returns a job by id: a resident one, a running one revived from
+// its checkpoint, or a finished one read back from its durable record
+// (see readBack). It returns nil, nil when there is no such job: never
+// submitted, or finished and evicted on a server without a store.
+func (m *jobManager) get(ctx context.Context, id string, withResults bool) (*job, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
 	m.mu.Unlock()
 	if j != nil {
-		return j
+		return j, nil
 	}
-	rec, ok := m.loadRecord(id)
-	if !ok {
-		return nil
+	rec, ok := m.loadRecord(ctx, id)
+	switch {
+	case !ok:
+		return nil, nil
+	case rec.State == jobRunning:
+		// A job a restart interrupted that resumeAll did not revive
+		// (its record's read faulted, say): the reader resumes it.
+		return m.revive(rec), nil
 	}
-	return m.revive(rec)
+	return m.readBack(ctx, rec, withResults)
 }
 
-// revive re-registers a persisted job and restarts its sweep from
+// readBack rebuilds a finished job that has left memory from its
+// record. The record alone answers a poll without results and a failed
+// job. A done job's results come from re-sweeping its grid through the
+// node's solve path on the reader's goroutine, under the reader's
+// context: its points come out of tier 0 or tier 1 rather than the
+// solver, marked cached. The rebuilt job, if no point was cut off,
+// becomes the newest resident finished job. Nothing is written to the
+// store: the job answers done from its first byte, keeps the record's
+// resumed_from, and is not counted as resumed.
+func (m *jobManager) readBack(ctx context.Context, rec jobRecord, withResults bool) (*job, error) {
+	m.readBacks.Add(1)
+	if rec.State != jobDone || !withResults {
+		return &job{rec: rec, updated: make(chan struct{})}, nil
+	}
+	specs, err := specsOf(rec)
+	if err != nil {
+		// The grid no longer reproduces the job's points; say so
+		// without touching the record.
+		rec.State, rec.Error = jobFailed, err.Error()
+		return &job{rec: rec, updated: make(chan struct{})}, nil
+	}
+	results := m.sweep(ctx, specs)
+	if i := uncanceled(results); i < len(results) {
+		return nil, results[i].Err
+	}
+	return m.retire(&job{rec: rec, results: results, updated: make(chan struct{})}), nil
+}
+
+// revive re-registers an interrupted job and restarts its sweep from
 // point 0 — completed points replay out of the durable solution tier
 // with zero solver work, so this resumes "from the checkpoint" in
 // cost terms while rebuilding the full in-memory result prefix that
@@ -186,43 +253,39 @@ func (m *jobManager) revive(rec jobRecord) *job {
 		m.mu.Unlock()
 		return existing
 	}
-	wasDone := rec.State == jobDone
-	if rec.Cursor > 0 || wasDone {
+	if rec.Cursor > 0 {
 		rec.ResumedFrom = rec.Cursor
 	}
 	rec.Cursor = 0
-	rec.State = jobRunning
-	rec.Error = ""
 	j := &job{rec: rec, updated: make(chan struct{})}
 	m.jobs[rec.ID] = j
+	m.running.Add(1)
 	m.mu.Unlock()
-	if !wasDone {
-		m.resumed.Add(1)
-	}
+	m.resumed.Add(1)
 	m.start(j)
 	return j
 }
 
 // resumeAll revives every interrupted job found in the store; called
-// once at server start. Finished jobs are left on disk and revived
-// lazily when a client asks for them.
+// once at server start. Finished jobs are left on disk and read back
+// when a client asks for them.
 func (m *jobManager) resumeAll() {
 	if m.st == nil {
 		return
 	}
 	for _, key := range m.st.Keys(jobKeyPrefix) {
-		rec, ok := m.loadRecord(key[len(jobKeyPrefix):])
+		rec, ok := m.loadRecord(m.ctx, key[len(jobKeyPrefix):])
 		if ok && rec.State == jobRunning {
 			m.revive(rec)
 		}
 	}
 }
 
-func (m *jobManager) loadRecord(id string) (jobRecord, bool) {
+func (m *jobManager) loadRecord(ctx context.Context, id string) (jobRecord, bool) {
 	if m.st == nil {
 		return jobRecord{}, false
 	}
-	val, ok, err := m.st.Get(m.ctx, jobKeyPrefix+id)
+	val, ok, err := m.st.Get(ctx, jobKeyPrefix+id)
 	if err != nil || !ok {
 		return jobRecord{}, false
 	}
@@ -233,13 +296,12 @@ func (m *jobManager) loadRecord(id string) (jobRecord, bool) {
 	return rec, true
 }
 
-// checkpoint persists the job's record; a write fault costs resume
+// checkpoint persists a job's record; a write fault costs resume
 // granularity, not correctness.
-func (m *jobManager) checkpoint(j *job) {
+func (m *jobManager) checkpoint(rec jobRecord) {
 	if m.st == nil {
 		return
 	}
-	rec, _ := j.snapshot()
 	val, err := json.Marshal(rec)
 	if err != nil {
 		return
@@ -247,26 +309,45 @@ func (m *jobManager) checkpoint(j *job) {
 	_ = m.st.Put(m.ctx, jobKeyPrefix+rec.ID, val)
 }
 
-// run executes the job's sweep in checkpointed chunks. A drain
-// cancellation stops at the chunk boundary with the job still
-// "running" on disk, which is exactly what resumeAll looks for.
-func (m *jobManager) run(j *job) {
-	rec, _ := j.snapshot()
+// specsOf expands a job's grid, failing when it no longer yields the
+// points and skipped count the record holds (an axis of a persisted
+// request decoded empty, say).
+func specsOf(rec jobRecord) ([]core.Spec, error) {
 	grid, err := rec.Request.Grid()
 	if err != nil {
-		m.fail(j, err)
-		return
+		return nil, err
 	}
 	specs, skipped := grid.Expand()
 	if len(specs) != rec.Points || skipped != rec.Skipped {
-		// An axis of the persisted request decoded empty, say.
-		m.fail(j, fmt.Errorf("sweep job grid expands to %d points (%d skipped), checkpoint recorded %d (%d skipped)",
-			len(specs), skipped, rec.Points, rec.Skipped))
-		return
+		return nil, fmt.Errorf("sweep job grid expands to %d points (%d skipped), checkpoint recorded %d (%d skipped)",
+			len(specs), skipped, rec.Points, rec.Skipped)
+	}
+	return specs, nil
+}
+
+// uncanceled returns the length of the results' prefix untouched by
+// cancellation: a canceled point says nothing about its spec.
+func uncanceled(results []explore.Result) int {
+	for i, r := range results {
+		if r.Err != nil && (errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)) {
+			return i
+		}
+	}
+	return len(results)
+}
+
+// run executes the job's sweep in checkpointed chunks and reports how
+// it ended: done, failed, or still running when a drain stopped it at a
+// chunk boundary. A stopped job's checkpoint holds its done prefix,
+// which is exactly what resumeAll looks for.
+func (m *jobManager) run(j *job) (string, error) {
+	specs, err := specsOf(j.record())
+	if err != nil {
+		return jobFailed, err
 	}
 	for cur := 0; cur < len(specs); {
 		if m.ctx.Err() != nil {
-			return // interrupted: checkpoint already reflects the done prefix
+			return jobRunning, nil // interrupted: checkpoint already reflects the done prefix
 		}
 		end := cur + m.checkpointEvery
 		if end > len(specs) {
@@ -274,16 +355,15 @@ func (m *jobManager) run(j *job) {
 		}
 		chunk := m.sweep(m.ctx, specs[cur:end])
 		// Keep only the prefix untouched by cancellation: a canceled
-		// point says nothing about its spec and must not be recorded
-		// (resume would otherwise serve it as a real failure).
-		good := 0
-		for _, r := range chunk {
-			if r.Err != nil && (errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)) {
-				break
-			}
-			good++
-		}
+		// point must not be recorded (resume would otherwise serve it
+		// as a real failure).
+		good := uncanceled(chunk)
 		j.mu.Lock()
+		if j.results == nil {
+			// Sized to the job, so a finished job holds no spare
+			// capacity beyond the points it counts for.
+			j.results = make([]explore.Result, 0, len(specs))
+		}
 		for i := 0; i < good; i++ {
 			r := chunk[i]
 			r.Index = cur + i // chunk-relative -> grid-relative
@@ -293,52 +373,90 @@ func (m *jobManager) run(j *job) {
 		close(j.updated) // broadcast "more results"
 		j.updated = make(chan struct{})
 		j.mu.Unlock()
-		m.checkpoint(j)
+		m.checkpoint(j.record())
 		if good < len(chunk) {
-			return // canceled mid-chunk; still "running" for resume
+			return jobRunning, nil // canceled mid-chunk; still "running" for resume
 		}
 		cur = end
 	}
-	j.mu.Lock()
-	j.rec.State = jobDone
-	close(j.updated) // broadcast terminal state
-	j.updated = make(chan struct{})
-	j.mu.Unlock()
-	m.completed.Add(1)
-	m.checkpoint(j)
+	return jobDone, nil
 }
 
-func (m *jobManager) fail(j *job, err error) {
+// settle ends a job as done or failed. The terminal record is written
+// and the job retired before any client can see the state: an evicted
+// job reads back from that record, and a client that saw its job
+// finish sees the eviction it caused.
+func (m *jobManager) settle(j *job, state string, err error) {
+	rec := j.record()
+	rec.State = state
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	m.checkpoint(rec)
+	if state == jobDone {
+		m.completed.Add(1)
+	}
+	m.retire(j)
 	j.mu.Lock()
-	j.rec.State = jobFailed
-	j.rec.Error = err.Error()
+	j.rec = rec
 	close(j.updated) // broadcast terminal state
 	j.updated = make(chan struct{})
 	j.mu.Unlock()
-	m.checkpoint(j)
+}
+
+// retire makes a finished job the newest resident one, then evicts the
+// oldest while the resident finished jobs hold more than maxResident
+// results. Each job counts as at least one, and the newest always
+// stays. Eviction only deletes the map entry: a stream holding the
+// job finishes from it. retire returns the job resident under j's id,
+// which is another one when a concurrent read-back registered it
+// first.
+func (m *jobManager) retire(j *job) *job {
+	rec, results, _ := j.view()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cur := m.jobs[rec.ID]; cur != nil && cur != j {
+		return cur
+	}
+	m.jobs[rec.ID] = j
+	points := max(len(results), 1)
+	m.finished = append(m.finished, residentJob{rec.ID, points})
+	m.residentPoints += points
+	for m.residentPoints > m.maxResident && len(m.finished) > 1 {
+		old := m.finished[0]
+		m.finished[0] = residentJob{}
+		m.finished = m.finished[1:]
+		delete(m.jobs, old.id)
+		m.residentPoints -= old.points
+		m.evicted.Add(1)
+	}
+	return j
 }
 
 // jobStats is the /metrics sweep_jobs block.
 type jobStats struct {
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Resumed   int64 `json:"resumed"`
-	Active    int   `json:"active"`
+	Submitted      int64 `json:"submitted"`
+	Completed      int64 `json:"completed"`
+	Resumed        int64 `json:"resumed"`
+	Active         int64 `json:"active"`          // jobs running now
+	Resident       int   `json:"resident"`        // finished jobs held in memory
+	ResidentPoints int   `json:"resident_points"` // their results, each job counting as at least one
+	Evicted        int64 `json:"evicted"`         // finished jobs dropped from memory
+	ReadBack       int64 `json:"read_back"`       // polls and streams of a finished job that had left memory
 }
 
 func (m *jobManager) stats() jobStats {
 	m.mu.Lock()
-	active := 0
-	for _, j := range m.jobs {
-		if rec, _ := j.snapshot(); rec.State == jobRunning {
-			active++
-		}
-	}
+	resident, points := len(m.finished), m.residentPoints
 	m.mu.Unlock()
 	return jobStats{
-		Submitted: m.submitted.Load(),
-		Completed: m.completed.Load(),
-		Resumed:   m.resumed.Load(),
-		Active:    active,
+		Submitted:      m.submitted.Load(),
+		Completed:      m.completed.Load(),
+		Resumed:        m.resumed.Load(),
+		Active:         m.running.Load(),
+		Resident:       resident,
+		ResidentPoints: points,
+		Evicted:        m.evicted.Load(),
+		ReadBack:       m.readBacks.Load(),
 	}
 }

@@ -1,0 +1,320 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"cactid/internal/core"
+)
+
+// submitJob posts a sweep job and returns its id.
+func submitJob(t *testing.T, base, grid string) string {
+	t.Helper()
+	resp, body := post(t, base+"/v1/sweep-jobs", grid)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var sub struct{ ID string }
+	if err := json.Unmarshal(body, &sub); err != nil || sub.ID == "" {
+		t.Fatalf("submit answer %s: %v", body, err)
+	}
+	return sub.ID
+}
+
+// finishJob submits a job, polls it to done and returns its id and
+// the body of the poll that saw it done.
+func finishJob(t *testing.T, base, grid string) (string, []byte) {
+	t.Helper()
+	id := submitJob(t, base, grid)
+	pollJob(t, base+"/v1/sweep-jobs/"+id, func(m map[string]any) bool { return m["state"] == jobDone })
+	_, body := get(t, base+"/v1/sweep-jobs/"+id)
+	return id, body
+}
+
+func sweepJobStats(t *testing.T, base string) jobStats {
+	t.Helper()
+	var m struct {
+		SweepJobs jobStats `json:"sweep_jobs"`
+	}
+	_, body := get(t, base+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.SweepJobs
+}
+
+// capacityGrid is a 24-point job grid: six capacities from first
+// doubling upward, over four bank counts.
+func capacityGrid(firstKB int) string {
+	caps := make([]string, 6)
+	for i := range caps {
+		caps[i] = fmt.Sprintf("%q", fmt.Sprintf("%dKB", firstKB<<i))
+	}
+	return `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":[` +
+		strings.Join(caps, ",") + `],"banks":[1,2,4,8]}`
+}
+
+// TestSweepJobFinishedLeavesMemory: with -max-points 64, three
+// finished 24-point jobs do not all stay in memory. The newest answers
+// with the bytes it answered when it finished, cached markers
+// included. With a store, the evicted oldest answers done on its first
+// poll, with the original's results apart from their cached markers,
+// and is then the newest resident job; without a store it answers
+// 404.
+func TestSweepJobFinishedLeavesMemory(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("store=%v", durable), func(t *testing.T) {
+			n, solver := persistableSolver()
+			cfg := config{solver: solver, maxPoints: 64}
+			if durable {
+				cfg.storeDir = t.TempDir()
+			}
+			ts := newTestServer(t, cfg)
+			// Each grid shares three capacities with the one before, so
+			// the later jobs carry both cached markers.
+			oldest, oldestBody := finishJob(t, ts.URL, capacityGrid(32))
+			finishJob(t, ts.URL, capacityGrid(256))
+			newest, newestBody := finishJob(t, ts.URL, capacityGrid(2048))
+			if !bytes.Contains(newestBody, []byte(`"cached": true`)) || !bytes.Contains(newestBody, []byte(`"cached": false`)) {
+				t.Fatalf("test setup: the newest job should mix cached markers:\n%s", newestBody)
+			}
+			if st := sweepJobStats(t, ts.URL); st.Resident != 2 || st.ResidentPoints != 48 || st.Evicted != 1 {
+				t.Fatalf("after three 24-point jobs under a 64-point budget: %+v, want 2 resident holding 48, 1 evicted", st)
+			}
+			if _, body := get(t, ts.URL+"/v1/sweep-jobs/"+newest); !bytes.Equal(body, newestBody) {
+				t.Fatalf("the newest job's poll changed:\n%s\nwas\n%s", body, newestBody)
+			}
+
+			solves := n.Load()
+			resp, body := get(t, ts.URL+"/v1/sweep-jobs/"+oldest)
+			if !durable {
+				if resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("an evicted job without a store: %d %s, want 404", resp.StatusCode, body)
+				}
+				return
+			}
+			uncached := func(b []byte) []byte {
+				return bytes.ReplaceAll(b, []byte(`"cached": true`), []byte(`"cached": false`))
+			}
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(uncached(body), uncached(oldestBody)) {
+				t.Fatalf("the evicted job read back as %d\n%s\nwant, apart from cached markers,\n%s", resp.StatusCode, body, oldestBody)
+			}
+			if n.Load() != solves {
+				t.Fatalf("reading the evicted job back ran the solver %d times", n.Load()-solves)
+			}
+			if _, again := get(t, ts.URL+"/v1/sweep-jobs/"+oldest); !bytes.Equal(again, body) {
+				t.Fatal("a second poll of the read-back job answered other bytes")
+			}
+			// The read-back job is the newest resident one now, so the
+			// middle job made room for it.
+			st := sweepJobStats(t, ts.URL)
+			if st.Resident != 2 || st.ResidentPoints != 48 || st.Evicted != 2 || st.ReadBack != 1 {
+				t.Fatalf("after the read-back: %+v, want 2 resident holding 48, 2 evicted, 1 read back", st)
+			}
+			if _, body := get(t, ts.URL+"/v1/sweep-jobs/"+newest); !bytes.Equal(body, newestBody) {
+				t.Fatalf("the newest job's poll changed after the read-back:\n%s", body)
+			}
+		})
+	}
+}
+
+// TestSweepJobReadBackWritesNothing: a second server on the store
+// directory of one that finished a job answers its first poll of that
+// job done, with every point and no resumed_from, solves nothing,
+// writes nothing to the store and counts no resumed job.
+func TestSweepJobReadBackWritesNothing(t *testing.T) {
+	dir := warmStoreDir(t)
+	_, solverA := persistableSolver()
+	sA, err := newServer(config{solver: solverA, storeDir: dir, checkpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(sA)
+	id, _ := finishJob(t, tsA.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB"],"banks":[1,2]}`)
+	tsA.Close()
+	sA.close()
+
+	n, solverB := persistableSolver()
+	tsB := newTestServer(t, config{solver: solverB, storeDir: dir, checkpointEvery: 2})
+	writes := func() int64 {
+		var m struct {
+			Store map[string]int64 `json:"store"`
+		}
+		_, body := get(t, tsB.URL+"/metrics")
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Store["writes"]
+	}
+	before := writes()
+	resp, body := get(t, tsB.URL+"/v1/sweep-jobs/"+id)
+	var first map[string]any
+	if err := json.Unmarshal(body, &first); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("first poll: %d %s", resp.StatusCode, body)
+	}
+	if first["state"] != jobDone || jobCompleted(first) != 6 || first["resumed_from"] != nil {
+		t.Fatalf("first poll after a restart: state %v, completed %v, resumed_from %v; want done, 6, none",
+			first["state"], first["completed"], first["resumed_from"])
+	}
+	if results, _ := first["results"].([]any); len(results) != 6 {
+		t.Fatalf("first poll carried %d results, want 6", len(results))
+	}
+	if after := writes(); after != before {
+		t.Fatalf("reading a finished job back wrote %d store records", after-before)
+	}
+	if n.Load() != 0 {
+		t.Fatalf("reading a finished job back ran the solver %d times, want 0", n.Load())
+	}
+	if st := sweepJobStats(t, tsB.URL); st.Resumed != 0 || st.ReadBack != 1 || st.Active != 0 {
+		t.Fatalf("sweep_jobs after the read-back: %+v, want resumed 0, read_back 1, active 0", st)
+	}
+}
+
+// blockingWriter is a stream's ResponseWriter that holds its first
+// write until unblock closes, recording everything written.
+type blockingWriter struct {
+	h       http.Header
+	buf     bytes.Buffer
+	first   chan struct{} // closed when the first write arrives
+	unblock chan struct{}
+}
+
+func (b *blockingWriter) Header() http.Header { return b.h }
+func (b *blockingWriter) WriteHeader(int)     {}
+func (b *blockingWriter) Write(p []byte) (int, error) {
+	if b.buf.Len() == 0 {
+		close(b.first)
+		<-b.unblock
+	}
+	return b.buf.Write(p)
+}
+
+// TestSweepJobEvictWhileStreaming: a stream that holds its job keeps
+// serving it after the job finishes and is evicted. The stream's first
+// write is held while its job finishes and a later job evicts it (a
+// server without a store then answers the job's id 404); released, the
+// stream still delivers every point and the done line.
+func TestSweepJobEvictWhileStreaming(t *testing.T) {
+	release := make(chan struct{})
+	_, fast := persistableSolver()
+	solver := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		if spec.CapacityBytes == 128<<10 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return fast(ctx, spec)
+	}
+	s := mustServer(t, config{solver: solver, maxPoints: 4, checkpointEvery: 2, workers: 1})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	id := submitJob(t, ts.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB","256KB"]}`)
+
+	w := &blockingWriter{h: http.Header{}, first: make(chan struct{}), unblock: make(chan struct{})}
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		s.ServeHTTP(w, httptest.NewRequest("GET", "/v1/sweep-jobs/"+id+"/stream", nil))
+	}()
+	<-w.first // the first chunk's two results, held
+	close(release)
+	pollJob(t, ts.URL+"/v1/sweep-jobs/"+id, func(m map[string]any) bool { return m["state"] == jobDone })
+	finishJob(t, ts.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["512KB"]}`)
+	if resp, body := get(t, ts.URL+"/v1/sweep-jobs/"+id); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("the streamed job was not evicted: %d %s", resp.StatusCode, body)
+	}
+	close(w.unblock)
+	<-streamed
+
+	var points, terminal int
+	sc := bufio.NewScanner(&w.buf)
+	for sc.Scan() {
+		var line map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case line["fingerprint"] != nil:
+			if idx, _ := line["index"].(float64); int(idx) != points || terminal != 0 {
+				t.Fatalf("stream line %q out of order", sc.Text())
+			}
+			points++
+		case line["state"] == jobDone && jobCompleted(line) == 4:
+			terminal++
+		default:
+			t.Fatalf("unexpected stream line %q", sc.Text())
+		}
+	}
+	if points != 4 || terminal != 1 {
+		t.Fatalf("the stream of an evicted job carried %d points, %d done lines; want 4, 1:\n%s", points, terminal, w.buf.Bytes())
+	}
+}
+
+// TestSweepJobEvictMetrics: after jobs of 1 to 10 points under a
+// 16-point budget, the resident finished jobs hold at most 16 points
+// and every other job was evicted.
+func TestSweepJobEvictMetrics(t *testing.T) {
+	const jobs, budget = 10, 16
+	_, solver := persistableSolver()
+	ts := newTestServer(t, config{solver: solver, maxPoints: budget})
+	for i := 1; i <= jobs; i++ {
+		caps := make([]string, i)
+		for k := range caps {
+			caps[k] = fmt.Sprintf(`"%dKB"`, 32*(i*jobs+k))
+		}
+		finishJob(t, ts.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":[`+strings.Join(caps, ",")+`]}`)
+	}
+	st := sweepJobStats(t, ts.URL)
+	if st.ResidentPoints > budget || st.Resident == 0 || st.Evicted != jobs-int64(st.Resident) {
+		t.Fatalf("after %d jobs under a %d-point budget: %+v", jobs, budget, st)
+	}
+	if st.Submitted != jobs || st.Completed != jobs || st.Active != 0 {
+		t.Fatalf("job counters after %d finished jobs: %+v", jobs, st)
+	}
+}
+
+// TestSweepJobInFlightBound: job workers run outside the admission
+// gate, so submit bounds them itself. With -max-inflight 2 and two
+// jobs parked in the solver, a third submit is shed with the gate's
+// 429 and Retry-After; once one job finishes, a submit is accepted.
+func TestSweepJobInFlightBound(t *testing.T) {
+	park := map[int64]chan struct{}{32 << 10: make(chan struct{}), 64 << 10: make(chan struct{})}
+	_, fast := persistableSolver()
+	solver := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		if ch := park[spec.CapacityBytes]; ch != nil {
+			select {
+			case <-ch:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return fast(ctx, spec)
+	}
+	ts := newTestServer(t, config{solver: solver, maxInFlight: 2})
+	grid := func(capacity string) string {
+		return `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["` + capacity + `"]}`
+	}
+	first := submitJob(t, ts.URL, grid("32KB"))
+	submitJob(t, ts.URL, grid("64KB"))
+	resp, body := post(t, ts.URL+"/v1/sweep-jobs", grid("128KB"))
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("third submit with two jobs running: %d (Retry-After %q) %s, want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if st := sweepJobStats(t, ts.URL); st.Active != 2 || st.Submitted != 2 {
+		t.Fatalf("sweep_jobs with two parked jobs: %+v, want active 2, submitted 2", st)
+	}
+	close(park[32<<10])
+	pollJob(t, ts.URL+"/v1/sweep-jobs/"+first, func(m map[string]any) bool { return m["state"] == jobDone })
+	submitJob(t, ts.URL, grid("128KB"))
+	close(park[64<<10])
+}

@@ -16,7 +16,7 @@
 //	POST /v1/sweep                    a parameter grid -> one result per point, deterministic order
 //	POST /v1/pareto                   a parameter grid -> only the Pareto-optimal points
 //	POST /v1/solve-batch              a spec list -> one result per spec under a single admission
-//	POST /v1/sweep-jobs               submit a grid as a background job -> 202 + job id
+//	POST /v1/sweep-jobs               submit a grid as a background job -> 202 + job id (429 while -max-inflight jobs run)
 //	GET  /v1/sweep-jobs/{id}          poll a job (state, progress, results when done)
 //	GET  /v1/sweep-jobs/{id}/stream   stream per-point results as NDJSON (SSE via Accept)
 //	GET  /v1/stats                    engine counters (the coordinator aggregates these cluster-wide)
@@ -39,6 +39,14 @@
 // fingerprint): a restarted server answers previously-solved specs
 // without re-running the solver, and interrupted sweep jobs resume
 // from their last checkpoint.
+//
+// At most -max-inflight sweep jobs run at once; a submit beyond that
+// is answered 429 with a Retry-After hint. A finished job stays in
+// memory while the finished jobs held with it total at most
+// -max-points results. Polling or streaming an older one reads it back
+// from its store record: it answers done at once, its results replayed
+// from the result cache or the store and marked cached, and nothing is
+// written. Without -store its id answers 404.
 //
 // Repeated and overlapping requests hit the fingerprint-keyed result
 // cache instead of re-running the solver; concurrent identical
@@ -66,10 +74,10 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.DurationVar(&cfg.timeout, "timeout", 60*time.Second, "per-request time budget")
-	flag.IntVar(&cfg.maxInFlight, "max-inflight", 32, "max concurrently served /v1 requests")
+	flag.IntVar(&cfg.maxInFlight, "max-inflight", 32, "max concurrently served /v1 requests, and max running sweep jobs")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "requests queued beyond -max-inflight before 429 (-1 disables the queue, 0 = 2x max-inflight)")
 	flag.DurationVar(&cfg.queueWait, "queue-wait", 5*time.Second, "longest a queued request waits for a slot before 429")
-	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "most points one sweep grid or spec list may carry; request bodies are capped at 1 KiB per point")
+	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "most points one sweep grid or spec list may carry, and most results finished sweep jobs keep in memory; request bodies are capped at 1 KiB per point")
 	flag.IntVar(&cfg.cacheBound, "cache-entries", 0, "result-cache entry bound with LRU eviction; one entry holds about 1 KB of heap (-1 = unbounded, 0 = default 16384)")
 	flag.IntVar(&cfg.workers, "workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (loopback clients only)")

@@ -27,10 +27,10 @@ import (
 type config struct {
 	addr        string
 	timeout     time.Duration // per-request budget (ceiling; X-Cactid-Timeout may shorten it)
-	maxInFlight int           // bound on concurrently served /v1 requests
+	maxInFlight int           // bound on concurrently served /v1 requests and on running sweep jobs
 	queueDepth  int           // waiters admitted beyond maxInFlight (-1 = no queue, 0 = 2*maxInFlight)
 	queueWait   time.Duration // longest a queued request waits for a slot before 429
-	maxPoints   int           // most points one grid or spec list may carry
+	maxPoints   int           // most points one grid or spec list may carry, and finished jobs keep resident
 	cacheBound  int           // result-cache entry bound (-1 = unbounded, 0 = default)
 	workers     int           // solver pool size (0 = GOMAXPROCS)
 	pprof       bool          // expose net/http/pprof under /debug/pprof/
@@ -226,7 +226,7 @@ func newServer(cfg config) (*server, error) {
 		s.mux.HandleFunc("GET /v1/fabric", s.handleFabric)
 		s.mux.HandleFunc("POST /v1/fabric/register", s.handleFabricRegister)
 	}
-	s.jobs = newJobManager(s.sweep, st, cfg.checkpointEvery)
+	s.jobs = newJobManager(s.sweep, st, cfg)
 	s.mux.HandleFunc("POST /v1/solve", s.gated(epSolve, s.handleSolve))
 	// Like the job views, /v1/stats is a read-only counter snapshot
 	// (the coordinator polls it on every worker for cluster-wide
@@ -633,15 +633,15 @@ func (s *server) batchSpecs(r *http.Request) ([]core.Spec, int, error) {
 	return specs, 0, nil
 }
 
-// jobJSON renders a job's poll/submit view from one snapshot, without
+// jobJSON renders a job's poll/submit view from its record, without
 // results; handleJobGet attaches those of a finished job.
-func jobJSON(rec jobRecord, completed int) map[string]any {
+func jobJSON(rec jobRecord) map[string]any {
 	m := map[string]any{
 		"id":        rec.ID,
 		"state":     rec.State,
 		"points":    rec.Points,
 		"skipped":   rec.Skipped,
-		"completed": completed,
+		"completed": rec.Cursor,
 	}
 	if rec.ResumedFrom > 0 {
 		m["resumed_from"] = rec.ResumedFrom
@@ -662,7 +662,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) error {
 
 // handleJobSubmit validates the grid and registers a background sweep
 // job; the sweep itself runs outside this request's deadline and
-// admission slot. 202 + the job id, for polling or streaming.
+// admission slot. 202 + the job id, for polling or streaming; 429 while
+// -max-inflight jobs are running.
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	req, err := decode[explore.SweepRequest](r)
 	if err != nil {
@@ -673,26 +674,41 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	j := s.jobs.submit(req, len(specs), skipped)
-	return writeJSON(w, http.StatusAccepted, jobJSON(j.snapshot()))
+	if j == nil {
+		s.shed(w, http.StatusTooManyRequests, "too many sweep jobs running")
+		return nil
+	}
+	return writeJSON(w, http.StatusAccepted, jobJSON(j.record()))
+}
+
+// lookupJob finds the job a poll or stream names (see jobManager.get).
+// When there is none, or the reader went away while its results were
+// read back, it answers the request itself and returns nil.
+func (s *server) lookupJob(w http.ResponseWriter, r *http.Request, withResults bool) *job {
+	j, err := s.jobs.get(r.Context(), r.PathValue("id"), withResults)
+	if j == nil && err == nil {
+		err = httpError{http.StatusNotFound, errors.New("no such sweep job")}
+	}
+	if err != nil {
+		s.metrics.errors.Add(1)
+		s.writeError(w, err)
+		return nil
+	}
+	return j
 }
 
 func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epJobGet].Add(1)
-	j := s.jobs.get(r.PathValue("id"))
+	withResults := r.URL.Query().Get("results") != "false"
+	j := s.lookupJob(w, r, withResults)
 	if j == nil {
-		s.metrics.errors.Add(1)
-		s.writeError(w, httpError{http.StatusNotFound, errors.New("no such sweep job")})
 		return
 	}
-	rec, completed := j.snapshot()
-	view := jobJSON(rec, completed)
-	if rec.State == jobDone && r.URL.Query().Get("results") != "false" {
+	rec, results, _ := j.view()
+	view := jobJSON(rec)
+	if rec.State == jobDone && withResults {
 		// Results are attached only on terminal success, rendered by
 		// the typed encoder; writeJSON lays them out with the rest.
-		results := make([]explore.Result, completed)
-		for i := range results {
-			results[i] = j.resultAt(i)
-		}
 		arr, err := explore.AppendResultsJSON(nil, results, "", "")
 		if err != nil {
 			s.metrics.errors.Add(1)
@@ -708,13 +724,13 @@ func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // by default (one compact result object per line), or Server-Sent
 // Events when the client asks via Accept: text/event-stream. The
 // stream always replays the completed prefix first, so reconnecting
-// is lossless, and ends with a terminal state line/event.
+// is lossless, and ends with a terminal state line/event. The results
+// available at each wake-up go out in one write and flush, or in
+// writes of about streamWriteBytes when there are more.
 func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epJobStream].Add(1)
-	j := s.jobs.get(r.PathValue("id"))
+	j := s.lookupJob(w, r, true)
 	if j == nil {
-		s.metrics.errors.Add(1)
-		s.writeError(w, httpError{http.StatusNotFound, errors.New("no such sweep job")})
 		return
 	}
 	flusher, _ := w.(http.Flusher)
@@ -727,35 +743,60 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 
-	emit := func(event string, body []byte) {
+	body := getBody(resultBytesHint)
+	b := *body
+	defer func() {
+		*body = b
+		putBody(body)
+	}()
+	open := func(event string) {
 		if sse {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, body)
-		} else {
-			fmt.Fprintf(w, "%s\n", body)
+			b = append(append(append(b, "event: "...), event...), "\ndata: "...)
 		}
+	}
+	end := func() {
+		if sse {
+			b = append(b, "\n\n"...)
+		} else {
+			b = append(b, '\n')
+		}
+	}
+	done := func(rec jobRecord) {
+		if line, err := json.Marshal(jobJSON(rec)); err == nil {
+			open("done")
+			b = append(b, line...)
+			end()
+		}
+	}
+	write := func() bool {
+		_, err := w.Write(b)
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	done := func() {
-		if body, err := json.Marshal(jobJSON(j.snapshot())); err == nil {
-			emit("done", body)
-		}
+		b = b[:0]
+		return err == nil
 	}
 
-	var body []byte
 	sent := 0
 	for {
-		n, terminal, updated := j.wait()
-		for ; sent < n; sent++ {
-			var err error
-			if body, err = explore.AppendResultJSON(body[:0], j.resultAt(sent), "", ""); err != nil {
+		rec, results, updated := j.view()
+		for ; sent < len(results); sent++ {
+			if len(b) >= streamWriteBytes && !write() {
 				return
 			}
-			emit("result", body)
+			open("result")
+			var err error
+			if b, err = explore.AppendResultJSON(b, results[sent], "", ""); err != nil {
+				return
+			}
+			end()
 		}
-		if terminal {
-			done()
+		if rec.State != jobRunning {
+			done(rec)
+			write()
+			return
+		}
+		if len(b) > 0 && !write() {
 			return
 		}
 		select {
@@ -765,11 +806,17 @@ func (s *server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		case <-s.drainCh:
 			// Workers stop at the next chunk boundary on drain; end
 			// the stream so clients reconnect to the restarted server.
-			done()
+			done(j.record())
+			write()
 			return
 		}
 	}
 }
+
+// streamWriteBytes is about the most one stream write carries: a late
+// reader of a large job gets its completed results in writes of this
+// size, not rendered into one buffer.
+const streamWriteBytes = 64 << 10
 
 // resultBytesHint sizes a rendered result set's buffer: an indented
 // result object is about 850 bytes.
