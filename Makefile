@@ -9,7 +9,7 @@
 # only, see .github/workflows/ci.yml).
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: verify fmt build test vet lint lint-digests race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
+.PHONY: verify fmt build test vet lint race stress fuzz vulncheck bench bench-sweep fabric-test fabric-smoke test-tech
 
 verify: fmt vet lint build test race
 
@@ -27,19 +27,11 @@ vet:
 	go vet ./...
 
 # lint runs the in-repo analyzer suite: the per-function checks
-# (floatdet, ctxflow, lockguard) plus the program-level detpure and
-# wirecompat — see internal/analysis and DESIGN.md §1.3. It needs no
-# network: the suite is built from this module's own source.
+# (floatdet, ctxflow, lockguard) plus the program-level detpure — see
+# internal/analysis and DESIGN.md §1.3. It needs no network: the suite
+# is built from this module's own source.
 lint:
 	go run ./cmd/cactid-lint ./...
-
-# lint-digests proves the wirecompat golden digest file is fresh:
-# regenerate it in place and fail if the checked-in copy differs.
-# (Regeneration refuses while internal/core/version.go is dirty; see
-# cmd/cactid-lint.)
-lint-digests:
-	go run ./cmd/cactid-lint -fix-digests ./...
-	git diff --exit-code -- internal/analysis/wiredigest.json
 
 race:
 	go test -race ./...

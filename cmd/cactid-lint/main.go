@@ -3,14 +3,12 @@
 // results rest on that neither `go vet` nor `go test -race` catches.
 // The per-function analyzers — floatdet, ctxflow, lockguard — enforce
 // deterministic float paths, propagated cancellation and annotated
-// lock discipline. The program-level analyzers — detpure, wirecompat —
-// keep a call-graph-bounded determinism cone under the solver entry
-// points and pin the wire and store type shapes to a golden digest.
+// lock discipline. The program-level analyzer detpure keeps a
+// call-graph-bounded determinism cone under the solver entry points.
 //
 // Usage:
 //
 //	cactid-lint [-run name[,name...]] [-json] [-list] [packages ...]
-//	cactid-lint -fix-digests [packages ...]
 //
 // Packages default to ./... relative to the current directory. The
 // exit status is 0 when clean, 1 when any diagnostic is reported, and
@@ -21,13 +19,6 @@
 //
 // on the offending line or the line directly above it; the reason is
 // mandatory and an unused suppression is itself a finding.
-//
-// -fix-digests regenerates the wirecompat golden digest file
-// (internal/analysis/wiredigest.json) from the current tree. The
-// regeneration is refused while internal/core/version.go has
-// uncommitted changes: a ModelVersion bump and a digest refresh must
-// land as separate, deliberate steps, so neither can smuggle the
-// other in.
 package main
 
 import (
@@ -35,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
 
 	"cactid/internal/analysis"
@@ -51,7 +41,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	fixDigests := fs.Bool("fix-digests", false, "regenerate the wirecompat golden digest file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,10 +70,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "cactid-lint: %v\n", err)
 		return 2
-	}
-
-	if *fixDigests {
-		return runFixDigests(prog, stdout, stderr)
 	}
 
 	diags, err := analysis.RunProgram(prog, analyzers)
@@ -121,45 +106,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// runFixDigests regenerates the golden digest file — unless the
-// working tree also touches internal/core/version.go, in which case
-// the refusal keeps ModelVersion bumps and digest refreshes as
-// separate, reviewable steps.
-func runFixDigests(prog *analysis.Program, stdout, stderr *os.File) int {
-	if dirty, err := versionFileDirty(prog.Dir); err != nil {
-		fmt.Fprintf(stderr, "cactid-lint: -fix-digests: cannot check working tree (%v); refusing to regenerate blind\n", err)
-		return 2
-	} else if dirty {
-		fmt.Fprintf(stderr, "cactid-lint: -fix-digests refused: internal/core/version.go has uncommitted changes.\n"+
-			"Commit the ModelVersion bump first, then regenerate the digests in their own commit —\n"+
-			"the two must stay separately reviewable.\n")
-		return 2
-	}
-	path, err := analysis.WriteWireDigests(prog)
-	if err != nil {
-		fmt.Fprintf(stderr, "cactid-lint: -fix-digests: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "cactid-lint: wrote %s\n", path)
-	return 0
-}
-
-// versionFileDirty reports whether internal/core/version.go has
-// uncommitted (staged or unstaged) changes. Outside a git checkout
-// there is nothing to police; the regeneration proceeds.
-func versionFileDirty(moduleDir string) (bool, error) {
-	cmd := exec.Command("git", "status", "--porcelain", "--", "internal/core/version.go")
-	cmd.Dir = moduleDir
-	out, err := cmd.Output()
-	if err != nil {
-		if _, ok := err.(*exec.ExitError); ok {
-			return false, nil // not a git checkout: nothing to police
-		}
-		return false, err
-	}
-	return len(strings.TrimSpace(string(out))) > 0, nil
 }
 
 func selectAnalyzers(all []*analysis.Analyzer, names string) []*analysis.Analyzer {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -249,19 +250,28 @@ func TestMetricsFabricBlock(t *testing.T) {
 }
 
 // TestStatsEndpoint: every node serves its engine counters on
-// /v1/stats for cluster aggregation.
+// /v1/stats for cluster aggregation, under the keys a coordinator of
+// any version reads. A renamed key would read as zero there.
 func TestStatsEndpoint(t *testing.T) {
 	ts := newTestServer(t, config{})
 	post(t, ts.URL+"/v1/solve", `{"ram":"sram","capacity":"64KB","associativity":4,"block_bytes":64,"node_nm":32}`)
 	_, body := get(t, ts.URL+"/v1/stats")
-	var st struct {
-		Solves int64 `json:"solves"`
-	}
+	var st map[string]json.Number
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Solves != 1 {
-		t.Fatalf("/v1/stats solves = %d, want 1", st.Solves)
+	if st["solves"] != "1" {
+		t.Fatalf("/v1/stats solves = %s, want 1", st["solves"])
+	}
+	want := []string{"cache_entries", "cache_evictions", "cache_forced_misses", "cache_hits", "cache_max_entries",
+		"orgs_built", "orgs_considered", "orgs_pruned", "orgs_pruned_bound", "panics", "solves", "tier1_hits", "tier1_misses"}
+	keys := make([]string, 0, len(st))
+	for k := range st {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Fatalf("/v1/stats keys %v, want %v", keys, want)
 	}
 }
 

@@ -23,9 +23,9 @@ const jobKeyPrefix = "j:"
 // restarted server needs to resume it. The grid request (not the
 // expanded spec list) is persisted — expansion is deterministic, so
 // replaying it reproduces the identical point order, and run fails a
-// job whose request no longer expands to Points and Skipped.
-//
-//wire:boundary
+// job whose request no longer expands to Points and Skipped. Records
+// already on disk must keep decoding to the same values
+// (TestSweepJobRecordParentBytes).
 type jobRecord struct {
 	ID           string               `json:"id"`
 	Request      explore.SweepRequest `json:"request"`
@@ -373,11 +373,16 @@ func (m *jobManager) run(j *job) (string, error) {
 		close(j.updated) // broadcast "more results"
 		j.updated = make(chan struct{})
 		j.mu.Unlock()
-		m.checkpoint(j.record())
 		if good < len(chunk) {
+			m.checkpoint(j.record())
 			return jobRunning, nil // canceled mid-chunk; still "running" for resume
 		}
 		cur = end
+		// The chunk that completes the grid is recorded by settle's
+		// terminal record alone: one write per state change.
+		if cur < len(specs) {
+			m.checkpoint(j.record())
+		}
 	}
 	return jobDone, nil
 }

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cactid/internal/core"
+	"cactid/internal/explore"
 )
 
 // submitJob posts a sweep job and returns its id.
@@ -48,6 +50,19 @@ func sweepJobStats(t *testing.T, base string) jobStats {
 		t.Fatal(err)
 	}
 	return m.SweepJobs
+}
+
+// storeWrites is the /metrics store.writes counter.
+func storeWrites(t *testing.T, base string) int64 {
+	t.Helper()
+	var m struct {
+		Store map[string]int64 `json:"store"`
+	}
+	_, body := get(t, base+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Store["writes"]
 }
 
 // capacityGrid is a 24-point job grid: six capacities from first
@@ -143,17 +158,7 @@ func TestSweepJobReadBackWritesNothing(t *testing.T) {
 
 	n, solverB := persistableSolver()
 	tsB := newTestServer(t, config{solver: solverB, storeDir: dir, checkpointEvery: 2})
-	writes := func() int64 {
-		var m struct {
-			Store map[string]int64 `json:"store"`
-		}
-		_, body := get(t, tsB.URL+"/metrics")
-		if err := json.Unmarshal(body, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m.Store["writes"]
-	}
-	before := writes()
+	before := storeWrites(t, tsB.URL)
 	resp, body := get(t, tsB.URL+"/v1/sweep-jobs/"+id)
 	var first map[string]any
 	if err := json.Unmarshal(body, &first); err != nil || resp.StatusCode != http.StatusOK {
@@ -166,7 +171,7 @@ func TestSweepJobReadBackWritesNothing(t *testing.T) {
 	if results, _ := first["results"].([]any); len(results) != 6 {
 		t.Fatalf("first poll carried %d results, want 6", len(results))
 	}
-	if after := writes(); after != before {
+	if after := storeWrites(t, tsB.URL); after != before {
 		t.Fatalf("reading a finished job back wrote %d store records", after-before)
 	}
 	if n.Load() != 0 {
@@ -174,6 +179,64 @@ func TestSweepJobReadBackWritesNothing(t *testing.T) {
 	}
 	if st := sweepJobStats(t, tsB.URL); st.Resumed != 0 || st.ReadBack != 1 || st.Active != 0 {
 		t.Fatalf("sweep_jobs after the read-back: %+v, want resumed 0, read_back 1, active 0", st)
+	}
+}
+
+// TestSweepJobOneRecordPerState: a 4-point job checkpointed every two
+// points writes its four solutions and three records: at submit, after
+// its first chunk and when done. The chunk that completes the grid
+// leaves the record to the done write.
+func TestSweepJobOneRecordPerState(t *testing.T) {
+	_, solver := persistableSolver()
+	ts := newTestServer(t, config{solver: solver, storeDir: t.TempDir(), checkpointEvery: 2})
+	before := storeWrites(t, ts.URL)
+	finishJob(t, ts.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB","256KB"]}`)
+	if got := storeWrites(t, ts.URL) - before; got != 4+3 {
+		t.Fatalf("a 4-point job wrote %d store records, want 4 solutions and 3 job records", got)
+	}
+}
+
+// TestSweepJobRecordParentBytes: job records laid out as checkpoint
+// has written them since ModelVersion 2 decode to the same values and
+// marshal back to the same bytes. Together the rows set every
+// jobRecord field, so a renamed key or a changed type fails a row.
+func TestSweepJobRecordParentBytes(t *testing.T) {
+	yes, no := true, false
+	rows := []struct {
+		raw  string
+		want jobRecord
+	}{
+		{`{"id":"5f0c9a1e7d3b2846","request":{"base":{"ram":"sram","block_bytes":64,"cache":true},"capacities":["1KB","2KB"],"associativities":[8,32]},"model_version":2,"points":3,"skipped":1,"cursor":3,"state":"done"}`,
+			jobRecord{ID: "5f0c9a1e7d3b2846", ModelVersion: 2, Points: 3, Skipped: 1, Cursor: 3, State: jobDone,
+				Request: explore.SweepRequest{Base: explore.SpecRequest{RAM: "sram", BlockBytes: 64, Cache: &yes},
+					Capacities: []string{"1KB", "2KB"}, Associativities: []int{8, 32}}}},
+		{`{"id":"c81d40f2a96b3e57","request":{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB","256KB"],"banks":[1,2]},"model_version":2,"points":8,"skipped":0,"cursor":8,"state":"done","resumed_from":4}`,
+			jobRecord{ID: "c81d40f2a96b3e57", ModelVersion: 2, Points: 8, Cursor: 8, State: jobDone, ResumedFrom: 4,
+				Request: explore.SweepRequest{Base: explore.SpecRequest{RAM: "sram", BlockBytes: 64, Cache: &no},
+					Capacities: []string{"32KB", "64KB", "128KB", "256KB"}, Banks: []int{1, 2}}}},
+		{`{"id":"9e27b5d03fa4c618","request":{"base":{"tech":"stt-ram","node_nm":32},"capacities":["1MB"],"associativities":[8],"modes":["fast","sequential"]},"model_version":2,"points":3,"skipped":0,"cursor":0,"state":"failed","error":"sweep job grid expands to 2 points (0 skipped), checkpoint recorded 3 (0 skipped)"}`,
+			jobRecord{ID: "9e27b5d03fa4c618", ModelVersion: 2, Points: 3, State: jobFailed,
+				Error: "sweep job grid expands to 2 points (0 skipped), checkpoint recorded 3 (0 skipped)",
+				Request: explore.SweepRequest{Base: explore.SpecRequest{Technology: "stt-ram", NodeNM: 32},
+					Capacities: []string{"1MB"}, Associativities: []int{8}, Modes: []string{"fast", "sequential"}}}},
+	}
+	set := make([]bool, reflect.TypeOf(jobRecord{}).NumField())
+	for _, row := range rows {
+		var got jobRecord
+		if err := json.Unmarshal([]byte(row.raw), &got); err != nil || !reflect.DeepEqual(got, row.want) {
+			t.Errorf("%s\ndecodes to %+v (%v), want %+v", row.raw, got, err, row.want)
+		}
+		if b, err := json.Marshal(row.want); string(b) != row.raw {
+			t.Errorf("%+v marshals to\n%s (%v), want\n%s", row.want, b, err, row.raw)
+		}
+		for i := range set {
+			set[i] = set[i] || !reflect.ValueOf(row.want).Field(i).IsZero()
+		}
+	}
+	for i, ok := range set {
+		if !ok {
+			t.Errorf("no row sets jobRecord.%s", reflect.TypeOf(jobRecord{}).Field(i).Name)
+		}
 	}
 }
 

@@ -17,9 +17,7 @@
 //     only touched with that mutex held;
 //   - detpure: no wall-clock, randomness, map-order or
 //     goroutine-order output anywhere the call graph reaches from the
-//     solver entry points whose outputs are pinned;
-//   - wirecompat: the shapes of every wire and store type match a
-//     golden digest, so a shape change demands a ModelVersion bump.
+//     solver entry points whose outputs are pinned.
 //
 // Deliberate exceptions are written as
 //
@@ -52,8 +50,7 @@ type Analyzer struct {
 	// loaded packages, shared FileSet, call graph) through
 	// pass.Report. Program-level analyzers see every package at once:
 	// detpure walks call-graph reachability across package
-	// boundaries, and wirecompat closes over serialized types
-	// wherever they are declared.
+	// boundaries.
 	RunProgram func(pass *ProgramPass) error
 }
 
@@ -261,5 +258,5 @@ func suppress(sups []*suppression, d Diagnostic) bool {
 // All returns the full analyzer suite in stable order: the
 // per-function checks first, then the program-level ones.
 func All() []*Analyzer {
-	return []*Analyzer{FloatDet, CtxFlow, LockGuard, DetPure, WireCompat}
+	return []*Analyzer{FloatDet, CtxFlow, LockGuard, DetPure}
 }

@@ -42,17 +42,10 @@ import (
 // consume: every loaded package over one shared FileSet plus the call
 // graph across them.
 type Program struct {
-	// Dir is the module root; relative artifact paths (the wirecompat
-	// golden digest file) resolve against it.
-	Dir  string
 	Fset *token.FileSet
 	Pkgs []*Package
 	// CallGraph is built by LoadProgram (or BuildCallGraph).
 	CallGraph *CallGraph
-	// WireDigestFile overrides the wirecompat golden digest location;
-	// empty means Dir/internal/analysis/wiredigest.json. The fixture
-	// harness points it at per-fixture goldens.
-	WireDigestFile string
 }
 
 // Node is one declared function or method in the call graph.
@@ -259,6 +252,9 @@ func sigKey(sig *types.Signature) string {
 	return b.String()
 }
 
+// qualifyFull names a package by its full import path in type strings.
+func qualifyFull(p *types.Package) string { return p.Path() }
+
 // sigCompatible reports whether fn could be the target of a dynamic
 // call with the given canonical call-site signature. An unknown site
 // signature ("") stays fully conservative and matches everything.
@@ -366,29 +362,6 @@ func (g *CallGraph) Reachable(roots []string) (map[string]bool, map[string]strin
 		}
 	}
 	return seen, witness
-}
-
-// Package returns prog's package with the given import path, or nil.
-func (prog *Program) Package(path string) *Package {
-	for _, p := range prog.Pkgs {
-		if p.ImportPath == path {
-			return p
-		}
-	}
-	return nil
-}
-
-// PackageNamed returns the first package whose package name (not
-// import path) matches, or nil. Root and registry matching works on
-// package names so fixtures (import path "fixture/...", package
-// clause "core") exercise the same predicates as the real tree.
-func (prog *Program) PackageNamed(name string) *Package {
-	for _, p := range prog.Pkgs {
-		if p.Types != nil && p.Types.Name() == name {
-			return p
-		}
-	}
-	return nil
 }
 
 // String renders the graph for debugging: one sorted "caller -> [callees]"

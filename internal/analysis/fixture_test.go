@@ -86,10 +86,9 @@ func runFixture(t *testing.T, a *Analyzer, filename string) {
 }
 
 // loadFixtureProgram builds a Program from testdata/<dir>: each
-// subdirectory is one package with import path "fixture/<dir>/<sub>",
-// and a wiredigest.json at the fixture root becomes the program's
-// golden digest file. Fixture packages may import each other;
-// type-checking retries until the dependency order resolves.
+// subdirectory is one package with import path "fixture/<dir>/<sub>".
+// Fixture packages may import each other; type-checking retries until
+// the dependency order resolves.
 func loadFixtureProgram(t *testing.T, dir string) *Program {
 	t.Helper()
 	root := filepath.Join("testdata", dir)
@@ -161,10 +160,7 @@ func loadFixtureProgram(t *testing.T, dir string) *Program {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 
-	prog := &Program{Dir: root, Fset: fixtureFset, Pkgs: pkgs}
-	if golden := filepath.Join(root, "wiredigest.json"); fileExists(golden) {
-		prog.WireDigestFile = golden
-	}
+	prog := &Program{Fset: fixtureFset, Pkgs: pkgs}
 	prog.CallGraph = BuildCallGraph(prog)
 	return prog
 }
@@ -181,11 +177,6 @@ func (i *fixtureProgImporter) Import(path string) (*types.Package, error) {
 		return p, nil
 	}
 	return fixtureImp().Import(path)
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // runProgramFixture applies one analyzer to a fixture program and

@@ -35,29 +35,22 @@ type listedPackage struct {
 	DepOnly    bool
 	Standard   bool
 	Error      *struct{ Err string }
-	Module     *struct{ Dir string }
 }
 
 // LoadProgram lists, parses and type-checks the packages matching
 // patterns (plus nothing else: dependencies are consumed as compiled
 // export data, not re-analyzed) and assembles them into a Program:
-// the whole-program view (shared FileSet, module root, package-level
-// call graph) the analyzers consume. It shells out to
+// the whole-program view (shared FileSet, package-level call graph)
+// the analyzers consume. It shells out to
 // `go list -deps -export`, so it works offline against the local
 // build cache and needs no third-party modules — the whole point,
 // given that this repository pins zero dependencies.
 func LoadProgram(dir string, patterns ...string) (*Program, error) {
-	pkgs, moduleDir, err := load(dir, patterns...)
+	pkgs, err := load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	if moduleDir == "" {
-		moduleDir = dir
-	}
-	prog := &Program{
-		Dir:  moduleDir,
-		Pkgs: pkgs,
-	}
+	prog := &Program{Pkgs: pkgs}
 	if len(pkgs) > 0 {
 		prog.Fset = pkgs[0].Fset
 	}
@@ -65,7 +58,7 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	return prog, nil
 }
 
-func load(dir string, patterns ...string) ([]*Package, string, error) {
+func load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -76,22 +69,21 @@ func load(dir string, patterns ...string) ([]*Package, string, error) {
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, "", fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
 	}
 
 	exports := map[string]string{} // import path -> export data file
 	var targets []*listedPackage
-	moduleDir := ""
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, "", fmt.Errorf("go list: decoding: %v", err)
+			return nil, fmt.Errorf("go list: decoding: %v", err)
 		}
 		if p.Error != nil {
-			return nil, "", fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -99,9 +91,6 @@ func load(dir string, patterns ...string) ([]*Package, string, error) {
 		if !p.DepOnly && !p.Standard && p.Name != "" {
 			q := p
 			targets = append(targets, &q)
-			if moduleDir == "" && p.Module != nil {
-				moduleDir = p.Module.Dir
-			}
 		}
 	}
 
@@ -118,11 +107,11 @@ func load(dir string, patterns ...string) ([]*Package, string, error) {
 	for _, t := range targets {
 		pkg, err := check(fset, imp, t)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, moduleDir, nil
+	return pkgs, nil
 }
 
 // check parses and type-checks one listed package from source.

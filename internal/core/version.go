@@ -14,6 +14,16 @@ package core
 // drift, and explore.TestModelVersionTripwire ties a hash of those
 // pinned outputs to this constant — so a numeric change cannot land
 // without touching both the pins and ModelVersion.
+//
+// A change to the shape of a stored or wire type (a renamed key, a
+// changed field type, a renumbered enum) needs a bump only when the
+// tests of old bytes show that bytes written before it decode to
+// different values: cactid-serve's TestWarmRestartParentStore,
+// TestSweepJobRecordParentBytes and TestStatsEndpoint, fabric's
+// TestWireDecodesParentBodies and TestWireDecodeMatchesEncodingJSON.
+// While they pass, old records and peers read the same values and the
+// version stays.
+//
 // Version history:
 //
 //	2 — pluggable technology providers: Spec gained the Technology

@@ -314,9 +314,9 @@ func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 }
 
 // Stats is a snapshot of the engine's cache and enumeration counters.
-// A fabric coordinator decodes it from every worker's /v1/stats.
-//
-//wire:boundary
+// A fabric coordinator decodes it from every worker's /v1/stats, so a
+// renamed key reads as zero from an older worker; cactid-serve's
+// TestStatsEndpoint pins the keys.
 type Stats struct {
 	Solves       int64 `json:"solves"`
 	CacheHits    int64 `json:"cache_hits"` // tier-0 (in-memory) hits
