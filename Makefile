@@ -45,17 +45,14 @@ race:
 # their per-organization references, bounded == exhaustive solves on
 # generated specs of every provider, the tier-0/wire/store projection
 # round trip on generated specs of every provider, and the
-# cross-technology fabric/server integration tests. TECH narrows the
-# per-provider legs of the CI matrix to one provider's subtests (e.g.
-# TECH=stt-ram).
-TECH ?=
+# cross-technology fabric/server integration tests. It is a local
+# shortcut: `make test` runs all of it, and TestJSONMatchesReference
+# (cmd/cactid) solves and renders a 4 MB 8-way 32 nm cache with every
+# provider.
 test-tech:
 	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|OffGrid|ExhaustiveGenerated|RoundTripGenerated' \
 		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/core/ \
 		./internal/explore/ ./internal/fabric/ ./cmd/cactid-serve/
-ifneq ($(TECH),)
-	go run ./cmd/cactid -tech $(TECH) -size 4MB -assoc 8 -node 32 >/dev/null
-endif
 
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the
@@ -116,10 +113,12 @@ bench-sweep:
 	go test -run '^$$' -bench BenchmarkWire -benchmem ./internal/fabric/
 
 # fabric-test runs the sweep-fabric suite under the race detector:
-# the coordinator/ring/steal/reroute unit and chaos tests in
-# internal/fabric, the cluster stats-merge tests in internal/explore,
-# and the cactid-serve cluster integration tests (HTTP byte-identity,
-# owner routing, dead-worker reroute, registration).
+# the coordinator unit and chaos tests in internal/fabric (rendezvous
+# ownership, one batch per owner, reroute, attempt budget, local
+# fallback), the cluster stats-merge tests in internal/explore, and
+# the cactid-serve cluster integration tests (HTTP byte-identity on
+# cold and warm sweeps, owner routing, dead-worker reroute,
+# registration).
 fabric-test:
 	go test -race ./internal/fabric/
 	go test -race -run 'Fabric|Coordinator|Cluster|StatsEndpoint|StatsMerge' \

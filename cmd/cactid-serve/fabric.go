@@ -25,7 +25,6 @@ func newFabric(cfg config, eng *explore.Engine) *fabric.Coordinator {
 	}
 	return fabric.New(fabric.Config{
 		Workers:   workers,
-		ChunkSize: cfg.fabricChunk,
 		Heartbeat: cfg.heartbeatEvery,
 		Chaos:     cfg.chaos,
 		Local:     eng.Sweep,
@@ -93,8 +92,8 @@ type registerRequest struct {
 }
 
 // handleFabricRegister lets a worker node join (or rejoin) the
-// fabric; subsequent sweeps include it on the ring. Re-registering a
-// known worker marks it healthy again.
+// fabric; subsequent sweeps give it the specs it owns. Re-registering
+// a known worker marks it healthy again.
 func (s *server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epFabricRegister].Add(1)
 	if s.draining.Load() {

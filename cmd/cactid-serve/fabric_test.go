@@ -39,7 +39,7 @@ func clusterServers(t *testing.T, n int, mutate func(*config)) (*server, []*serv
 		}
 		urls += ts.URL
 	}
-	cfg := config{coordinator: true, workerNodes: urls, fabricChunk: 2}
+	cfg := config{coordinator: true, workerNodes: urls}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -56,42 +56,45 @@ func newHTTPServer(t *testing.T, s *server) *httptest.Server {
 
 // TestCoordinatorSweepByteIdenticalOverHTTP drives the full wire
 // path: a coordinator sharding a real sweep across two worker nodes
-// over HTTP must answer /v1/sweep (JSON and CSV) byte-identically to
-// a plain single-node server.
+// over HTTP answers /v1/sweep as JSON, then as CSV, twice, and every
+// answer must equal a plain single-node server's answer to the same
+// request, cached flags included: every spec has one owning worker,
+// so the repeats find it in that worker's cache just as the single
+// node finds it in its own.
 func TestCoordinatorSweepByteIdenticalOverHTTP(t *testing.T) {
-	// A fresh cluster per format: byte-identity is a cold-sweep
-	// guarantee. On a warm repeat a chunk stolen during the first
-	// sweep leaves its cache entry on the non-owner, so the owner
-	// re-solves it and the cached flags legitimately diverge.
-	for _, format := range []string{"", "?format=csv"} {
-		co, workers, _ := clusterServers(t, 2, nil)
-		coURL := newHTTPServer(t, co).URL
-		single := newTestServer(t, config{})
+	co, workers, _ := clusterServers(t, 2, nil)
+	coURL := newHTTPServer(t, co).URL
+	single := newTestServer(t, config{})
 
-		resp, want := post(t, single.URL+"/v1/sweep"+format, sweepBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("single-node status %d: %s", resp.StatusCode, want)
+	for round := 1; round <= 2; round++ {
+		for _, format := range []string{"", "?format=csv"} {
+			resp, want := post(t, single.URL+"/v1/sweep"+format, sweepBody)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("single-node status %d: %s", resp.StatusCode, want)
+			}
+			resp, got := post(t, coURL+"/v1/sweep"+format, sweepBody)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("coordinator status %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("round %d: distributed /v1/sweep%s differs from single-node:\n%s\nvs\n%s",
+					round, format, got, want)
+			}
 		}
-		resp, got := post(t, coURL+"/v1/sweep"+format, sweepBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("coordinator status %d: %s", resp.StatusCode, got)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("distributed /v1/sweep%s differs from single-node", format)
-		}
+	}
 
-		// The work actually ran on the workers, exactly once per
-		// point, and nothing ran on the coordinator's own engine.
-		var clusterSolves int64
-		for _, ws := range workers {
-			clusterSolves += ws.eng.Stats().Solves
-		}
-		if clusterSolves != 24 {
-			t.Fatalf("cluster solved %d points for 24 specs (exactly-once violated)", clusterSolves)
-		}
-		if co.eng.Stats().Solves != 0 {
-			t.Fatalf("coordinator engine solved %d points; all work should be remote", co.eng.Stats().Solves)
-		}
+	// The work actually ran on the workers, exactly once per point
+	// over all four requests, and nothing ran on the coordinator's
+	// own engine.
+	var clusterSolves int64
+	for _, ws := range workers {
+		clusterSolves += ws.eng.Stats().Solves
+	}
+	if clusterSolves != 24 {
+		t.Fatalf("cluster solved %d points for 24 specs (exactly-once violated)", clusterSolves)
+	}
+	if co.eng.Stats().Solves != 0 {
+		t.Fatalf("coordinator engine solved %d points; all work should be remote", co.eng.Stats().Solves)
 	}
 }
 
@@ -120,8 +123,11 @@ func TestCoordinatorSolveRoutesToOwner(t *testing.T) {
 }
 
 // TestCoordinatorSurvivesDeadWorkerNode: one configured worker URL
-// points at a dead port; the sweep reroutes to the live worker and
-// stays byte-identical, and /v1/fabric records the failure.
+// points at a dead port. Each of two sweeps sends the dead worker's
+// share to the live worker and stays byte-identical to a single node,
+// the repeat answered from the live worker's cache; the second
+// failure in a row marks the dead worker unhealthy, and /v1/fabric
+// records both failures.
 func TestCoordinatorSurvivesDeadWorkerNode(t *testing.T) {
 	live := mustServer(t, config{})
 	liveURL := newHTTPServer(t, live).URL
@@ -131,17 +137,19 @@ func TestCoordinatorSurvivesDeadWorkerNode(t *testing.T) {
 	deadTS.Close()
 
 	co := mustServer(t, config{coordinator: true,
-		workerNodes: liveURL + "," + deadURL, fabricChunk: 2})
+		workerNodes: liveURL + "," + deadURL})
 	coURL := newHTTPServer(t, co).URL
 	single := newTestServer(t, config{})
 
-	_, want := post(t, single.URL+"/v1/sweep", sweepBody)
-	resp, got := post(t, coURL+"/v1/sweep", sweepBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("sweep with a dead worker differs from single-node")
+	for round := 1; round <= 2; round++ {
+		_, want := post(t, single.URL+"/v1/sweep", sweepBody)
+		resp, got := post(t, coURL+"/v1/sweep", sweepBody)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, resp.StatusCode, got)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("round %d: sweep with a dead worker differs from single-node", round)
+		}
 	}
 
 	resp, body := get(t, coURL+"/v1/fabric")
@@ -164,8 +172,8 @@ func TestCoordinatorSurvivesDeadWorkerNode(t *testing.T) {
 	if view.Fabric.HealthyWorkers != 1 {
 		t.Fatalf("healthy_workers = %d, want 1", view.Fabric.HealthyWorkers)
 	}
-	if view.Fabric.DispatchFailures == 0 {
-		t.Fatal("dead worker produced no dispatch failures")
+	if view.Fabric.DispatchFailures != 2 {
+		t.Fatalf("dead worker produced %d dispatch failures over two sweeps, want 2", view.Fabric.DispatchFailures)
 	}
 	if view.Fabric.DuplicateResults != 0 {
 		t.Fatalf("%d duplicate deliveries", view.Fabric.DuplicateResults)
@@ -179,7 +187,7 @@ func TestCoordinatorSurvivesDeadWorkerNode(t *testing.T) {
 // workers serves sweeps locally until a worker registers, after
 // which the work moves to the worker.
 func TestFabricRegisterJoinsWorker(t *testing.T) {
-	co := mustServer(t, config{coordinator: true, fabricChunk: 2})
+	co := mustServer(t, config{coordinator: true})
 	coURL := newHTTPServer(t, co).URL
 	worker := mustServer(t, config{})
 	workerURL := newHTTPServer(t, worker).URL

@@ -20,7 +20,7 @@
 //	GET  /v1/sweep-jobs/{id}          poll a job (state, progress, results when done)
 //	GET  /v1/sweep-jobs/{id}/stream   stream per-point results as NDJSON (SSE via Accept)
 //	GET  /v1/stats                    engine counters (the coordinator aggregates these cluster-wide)
-//	GET  /v1/fabric                   coordinator only: worker health, dispatch/steal counters, merged cluster stats
+//	GET  /v1/fabric                   coordinator only: worker health, dispatch/reroute counters, merged cluster stats
 //	POST /v1/fabric/register          coordinator only: a worker node joins the fabric ({"url":"..."})
 //	GET  /healthz                     liveness probe
 //	GET  /metrics                     request counts, cache/store hit ratios, latency histogram
@@ -28,11 +28,14 @@
 // With -coordinator, multi-point requests (/v1/sweep, /v1/pareto,
 // /v1/solve-batch, sweep jobs) shard across the -worker-nodes by spec
 // fingerprint over each worker's /v1/solve-batch API: every spec has
-// one owning worker (repeat sweeps stay warm), idle workers steal
-// queued chunks from stragglers, failed dispatches reroute with a
-// bounded budget, and this node's own engine is the fallback of last
-// resort — the merged output is byte-identical to a single-node
-// sweep. Single solves route to their fingerprint owner too.
+// one owning worker, chosen by rendezvous hashing, so repeat sweeps
+// stay warm; each owner gets its whole share as one batch, a failed
+// batch is sharded again over the workers that have not failed it,
+// and this node's own engine is the fallback of last resort once a
+// point spends its attempt budget — the merged output is
+// byte-identical to a single-node sweep, warm repeats included.
+// Single solves route to their fingerprint owner too. Workers must
+// accept this node's -max-points in one batch.
 //
 // With -store DIR, solved results and sweep-job checkpoints persist
 // in a crash-safe disk store keyed by (model version, spec
@@ -82,8 +85,8 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (loopback clients only)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result-store directory: solved specs persist across restarts and interrupted sweep jobs resume (empty = in-memory only)")
-	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as a sweep-fabric coordinator: shard sweeps across -worker-nodes by spec fingerprint, with work stealing and failure reroute")
-	flag.StringVar(&cfg.workerNodes, "worker-nodes", "", "comma-separated worker base URLs for -coordinator (e.g. http://10.0.0.7:8080,10.0.0.8:8080); workers may also join via POST /v1/fabric/register")
+	flag.BoolVar(&cfg.coordinator, "coordinator", false, "run as a sweep-fabric coordinator: shard sweeps across -worker-nodes by spec fingerprint, one batch per owning worker, with failure reroute")
+	flag.StringVar(&cfg.workerNodes, "worker-nodes", "", "comma-separated worker base URLs for -coordinator (e.g. http://10.0.0.7:8080,10.0.0.8:8080), each run with at least this node's -max-points; workers may also join via POST /v1/fabric/register")
 	flag.DurationVar(&cfg.heartbeatEvery, "heartbeat-every", 5*time.Second, "worker health-probe period in coordinator mode (0 disables background probing)")
 	flag.Parse()
 

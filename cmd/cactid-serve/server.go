@@ -41,11 +41,10 @@ type config struct {
 	checkpointEvery int
 
 	// Coordinator mode (internal/fabric): sweeps shard across the
-	// worker nodes by spec fingerprint, with work stealing and
+	// worker nodes by spec fingerprint, one batch per owner, with
 	// failure reroute; this node's own engine is the fallback.
 	coordinator    bool
 	workerNodes    string        // comma-separated worker base URLs; more join via /v1/fabric/register
-	fabricChunk    int           // specs per dispatch chunk (0 = fabric default 16; only tests set it)
 	heartbeatEvery time.Duration // worker health-probe period (0 = no background probing)
 
 	// solver overrides core.OptimizeContext; tests inject slow or
@@ -995,8 +994,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if s.fab != nil {
-		// Coordinator view: per-worker health and dispatch/steal/
-		// reroute counters for the sweep fabric.
+		// Coordinator view: per-worker health and dispatch/reroute/
+		// fallback counters for the sweep fabric.
 		body["fabric"] = s.fab.Status()
 	}
 	if s.cfg.chaos.Enabled() {

@@ -282,7 +282,6 @@ func TestChaosServerNoUnexpected5xx(t *testing.T) {
 		chaos.Rule{Point: chaos.StoreGet, Fault: chaos.Cancel, Rate: 0.3},
 		chaos.Rule{Point: chaos.StorePut, Fault: chaos.Cancel, Rate: 0.3},
 		chaos.Rule{Point: chaos.FabricDispatch, Fault: chaos.Cancel, Rate: 0.3},
-		chaos.Rule{Point: chaos.FabricSteal, Fault: chaos.Cancel, Rate: 0.75},
 	)
 	fast := func(_ context.Context, spec core.Spec) (*core.Solution, error) {
 		return &core.Solution{Spec: spec, Data: &array.Bank{}}, nil
@@ -313,32 +312,30 @@ func TestChaosServerNoUnexpected5xx(t *testing.T) {
 		}
 	}
 
-	// The fabric points arm through a coordinator sharding a sweep
-	// across two in-process workers under the same schedule. One
-	// worker is deliberately slow, so the fast one runs dry and tries
-	// to steal from its queue; injected dispatch cancels exercise the
-	// reroute path. Every point must still come back solved.
-	slow := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
-		time.Sleep(2 * time.Millisecond)
-		return fast(ctx, spec)
-	}
+	// The fabric point arms through a coordinator sharding sweeps
+	// across two in-process workers under the same schedule, one
+	// dispatch per owner; three sweeps of fresh specs give the
+	// injected dispatch cancels batches to reroute. Every point must
+	// still come back solved.
 	co := fabric.New(fabric.Config{
 		Workers: []fabric.Worker{
-			&fabric.EngineWorker{WorkerName: "stress-slow",
-				Engine: explore.New(explore.Options{Workers: 1, Solver: slow})},
-			&fabric.EngineWorker{WorkerName: "stress-fast",
+			&fabric.EngineWorker{WorkerName: "stress-0",
+				Engine: explore.New(explore.Options{Workers: 1, Solver: fast})},
+			&fabric.EngineWorker{WorkerName: "stress-1",
 				Engine: explore.New(explore.Options{Workers: 1, Solver: fast})},
 		},
-		ChunkSize: 1, Chaos: inj,
+		Chaos: inj,
 		Local: explore.New(explore.Options{Workers: 1, Solver: fast}).Sweep,
 	})
-	fabricSpecs := make([]core.Spec, 24)
-	for i := range fabricSpecs {
-		fabricSpecs[i] = core.Spec{RAM: tech.SRAM, CapacityBytes: int64(i+1) << 10, BlockBytes: 64}
-	}
-	for i, r := range co.Sweep(context.Background(), fabricSpecs, nil) {
-		if r.Err != nil {
-			t.Errorf("fabric point %d failed under chaos: %v", i, r.Err)
+	for sweep := 0; sweep < 3; sweep++ {
+		fabricSpecs := make([]core.Spec, 24)
+		for i := range fabricSpecs {
+			fabricSpecs[i] = core.Spec{RAM: tech.SRAM, CapacityBytes: int64(24*sweep+i+1) << 10, BlockBytes: 64}
+		}
+		for i, r := range co.Sweep(context.Background(), fabricSpecs, nil) {
+			if r.Err != nil {
+				t.Errorf("sweep %d: fabric point %d failed under chaos: %v", sweep, i, r.Err)
+			}
 		}
 	}
 	co.Close()

@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -20,14 +18,9 @@ const crossTechPareto = `{"base":{"ram":"sram","node_nm":32,"block_bytes":64,"ma
 
 // TestCrossTechParetoDistributedByteIdentical: /v1/pareto over a
 // cross-technology grid must answer byte-identically whether the six
-// points solve on one node or shard across a two-worker fabric, and
-// the frontier must retain more than one technology.
-//
-// The cached flag is compared with its value stripped: it reports
-// cache traffic, not model output. A chunk stolen in the first request
-// is solved on a worker that does not own those specs, so the owner
-// solves them again on the second request and reports cached=false
-// where the single node reports true.
+// points solve on one node or shard across a two-worker fabric, the
+// second (CSV) request's cached flags included, and the frontier must
+// retain more than one technology.
 func TestCrossTechParetoDistributedByteIdentical(t *testing.T) {
 	co, workers, _ := clusterServers(t, 2, nil)
 	coURL := newHTTPServer(t, co).URL
@@ -42,21 +35,17 @@ func TestCrossTechParetoDistributedByteIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("coordinator status %d: %s", resp.StatusCode, got)
 		}
-		want, got = stripCached(t, want), stripCached(t, got)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("distributed /v1/pareto%s differs from single-node:\n%s\nvs\n%s", format, want, got)
 		}
-		if i == 0 {
-			// The first request solves every spec exactly once on the
-			// workers: stealing moves a queued chunk, it never
-			// duplicates one.
-			var clusterSolves int64
-			for _, ws := range workers {
-				clusterSolves += ws.eng.Stats().Solves
-			}
-			if clusterSolves != 6 {
-				t.Fatalf("cluster solved %d points for 6 specs", clusterSolves)
-			}
+		// The first request solves every spec exactly once on the
+		// workers, and the second finds each in its owner's cache.
+		var clusterSolves int64
+		for _, ws := range workers {
+			clusterSolves += ws.eng.Stats().Solves
+		}
+		if clusterSolves != 6 {
+			t.Fatalf("request %d: cluster solved %d points for 6 specs", i+1, clusterSolves)
 		}
 	}
 
@@ -138,38 +127,4 @@ func TestWarmRestartMixedTechnologyStore(t *testing.T) {
 	if solves := sB.eng.Stats().Solves; solves != 0 {
 		t.Fatalf("solve after restart ran the solver %d times", solves)
 	}
-}
-
-// cachedJSON matches the cached field of a JSON result.
-var cachedJSON = regexp.MustCompile(`"cached":\s*(true|false)`)
-
-// stripCached blanks the cached field of every result in a /v1/pareto
-// or /v1/sweep body, JSON or CSV, leaving every other byte in place.
-func stripCached(t *testing.T, body []byte) []byte {
-	t.Helper()
-	if bytes.HasPrefix(bytes.TrimSpace(body), []byte("{")) {
-		return cachedJSON.ReplaceAll(body, []byte(`"cached":null`))
-	}
-	rows, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("parse CSV body: %v\n%s", err, body)
-	}
-	col := -1
-	for i, name := range rows[0] {
-		if name == "cached" {
-			col = i
-		}
-	}
-	if col < 0 {
-		t.Fatalf("CSV header has no cached column: %v", rows[0])
-	}
-	for _, row := range rows[1:] {
-		row[col] = ""
-	}
-	var out bytes.Buffer
-	w := csv.NewWriter(&out)
-	if err := w.WriteAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
 }

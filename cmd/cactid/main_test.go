@@ -13,18 +13,26 @@ import (
 
 // TestJSONMatchesReference pins `cactid -json` to the reference
 // rendering, json.MarshalIndent of explore.SolutionJSON plus a
-// newline, for a cache with a tag array and for a non-default
-// technology with write metrics.
+// newline, for a cache with a tag array, for a non-default technology
+// with write metrics, and for every technology provider on the spec
+// `cactid -tech NAME -size 4MB -assoc 8 -node 32` solves: each one
+// must solve and render.
 func TestJSONMatchesReference(t *testing.T) {
-	for _, spec := range []core.Spec{
+	specs := []core.Spec{
 		{Node: tech.Node32, RAM: tech.SRAM, CapacityBytes: 4 << 20, BlockBytes: 64,
 			Associativity: 8, IsCache: true},
 		{Node: tech.Node32, Technology: "stt-ram", CapacityBytes: 1 << 20, BlockBytes: 64,
 			Associativity: 4, IsCache: true},
-	} {
+	}
+	for _, name := range tech.Providers() {
+		specs = append(specs, core.Spec{Node: tech.Node32, RAM: tech.SRAM, Technology: name,
+			CapacityBytes: 4 << 20, BlockBytes: 64, Associativity: 8, Banks: 1, IsCache: true,
+			MaxPipelineStages: 8, MaxAreaConstraint: 0.4, MaxAcctimeConstraint: 0.1})
+	}
+	for _, spec := range specs {
 		sol, err := core.OptimizeContext(context.Background(), spec, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", spec.Technology, err)
 		}
 		want, err := json.MarshalIndent(explore.SolutionJSON(sol), "", "  ")
 		if err != nil {
@@ -35,7 +43,7 @@ func TestJSONMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), append(want, '\n')) {
-			t.Fatalf("-json output differs from the reference\n got %s\nwant %s", got.Bytes(), want)
+			t.Fatalf("%s: -json output differs from the reference\n got %s\nwant %s", spec.Technology, got.Bytes(), want)
 		}
 	}
 }

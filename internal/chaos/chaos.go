@@ -60,22 +60,18 @@ const (
 	// recovery is best-effort by contract and must always yield a
 	// usable store.
 	StoreRecover Point = "store.recover"
-	// FabricDispatch arms in the sweep coordinator before each chunk
+	// FabricDispatch arms in the sweep coordinator before each batch
 	// RPC to a worker (internal/fabric). A Cancel fault is absorbed as
-	// a transport failure: the chunk is rerouted to another healthy
-	// worker, never lost and never solved twice.
+	// a transport failure: the batch is sharded again over the healthy
+	// workers that have not failed it, never lost and never solved
+	// twice.
 	FabricDispatch Point = "fabric.dispatch"
-	// FabricSteal arms when an idle coordinator runner is about to
-	// steal a queued chunk from a straggling worker's queue. A Cancel
-	// fault abandons that steal attempt; the chunk stays with its
-	// owner.
-	FabricSteal Point = "fabric.steal"
 )
 
 // Points lists every named injection point, in catalog order.
 func Points() []Point {
 	return []Point{ExploreWorker, ExploreSolve, CacheLookup, ServeAdmit, ServeHandler,
-		StoreGet, StorePut, StoreRecover, FabricDispatch, FabricSteal}
+		StoreGet, StorePut, StoreRecover, FabricDispatch}
 }
 
 // Fault is the kind of failure a rule injects.

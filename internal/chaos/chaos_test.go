@@ -204,7 +204,7 @@ func TestConcurrentArming(t *testing.T) {
 // TestChaosServerNoUnexpected5xx.
 func TestPointsCatalog(t *testing.T) {
 	pts := Points()
-	if len(pts) != 10 {
+	if len(pts) != 9 {
 		t.Fatalf("catalog has %d points", len(pts))
 	}
 	seen := map[Point]bool{}

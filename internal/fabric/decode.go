@@ -12,7 +12,7 @@ import (
 	"cactid/internal/tech"
 )
 
-// The fabric wire's typed decoder. A worker decodes every chunk's
+// The fabric wire's typed decoder. A worker decodes every batch's
 // BatchRequest and the coordinator every BatchResponse, and
 // encoding/json's reflection walk cost more than the solves the
 // bodies carry. DecodeBatchRequest and DecodeBatchResponse fill the

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,35 +63,55 @@ func engineWorker(name string, delay time.Duration) (*EngineWorker, *atomic.Int6
 		Engine: explore.New(explore.Options{Workers: 2, Solver: solver})}, n
 }
 
-// TestRingMinimalReassignment: removing one worker from the ring must
-// move only that worker's keys; every other spec keeps its owner, so
-// surviving workers' caches stay warm through membership changes.
-func TestRingMinimalReassignment(t *testing.T) {
-	names := []string{"node-a", "node-b", "node-c", "node-d"}
-	full := buildRing(names)
-	reduced := buildRing(names[:3]) // node-d removed; slots 0..2 unchanged
+// TestRendezvousMinimalReassignment: for 2 to 8 workers, each owns
+// its fair share of 20,000 fingerprints within 2 percentage points,
+// and losing one worker moves only the fingerprints it owned; every
+// other spec keeps its owner, so surviving workers' caches stay warm
+// through membership changes.
+func TestRendezvousMinimalReassignment(t *testing.T) {
+	fps := make([]string, 20000)
+	for i, spec := range fakeSpecs(len(fps)) {
+		fp, err := spec.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[i] = fp
+	}
+	for n := 2; n <= 8; n++ {
+		workers := make([]Worker, n)
+		for i := range workers {
+			workers[i] = &EngineWorker{WorkerName: fmt.Sprintf("node-%d", i)}
+		}
+		co := New(Config{Workers: workers})
+		before := make([]Worker, len(fps))
+		owned := make(map[Worker]int)
+		for k, fp := range fps {
+			before[k] = co.Owner(fp)
+			owned[before[k]]++
+		}
+		for _, w := range workers {
+			share := float64(owned[w]) / float64(len(fps))
+			if math.Abs(share-1/float64(n)) > 0.02 {
+				t.Errorf("%d workers: %s owns %.1f%% of the fingerprints, want %.1f%% within 2 points",
+					n, w.Name(), 100*share, 100/float64(n))
+			}
+		}
 
-	keys := make([]string, 500)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("fingerprint-%d", i)
-	}
-	balance := make(map[int]int)
-	for _, k := range keys {
-		before := full.owner(k)
-		balance[before]++
-		if before == 3 {
-			continue // node-d's keys must move somewhere
+		// node-0 dies, and a heartbeat takes it out of the owners.
+		dead := workers[0].(*EngineWorker)
+		dead.Fail = func() error { return errors.New("connection refused") }
+		co.HeartbeatNow()
+		for k, fp := range fps {
+			after := co.Owner(fp)
+			if after == dead {
+				t.Fatalf("%d workers: fingerprint %s still owned by the dead worker", n, fp)
+			}
+			if before[k] != dead && after != before[k] {
+				t.Fatalf("%d workers: fingerprint %s moved from %s to %s though its owner survived",
+					n, fp, before[k].Name(), after.Name())
+			}
 		}
-		if after := reduced.owner(k); after != before {
-			t.Fatalf("key %q moved from slot %d to %d though its owner survived",
-				k, before, after)
-		}
-	}
-	for slot := range names {
-		if balance[slot] == 0 {
-			t.Fatalf("slot %d owns no keys out of %d: ring badly unbalanced (%v)",
-				slot, len(keys), balance)
-		}
+		co.Close()
 	}
 }
 
@@ -110,7 +130,7 @@ func TestFabricSweepByteIdenticalToSingleNode(t *testing.T) {
 		workers[i] = &EngineWorker{WorkerName: fmt.Sprintf("node-%d", i),
 			Engine: explore.New(explore.Options{Workers: 2})}
 	}
-	co := New(Config{Workers: workers, ChunkSize: 4})
+	co := New(Config{Workers: workers})
 	defer co.Close()
 
 	observed := make([]int, len(specs))
@@ -156,79 +176,90 @@ func assertSameBytes(t *testing.T, want, got []explore.Result, what string) {
 	}
 }
 
-// TestFabricWorkStealing: with one straggler worker, the fast worker
-// must steal from its queue, and every point still solves exactly
-// once cluster-wide.
-func TestFabricWorkStealing(t *testing.T) {
-	slow, nSlow := engineWorker("slow-node", 3*time.Millisecond)
-	fast, nFast := engineWorker("fast-node", 0)
-	co := New(Config{Workers: []Worker{slow, fast}, ChunkSize: 1})
+// TestFabricOneBatchPerOwner: a healthy sweep over three workers
+// sends each owner its whole share as one batch and equals a
+// single-node sweep. A repeat sends the same shares to the same
+// owners, which answer from their caches, so the warm sweep matches
+// the single node's warm sweep too, cached flags included.
+func TestFabricOneBatchPerOwner(t *testing.T) {
+	_, solver := fakeSolver(0)
+	single := explore.New(explore.Options{Workers: 2, Solver: solver})
+	workers := make([]Worker, 3)
+	solves := make([]*atomic.Int64, 3)
+	for i := range workers {
+		workers[i], solves[i] = engineWorker(fmt.Sprintf("node-%d", i), 0)
+	}
+	co := New(Config{Workers: workers})
 	defer co.Close()
 
-	specs := fakeSpecs(48)
-	results := co.Sweep(context.Background(), specs, nil)
-	for i, r := range results {
-		if r.Err != nil || r.Solution == nil {
-			t.Fatalf("point %d failed: %v", i, r.Err)
+	specs := fakeSpecs(96)
+	for sweep := int64(1); sweep <= 2; sweep++ {
+		want := single.Sweep(context.Background(), specs)
+		got := co.Sweep(context.Background(), specs, nil)
+		assertSameBytes(t, want, got, fmt.Sprintf("sweep %d", sweep))
+
+		st := co.Status()
+		if st.ChunksDispatched != 3*sweep {
+			t.Fatalf("sweep %d: %d dispatches in all, want one per owner (%d)",
+				sweep, st.ChunksDispatched, 3*sweep)
 		}
-	}
-	if total := nSlow.Load() + nFast.Load(); total != int64(len(specs)) {
-		t.Fatalf("cluster solved %d points for %d specs (exactly-once violated)",
-			total, len(specs))
-	}
-	st := co.Status()
-	if st.ChunksStolen == 0 {
-		t.Fatal("fast worker never stole from the straggler")
-	}
-	if st.DuplicateResults != 0 {
-		t.Fatalf("%d duplicate deliveries", st.DuplicateResults)
+		for _, ws := range st.Workers {
+			if ws.Chunks != sweep || ws.Points == 0 {
+				t.Fatalf("sweep %d: worker %s took %d batches and %d points, want %d batches",
+					sweep, ws.Name, ws.Chunks, ws.Points, sweep)
+			}
+		}
+		var total int64
+		for _, n := range solves {
+			total += n.Load()
+		}
+		if total != int64(len(specs)) {
+			t.Fatalf("sweep %d: cluster solved %d points for %d specs (exactly-once violated)",
+				sweep, total, len(specs))
+		}
 	}
 }
 
-// TestFabricWorkerFailureReroutes kills one worker's transport after
-// its first chunk; the sweep must still deliver every point exactly
-// once, rerouting the dead worker's queue to the survivors. The
-// survivors' first dispatches wait for the kill, so they cannot steal
-// node-1's whole queue before its second dispatch fails.
+// TestFabricWorkerFailureReroutes: one worker's transport is dead.
+// Its batch is sharded again over the two survivors and every point
+// is delivered exactly once. A repeat sweep shards the dead worker's
+// points the same way, so the survivors answer them from their
+// caches, and its second failure in a row marks it unhealthy. A
+// heartbeat against the revived transport heals it.
 func TestFabricWorkerFailureReroutes(t *testing.T) {
 	w0, n0 := engineWorker("node-0", 0)
 	w1, n1 := engineWorker("node-1", 0)
 	w2, n2 := engineWorker("node-2", 0)
-	var batches atomic.Int64
-	killed := make(chan struct{})
-	var kill sync.Once
-	w1.Fail = func() error {
-		if batches.Add(1) > 1 {
-			kill.Do(func() { close(killed) })
-			return errors.New("connection refused")
-		}
-		return nil
-	}
-	afterKill := func() error { <-killed; return nil }
-	w0.Fail, w2.Fail = afterKill, afterKill
-	co := New(Config{Workers: []Worker{w0, w1, w2}, ChunkSize: 4})
+	w1.Fail = func() error { return errors.New("connection refused") }
+	co := New(Config{Workers: []Worker{w0, w1, w2}})
 	defer co.Close()
 
 	specs := fakeSpecs(96)
-	results := co.Sweep(context.Background(), specs, nil)
-	for i, r := range results {
-		if r.Err != nil || r.Solution == nil {
-			t.Fatalf("point %d failed: %v", i, r.Err)
+	for sweep := 1; sweep <= 2; sweep++ {
+		results := co.Sweep(context.Background(), specs, nil)
+		for i, r := range results {
+			if r.Err != nil || r.Solution == nil {
+				t.Fatalf("sweep %d: point %d failed: %v", sweep, i, r.Err)
+			}
+			if r.Cached != (sweep == 2) {
+				t.Fatalf("sweep %d: point %d cached=%v", sweep, i, r.Cached)
+			}
+		}
+		if total := n0.Load() + n1.Load() + n2.Load(); total != int64(len(specs)) {
+			t.Fatalf("sweep %d: cluster solved %d points for %d specs (exactly-once violated)",
+				sweep, total, len(specs))
 		}
 	}
-	if total := n0.Load() + n1.Load() + n2.Load(); total != int64(len(specs)) {
-		t.Fatalf("cluster solved %d points for %d specs (exactly-once violated)",
-			total, len(specs))
-	}
 	st := co.Status()
-	if st.DispatchFailures == 0 || st.ChunksRerouted == 0 {
-		t.Fatalf("dead worker produced no reroutes: %+v", st)
+	if st.DispatchFailures != 2 || st.ChunksRerouted != 2 {
+		t.Fatalf("dead worker: %d dispatch failures and %d reroutes, want 2 of each: %+v",
+			st.DispatchFailures, st.ChunksRerouted, st)
 	}
 	if st.DuplicateResults != 0 {
 		t.Fatalf("%d duplicate deliveries", st.DuplicateResults)
 	}
 	if st.HealthyWorkers != 2 {
-		t.Fatalf("healthy workers = %d, want 2 after the kill", st.HealthyWorkers)
+		t.Fatalf("healthy workers = %d, want 2 after two failures in a row", st.HealthyWorkers)
 	}
 
 	// A heartbeat against the revived transport heals the worker.
@@ -236,6 +267,40 @@ func TestFabricWorkerFailureReroutes(t *testing.T) {
 	co.HeartbeatNow()
 	if got := co.Status().HealthyWorkers; got != 3 {
 		t.Fatalf("healthy workers after recovery = %d, want 3", got)
+	}
+}
+
+// TestFabricBudgetCountsRegisteredWorkers: the attempt budget counts
+// the workers a sweep has, not those the coordinator was built with.
+// A coordinator built empty gains three workers by Register, two of
+// which fail every dispatch. A point may take three dispatches to
+// reach the third worker, and every point must come from it, none
+// from the local fallback.
+func TestFabricBudgetCountsRegisteredWorkers(t *testing.T) {
+	nLocal, localSolver := fakeSolver(0)
+	co := New(Config{Local: explore.New(explore.Options{Workers: 2, Solver: localSolver}).Sweep})
+	defer co.Close()
+	down := func() error { return errors.New("connection refused") }
+	w0, _ := engineWorker("node-0", 0)
+	w1, _ := engineWorker("node-1", 0)
+	w2, n2 := engineWorker("node-2", 0)
+	w0.Fail, w1.Fail = down, down
+	for _, w := range []Worker{w0, w1, w2} {
+		co.Register(w)
+	}
+
+	specs := fakeSpecs(48)
+	for i, r := range co.Sweep(context.Background(), specs, nil) {
+		if r.Err != nil || r.Solution == nil {
+			t.Fatalf("point %d failed: %v", i, r.Err)
+		}
+	}
+	if n2.Load() != int64(len(specs)) {
+		t.Fatalf("the working worker solved %d of %d points", n2.Load(), len(specs))
+	}
+	if st := co.Status(); st.LocalPoints != 0 || nLocal.Load() != 0 {
+		t.Fatalf("local fallback took %d points (solved %d) while a worker was healthy",
+			st.LocalPoints, nLocal.Load())
 	}
 }
 
@@ -249,8 +314,7 @@ func TestFabricAllWorkersDeadFallsBackLocal(t *testing.T) {
 	}
 	nLocal, localSolver := fakeSolver(0)
 	local := explore.New(explore.Options{Workers: 2, Solver: localSolver})
-	co := New(Config{Workers: []Worker{dead("node-0"), dead("node-1")},
-		ChunkSize: 8, Local: local.Sweep})
+	co := New(Config{Workers: []Worker{dead("node-0"), dead("node-1")}, Local: local.Sweep})
 	defer co.Close()
 
 	specs := fakeSpecs(32)
@@ -291,7 +355,7 @@ func TestFabricNoWorkersUsesLocal(t *testing.T) {
 // context errors on the undelivered tail, like the single-node sweep.
 func TestFabricSweepCancellation(t *testing.T) {
 	w, _ := engineWorker("node-0", 2*time.Millisecond)
-	co := New(Config{Workers: []Worker{w}, ChunkSize: 4})
+	co := New(Config{Workers: []Worker{w}})
 	defer co.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -308,11 +372,11 @@ func TestFabricSweepCancellation(t *testing.T) {
 }
 
 // TestFabricChaosKillMidSweep is the cluster fault drill: three
-// workers, one dying mid-sweep, plus seeded chaos faults on the
-// dispatch and steal points. The merged output must stay
-// byte-identical to a single-node sweep, with every point solved
-// exactly once cluster-wide (per the engines' Solves counters) — the
-// failure history must be invisible in the results.
+// workers, one whose transport dies once the sweep has sharded its
+// points, plus seeded chaos faults on every dispatch. The merged
+// output must stay byte-identical to a single-node sweep, with every
+// point solved exactly once cluster-wide (per the engines' Solves
+// counters) — the failure history must be invisible in the results.
 func TestFabricChaosKillMidSweep(t *testing.T) {
 	specs, _ := testGrid().Expand()
 	single := explore.New(explore.Options{Workers: 4}).Sweep(context.Background(), specs)
@@ -322,22 +386,14 @@ func TestFabricChaosKillMidSweep(t *testing.T) {
 		workers[i] = &EngineWorker{WorkerName: fmt.Sprintf("node-%d", i),
 			Engine: explore.New(explore.Options{Workers: 2})}
 	}
-	// node-1's transport dies after its second successful batch.
-	var batches atomic.Int64
-	workers[1].Fail = func() error {
-		if batches.Add(1) > 2 {
-			return errors.New("connection reset by peer")
-		}
-		return nil
-	}
+	workers[1].Fail = func() error { return errors.New("connection reset by peer") }
 	inj := chaos.New(42,
 		chaos.Rule{Point: chaos.FabricDispatch, Fault: chaos.Cancel, Rate: 0.2},
-		chaos.Rule{Point: chaos.FabricSteal, Fault: chaos.Cancel, Rate: 0.5},
 	)
 	local := explore.New(explore.Options{Workers: 2})
 	co := New(Config{
-		Workers:   []Worker{workers[0], workers[1], workers[2]},
-		ChunkSize: 2, Chaos: inj, Local: local.Sweep,
+		Workers: []Worker{workers[0], workers[1], workers[2]},
+		Chaos:   inj, Local: local.Sweep,
 	})
 	defer co.Close()
 
@@ -360,7 +416,7 @@ func TestFabricChaosKillMidSweep(t *testing.T) {
 		t.Fatalf("%d duplicate deliveries", st.DuplicateResults)
 	}
 	if st.DispatchFailures == 0 {
-		t.Fatal("chaos schedule fired no dispatch faults; seed drifted?")
+		t.Fatal("no dispatch failed though node-1 is dead")
 	}
 	snap := inj.Snapshot()
 	if snap[chaos.FabricDispatch].Cancels == 0 {
@@ -374,7 +430,7 @@ func TestFabricChaosKillMidSweep(t *testing.T) {
 func TestFabricClusterStats(t *testing.T) {
 	w0, _ := engineWorker("node-0", 0)
 	w1, _ := engineWorker("node-1", 0)
-	co := New(Config{Workers: []Worker{w0, w1}, ChunkSize: 4})
+	co := New(Config{Workers: []Worker{w0, w1}})
 	defer co.Close()
 	specs := fakeSpecs(40)
 	co.Sweep(context.Background(), specs, nil)

@@ -43,7 +43,7 @@ func TestFabricCrossTechParetoByteIdentical(t *testing.T) {
 		workers[i] = &EngineWorker{WorkerName: fmt.Sprintf("node-%d", i),
 			Engine: explore.New(explore.Options{Workers: 2})}
 	}
-	co := New(Config{Workers: workers, ChunkSize: 1})
+	co := New(Config{Workers: workers})
 	defer co.Close()
 
 	distributed := co.Sweep(context.Background(), specs, nil)

@@ -14,19 +14,19 @@ import (
 	"cactid/internal/explore"
 )
 
-// Worker is one solve executor the coordinator can dispatch chunks
+// Worker is one solve executor the coordinator can dispatch batches
 // to: a remote cactid-serve node over HTTP in production, or an
 // in-process engine in tests and benchmarks. Implementations must be
 // safe for concurrent use.
 type Worker interface {
-	// Name identifies the worker; it is the consistent-hash ring key,
-	// so it must be stable across coordinator restarts for the
+	// Name identifies the worker; it is the worker's rendezvous-hashing
+	// key, so it must be stable across coordinator restarts for the
 	// spec→owner mapping (and therefore worker cache warmth) to
 	// survive.
 	Name() string
 	// SolveBatch solves the specs and returns one result per spec, in
 	// input order. A returned error means transport-level failure —
-	// nothing was delivered and the chunk is safe to reroute; per-spec
+	// nothing was delivered and the batch is safe to reroute; per-spec
 	// failures travel inside the results.
 	SolveBatch(ctx context.Context, specs []core.Spec) ([]WireResult, error)
 	// Healthy is the heartbeat probe.
@@ -37,7 +37,7 @@ type Worker interface {
 }
 
 // HTTPWorker drives a remote cactid-serve node through its existing
-// API: POST /v1/solve-batch?wire=fabric for chunks, GET /healthz for
+// API: POST /v1/solve-batch?wire=fabric for batches, GET /healthz for
 // heartbeats, GET /v1/stats for counters.
 type HTTPWorker struct {
 	// BaseURL is the node's root, e.g. "http://10.0.0.7:8080".
@@ -68,10 +68,11 @@ func (w *HTTPWorker) client() *http.Client {
 
 // maxIdleConnsPerWorker is how many idle connections the
 // coordinator keeps open to each worker node. Every request a
-// coordinator serves holds at most one dispatch per worker, and it
-// serves up to cactid-serve's default -max-inflight of 32 requests at
-// once, so a pool this deep takes back every connection a burst of
-// dispatches used. http.DefaultTransport keeps 2 per host
+// coordinator serves sends one batch to each owning worker (more only
+// while a failed batch is rerouted), and it serves up to
+// cactid-serve's default -max-inflight of 32 requests at once, so a
+// pool this deep takes back every connection a burst of dispatches
+// used. http.DefaultTransport keeps 2 per host
 // (http.DefaultMaxIdleConnsPerHost) and closes the rest after each
 // use, so the next burst dials again.
 const maxIdleConnsPerWorker = 32
