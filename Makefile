@@ -79,6 +79,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzRenderResult -fuzztime $(FUZZTIME) ./internal/explore/
 	go test -run '^$$' -fuzz FuzzSolveBody -fuzztime $(FUZZTIME) ./cmd/cactid-serve/
 	go test -run '^$$' -fuzz FuzzStoreRecover -fuzztime $(FUZZTIME) ./internal/store/
+	go test -run '^$$' -fuzz FuzzRecordDecode -fuzztime $(FUZZTIME) ./internal/store/
 	go test -run '^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME) ./internal/sim/workload/
 	go test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/array/
 	go test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/fabric/
@@ -102,10 +103,10 @@ bench:
 # sweeps (serial-cold and parallel-cold are the rows a solver change
 # names), 16 cold dse-style tiles across providers and nodes
 # (tiles-cold), the warm sweep rendered as JSON and as CSV, the per-point
-# spec fingerprint, the durable tier's Lookup and Save of real
-# solutions, and the fabric wire's decoding of a 16-point chunk
-# (reply indented and compact, and request; typed decoder against
-# encoding/json).
+# spec fingerprint, the durable tier's Get (the store read alone),
+# Lookup (read, typed decode and rebuild) and Save of real solutions,
+# and the fabric wire's decoding of a 16-point chunk (reply indented
+# and compact, and request; typed decoder against encoding/json).
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
 	go test -run '^$$' -bench BenchmarkFingerprint -benchmem ./internal/core/

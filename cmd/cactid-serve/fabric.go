@@ -126,21 +126,18 @@ func (s *server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 // solves and sweeps share one cache/store owner per spec and repeat
 // traffic stays warm. Reports handled=false (and no response written)
 // when the point should be solved locally instead: no healthy remote
-// owner, an unfingerprint-able spec, or a transport failure.
+// owner, an unfingerprint-able spec, or a transport failure, which
+// the coordinator counts against the owner.
 func (s *server) proxySolveToOwner(w http.ResponseWriter, r *http.Request, spec core.Spec) (handled bool, err error) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return false, nil // invalid spec: the local path reports it
 	}
-	hw, ok := s.fab.Owner(fp).(*fabric.HTTPWorker)
+	wr, ok := s.fab.SolveOnOwner(r.Context(), fp, spec)
 	if !ok {
 		return false, nil
 	}
-	wres, err := hw.SolveBatch(r.Context(), []core.Spec{spec})
-	if err != nil || len(wres) != 1 {
-		return false, nil // owner unreachable: local fallback
-	}
-	res := fabric.FromWire(wres[0])
+	res := fabric.FromWire(wr)
 	if res.Err != nil {
 		// Same classification as the local path: model and context
 		// errors pass through (wire errors keep errors.Is identity),

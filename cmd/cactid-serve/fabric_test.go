@@ -183,6 +183,57 @@ func TestCoordinatorSurvivesDeadWorkerNode(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSolveCountsDeadOwner: /v1/solve requests the dead
+// worker owns fall back to the coordinator's engine, and each failed
+// proxy counts against that worker as a failed sweep batch does, so
+// after two in a row it is unhealthy and the live worker owns every
+// spec, though no heartbeat runs. Of 20 distinct solves the
+// coordinator solves at most those two, every body equals a single
+// node's, and no proxied solve counts as a sweep or a batch.
+func TestCoordinatorSolveCountsDeadOwner(t *testing.T) {
+	live := mustServer(t, config{})
+	liveURL := newHTTPServer(t, live).URL
+	deadTS := httptest.NewServer(http.NotFoundHandler())
+	deadURL := deadTS.URL
+	deadTS.Close()
+
+	co := mustServer(t, config{coordinator: true, workerNodes: liveURL + "," + deadURL})
+	coURL := newHTTPServer(t, co).URL
+	single := newTestServer(t, config{})
+
+	for _, capacity := range []string{"32KB", "64KB", "128KB", "256KB", "512KB"} {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			req := fmt.Sprintf(`{"ram":"sram","capacity":%q,"associativity":%d,"block_bytes":64,"node_nm":32}`, capacity, assoc)
+			_, want := post(t, single.URL+"/v1/solve", req)
+			resp, got := post(t, coURL+"/v1/solve", req)
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(want, got) {
+				t.Fatalf("%s: status %d, body differs from a single node's:\n%s\nvs\n%s", req, resp.StatusCode, got, want)
+			}
+		}
+	}
+	if n := co.eng.Stats().Solves; n > 2 {
+		t.Fatalf("coordinator engine solved %d of 20 points, want at most 2", n)
+	}
+
+	_, body := get(t, coURL+"/v1/fabric")
+	var view struct {
+		Fabric fabric.Status `json:"fabric"`
+	}
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatalf("bad /v1/fabric body: %v\n%s", err, body)
+	}
+	st := view.Fabric
+	if st.HealthyWorkers != 1 || st.DispatchFailures != 2 || st.Sweeps != 0 || st.ChunksDispatched != 0 {
+		t.Fatalf("/v1/fabric: %d healthy workers, %d dispatch failures, %d sweeps, %d batches; want 1, 2, 0, 0",
+			st.HealthyWorkers, st.DispatchFailures, st.Sweeps, st.ChunksDispatched)
+	}
+	for _, w := range st.Workers {
+		if dead := w.Name == deadURL; w.Healthy == dead || (w.DispatchFailures != 0) != dead {
+			t.Fatalf("worker %s: healthy %v with %d dispatch failures", w.Name, w.Healthy, w.DispatchFailures)
+		}
+	}
+}
+
 // TestFabricRegisterJoinsWorker: a coordinator started with no
 // workers serves sweeps locally until a worker registers, after
 // which the work moves to the worker.

@@ -20,9 +20,9 @@ package core
 // tests of old bytes show that bytes written before it decode to
 // different values: cactid-serve's TestWarmRestartParentStore,
 // TestSweepJobRecordParentBytes and TestStatsEndpoint, fabric's
-// TestWireDecodesParentBodies and TestWireDecodeMatchesEncodingJSON.
-// While they pass, old records and peers read the same values and the
-// version stays.
+// TestWireDecodesParentBodies and TestWireDecodeMatchesEncodingJSON,
+// and store's TestRecordDecodeMatchesEncodingJSON. While they pass,
+// old records and peers read the same values and the version stays.
 //
 // Version history:
 //

@@ -20,7 +20,7 @@ import (
 // ParseSize parses a human-readable capacity: plain bytes ("64"), an
 // explicit byte suffix ("512B", binary "32KB"/"4MB"/"2GB", case
 // insensitive), or gigabits ("1G", "2Gbit") for main-memory chips.
-// Non-positive and overflowing sizes are rejected.
+// Non-positive, sub-byte and overflowing sizes are rejected.
 func ParseSize(s string) (int64, error) {
 	orig := s
 	s = strings.TrimSpace(s)
@@ -50,6 +50,9 @@ func ParseSize(s string) (int64, error) {
 	bytes := v * float64(mult)
 	if bytes >= math.MaxInt64 {
 		return 0, fmt.Errorf("size %q overflows", orig)
+	}
+	if bytes < 1 {
+		return 0, fmt.Errorf("size %q is under one byte", orig)
 	}
 	return int64(bytes), nil
 }

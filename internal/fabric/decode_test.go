@@ -19,6 +19,7 @@ import (
 
 	"cactid/internal/core"
 	"cactid/internal/explore"
+	"cactid/internal/jsondec"
 	"cactid/internal/tech"
 )
 
@@ -196,7 +197,7 @@ func TestWireDecodeRejects(t *testing.T) {
 		`{"results":[{"index":9223372036854775808}]}`, `{"results":[{"solution":{"area_m2":1e400}}]}`,
 		`{"results":[{"error":"a` + "\x01" + `b"}]}`, `{"results":[1,]}`, `{"results":[]} x`,
 		`{"results":[{"index":"1"}]}`, `{"results":[{"cached":1}]}`, `{"RESULTS":[]}`,
-		`{"x":` + strings.Repeat("[", maxWireDepth) + strings.Repeat("]", maxWireDepth) + `}`,
+		`{"x":` + strings.Repeat("[", jsondec.MaxDepth) + strings.Repeat("]", jsondec.MaxDepth) + `}`,
 	} {
 		if _, err := DecodeBatchResponse([]byte(body)); err == nil {
 			t.Errorf("reply %.60q decoded", body)
@@ -207,7 +208,7 @@ func TestWireDecodeRejects(t *testing.T) {
 			t.Errorf("request %q decoded", body)
 		}
 	}
-	deep := `{"x":` + strings.Repeat("[", maxWireDepth-1) + strings.Repeat("]", maxWireDepth-1) + `}`
+	deep := `{"x":` + strings.Repeat("[", jsondec.MaxDepth-1) + strings.Repeat("]", jsondec.MaxDepth-1) + `}`
 	checkAgrees(t, "nesting at the limit", []byte(deep), DecodeBatchResponse, false, true)
 }
 

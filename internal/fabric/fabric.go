@@ -286,15 +286,56 @@ func (c *Coordinator) Sweep(ctx context.Context, specs []core.Spec, onResult fun
 }
 
 // Owner returns the healthy worker owning fingerprint fp, or nil when
-// none is healthy. Routing single-point requests through it lands
-// them on the same cache/store owner the sweep sharding uses, so
-// interactive and sweep traffic stay warm together.
+// none is healthy.
 func (c *Coordinator) Owner(fp string) Worker {
+	if w := c.ownerState(fp); w != nil {
+		return w.w
+	}
+	return nil
+}
+
+func (c *Coordinator) ownerState(fp string) *workerState {
 	ws := c.healthyWorkers()
 	if len(ws) == 0 {
 		return nil
 	}
-	return ws[owner(ws, fp)].w
+	return ws[owner(ws, fp)]
+}
+
+// SolveOnOwner solves spec, whose fingerprint is fp, on its owner
+// among the healthy workers. Routing single-point requests this way
+// lands them on the same cache/store owner the sweep sharding uses,
+// so interactive and sweep traffic stay warm together. It reports
+// false when no worker is healthy or the owner's transport failed,
+// and the caller then solves the spec itself. A failure counts
+// against the owner as a failed sweep batch does; the solve is
+// neither a sweep nor a dispatched batch.
+func (c *Coordinator) SolveOnOwner(ctx context.Context, fp string, spec core.Spec) (WireResult, bool) {
+	w := c.ownerState(fp)
+	if w == nil {
+		return WireResult{}, false
+	}
+	wres, err := w.w.SolveBatch(ctx, []core.Spec{spec})
+	if err != nil || len(wres) != 1 {
+		c.blame(ctx, w)
+		return WireResult{}, false
+	}
+	w.consecFails.Store(0)
+	return wres[0], true
+}
+
+// blame counts a failed dispatch against w, failAfter in a row
+// marking it unhealthy, unless ctx had already ended: a request's own
+// deadline, or its client going away, says nothing about the worker.
+func (c *Coordinator) blame(ctx context.Context, w *workerState) {
+	if ctx.Err() != nil {
+		return
+	}
+	w.failures.Add(1)
+	c.dispatchFailures.Add(1)
+	if w.consecFails.Add(1) >= failAfter {
+		w.healthy.Store(false)
+	}
 }
 
 func (c *Coordinator) healthyWorkers() []*workerState {
@@ -346,13 +387,12 @@ func (c *Coordinator) dispatch(ctx context.Context, s *sweep, idxs []int, failed
 }
 
 // send dispatches one batch to w and delivers its results. A
-// transport failure counts against w (failAfter consecutive failures
-// mark it unhealthy) and shards the whole batch again without w. The
-// points w's context cut off are dispatched again the same way, w
-// included: the worker engine forgets canceled entries, so the retry
-// solves them cold and the output stays byte-identical. When the
-// sweep's own context is done, both leave their points unfilled for
-// the cancellation tail instead.
+// transport failure counts against w (see blame) and shards the whole
+// batch again without w. The points w's context cut off are
+// dispatched again the same way, w included: the worker engine
+// forgets canceled entries, so the retry solves them cold and the
+// output stays byte-identical. When the sweep's own context is done,
+// both leave their points unfilled for the cancellation tail instead.
 func (c *Coordinator) send(ctx context.Context, s *sweep, w *workerState, idxs []int, failed []*workerState, attempts int) {
 	specs := s.specsAt(idxs)
 	c.chunksDispatched.Add(1)
@@ -369,11 +409,7 @@ func (c *Coordinator) send(ctx context.Context, s *sweep, w *workerState, idxs [
 			w.w.Name(), len(wres), len(specs))
 	}
 	if err != nil {
-		w.failures.Add(1)
-		c.dispatchFailures.Add(1)
-		if w.consecFails.Add(1) >= failAfter {
-			w.healthy.Store(false)
-		}
+		c.blame(ctx, w)
 		if ctx.Err() == nil {
 			c.chunksRerouted.Add(1)
 			c.dispatch(ctx, s, idxs, append(slices.Clip(failed), w), attempts+1, err)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -368,6 +370,42 @@ func TestFabricSweepCancellation(t *testing.T) {
 	}
 	if canceled < len(results)-8 {
 		t.Fatalf("only %d/%d points carry the cancellation", canceled, len(results))
+	}
+}
+
+// TestFabricSweepDeadlineSparesWorkers: a sweep whose own deadline
+// cuts off its batch does not count that against the worker. The
+// worker's handler outlives every request, so each of two sweeps with
+// a 50 ms deadline fails its one batch in transport; the worker must
+// stay healthy with no dispatch failure, or the next sweep would go
+// to the local fallback until a heartbeat healed it.
+func TestFabricSweepDeadlineSparesWorkers(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // before Close, which waits for the handlers
+	co := New(Config{Workers: []Worker{NewHTTPWorker(srv.URL)}})
+	defer co.Close()
+
+	for range 2 {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		results := co.Sweep(ctx, fakeSpecs(4), nil)
+		cancel()
+		for _, r := range results {
+			if !errors.Is(r.Err, context.DeadlineExceeded) {
+				t.Fatalf("point %d: err %v, want the sweep's deadline", r.Index, r.Err)
+			}
+		}
+	}
+	st := co.Status()
+	if st.HealthyWorkers != 1 || st.DispatchFailures != 0 || st.Workers[0].DispatchFailures != 0 {
+		t.Fatalf("after two sweeps cut off by their own deadline: %d healthy workers, %d dispatch failures (worker %d), want 1 and 0",
+			st.HealthyWorkers, st.DispatchFailures, st.Workers[0].DispatchFailures)
+	}
+	if st.ChunksDispatched != 2 || st.LocalPoints != 0 {
+		t.Fatalf("%d batches dispatched and %d points solved locally, want 2 and 0", st.ChunksDispatched, st.LocalPoints)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"cactid/internal/core"
+	"cactid/internal/jsondec"
 )
 
 // Tiered is the durable tier-1 contract the exploration engine
@@ -59,6 +60,30 @@ type solutionRecord struct {
 	core.Projection
 }
 
+var recordKeys = jsondec.Keys(solutionRecord{})
+
+// decodeRecord decodes a record with the typed decoder the fabric
+// wire uses, into the values encoding/json would fill, skipping
+// unknown keys as it does. A key that matches a field only with case
+// folded is an error: json.Marshal spells every key exactly.
+func decodeRecord(data []byte) (solutionRecord, error) {
+	var rec solutionRecord
+	err := jsondec.Decode(data, false, func(d *jsondec.Decoder) error {
+		return d.Object(func(key []byte) error {
+			switch string(key) {
+			case "model_version":
+				return jsondec.Int(d, &rec.ModelVersion)
+			case "no_solution":
+				return d.Bool(&rec.NoSolution)
+			case "error":
+				return d.String(&rec.ErrText)
+			}
+			return d.ProjectionMember(&rec.Projection, key, recordKeys)
+		})
+	})
+	return rec, err
+}
+
 // Solutions adapts a Store into the Tiered interface, handling the
 // (ModelVersion, fingerprint) keying and the solution codec.
 type Solutions struct {
@@ -83,8 +108,8 @@ func (t *Solutions) Lookup(ctx context.Context, fingerprint string) (Hit, bool) 
 	if err != nil || !ok {
 		return Hit{}, false
 	}
-	var rec solutionRecord
-	if json.Unmarshal(val, &rec) != nil || rec.ModelVersion != core.ModelVersion {
+	rec, err := decodeRecord(val)
+	if err != nil || rec.ModelVersion != core.ModelVersion {
 		// Structurally invalid payloads count as corruption the CRC
 		// could not catch (a bug, not bit rot) — still served as a
 		// miss, never as a wrong answer.

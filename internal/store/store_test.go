@@ -482,8 +482,9 @@ func TestSolutionsRejectsUnrenderableRecord(t *testing.T) {
 
 // BenchmarkSolutions times the durable tier's codec on real
 // solutions: a 1 MB cache and a 1 MB plain memory on every technology
-// provider. Lookup decodes a record and rebuilds its solution; Save
-// encodes one and appends it to the log.
+// provider. Get is the store read of a record alone; Lookup reads,
+// decodes a record and rebuilds its solution, so Lookup minus Get is
+// the codec's share; Save encodes one and appends it to the log.
 func BenchmarkSolutions(b *testing.B) {
 	ctx := context.Background()
 	var sols []*core.Solution
@@ -511,6 +512,14 @@ func BenchmarkSolutions(b *testing.B) {
 	for i, sol := range sols {
 		tier.Save(ctx, fps[i], sol, nil)
 	}
+	b.Run("Get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := s.Get(ctx, solutionKey(fps[i%len(fps)])); !ok || err != nil {
+				b.Fatalf("stored record missed: %v", err)
+			}
+		}
+	})
 	b.Run("Lookup", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
