@@ -58,13 +58,14 @@ test-tech:
 # fault-injection tests in internal/chaos and internal/explore, the
 # cactid-serve admission-control and load-shedding tests (the running
 # sweep-job bound and finished-job eviction and read-back among them),
-# concurrent solves through the solver's pooled scratch and concurrent
-# walks and enumerations of one shared prescan, ten times each, and
+# concurrent solves through the solver's pooled scratch, concurrent
+# walks and enumerations of one shared prescan, and enumerations
+# cancelled mid-grid through the pooled bank slabs, ten times each, and
 # sweeps that share array sub-solves against per-point solves.
 stress:
 	go test -race ./internal/chaos/
 	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
-	go test -race -count=10 -run TestSharedPrescanConcurrentWalks ./internal/array/
+	go test -race -count=10 -run 'TestSharedPrescanConcurrentWalks|TestEnumerateReleaseAfterCancel' ./internal/array/
 	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
 	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/
@@ -105,8 +106,12 @@ bench:
 # (tiles-cold), the warm sweep rendered as JSON and as CSV, the per-point
 # spec fingerprint, the durable tier's Get (the store read alone),
 # Lookup (read, typed decode and rebuild) and Save of real solutions,
-# and the fabric wire's decoding of a 16-point chunk (reply indented
-# and compact, and request; typed decoder against encoding/json).
+# and the fabric wire's decoding of a 16-point chunk (reply-indented,
+# reply-compact and request; typed decoder against encoding/json, so
+# -bench 'BenchmarkWire/.*/typed' selects the three typed rows). Two
+# allocation budgets hold the solver rows down in normal builds:
+# TestSolveAllocBudget (6 KB per warm solve of a BenchmarkSolve spec)
+# and TestSweepAllocBudget (8 KB per point of the tiles-cold sweep).
 bench-sweep:
 	go test -run '^$$' -bench BenchmarkExploreSweep -benchmem .
 	go test -run '^$$' -bench BenchmarkFingerprint -benchmem ./internal/core/

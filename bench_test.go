@@ -224,7 +224,7 @@ func solveSpecs() map[string]core.Spec {
 // technology after its first does in a running server;
 // BenchmarkMatTable in internal/array times the array layer with the
 // table warm and cold, and TestSolveAllocBudget holds each spec's
-// bytes per warm solve under 16 KB. Run with `make bench` for
+// bytes per warm solve under 6 KB. Run with `make bench` for
 // benchstat-ready output.
 func BenchmarkSolve(b *testing.B) {
 	specs := solveSpecs()
@@ -294,7 +294,7 @@ func checkSweep(b *testing.B, results []explore.Result) {
 // capacities and associativities, expanded as the server expands a
 // /v1/sweep body. Together they cover every provider and the four
 // ITRS nodes.
-func dseTiles(b *testing.B) [][]core.Spec {
+func dseTiles(b testing.TB) [][]core.Spec {
 	b.Helper()
 	providers := tech.Providers()
 	capGroups := [][]string{{"16KB", "32KB", "64KB"}, {"128KB", "256KB", "512KB", "1MB"},

@@ -246,7 +246,8 @@ func Enumerate(spec Spec) []*Bank {
 // bounded worker pool (workers <= 0 means GOMAXPROCS), returning them
 // in the same deterministic grid order as a serial scan, plus the
 // prune/build counters. A cancelled context aborts the scan and
-// returns ctx.Err() with nil banks.
+// returns ctx.Err() with nil banks. The caller keeps every bank, so
+// they are copied out of the enumeration's pooled slabs.
 func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Counters, error) {
 	bc, err := newBuildCtx(spec)
 	if err != nil {
@@ -255,37 +256,128 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 	defer bc.release()
 	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
 	bc.classifyGrid()
-	return enumerateWith(ctx, bc, workers, NoLimits())
+	enum, c, err := enumerateWith(ctx, bc, workers, NoLimits())
+	defer enum.Release()
+	if err != nil {
+		return nil, c, err
+	}
+	return copyOut(enum.Banks), c, nil
 }
 
-// resultsPool recycles enumerateWith's per-slot result index: one
-// enumeration holds it from its first slot to the merge, so several
-// enumerations of one shared prescan each take their own.
-var resultsPool = sync.Pool{New: func() any { return new([gridSlots][]*Bank) }}
+// bankCopy holds a standalone bank and its mat side by side.
+type bankCopy struct {
+	bank Bank
+	mat  mat.Mat
+}
+
+// BankCopyBytes is the heap one Copy allocates.
+const BankCopyBytes = int64(unsafe.Sizeof(bankCopy{}))
+
+// from makes c a copy of b and its mat that points into nothing b does.
+func (c *bankCopy) from(b *Bank) *Bank {
+	c.bank, c.mat = *b, *b.Mat
+	c.bank.Mat = &c.mat
+	return &c.bank
+}
+
+// Copy returns a standalone copy of b and its mat, in one allocation:
+// the solver copies its winners out of the enumeration's pooled slabs
+// with it.
+func (b *Bank) Copy() *Bank { return new(bankCopy).from(b) }
+
+// copyOut copies banks and their mats into one slab of the caller's
+// own, in order.
+func copyOut(banks []*Bank) []*Bank {
+	cs := make([]bankCopy, len(banks))
+	out := make([]*Bank, len(banks))
+	for i, b := range banks {
+		out[i] = cs[i].from(b)
+	}
+	return out
+}
+
+// slab holds the banks one slot built and their mats. A slot builds at
+// most len(enumMux) banks, so a fixed-size slab always has room.
+type slab struct {
+	n     int
+	banks [len(enumMux)]Bank
+	mats  [len(enumMux)]mat.Mat
+}
+
+var slabPool = sync.Pool{New: func() any { return new(slab) }}
+
+// results is one enumeration's pooled result index: the slab of every
+// slot that built a bank, and the merged list that points into them.
+// One enumeration holds it from its first slot to its Release, so
+// several enumerations of one shared prescan each take their own.
+type results struct {
+	slabs  [gridSlots]*slab
+	merged []*Bank
+}
+
+var resultsPool = sync.Pool{New: func() any { return new(results) }}
+
+// release clears the entries the enumeration used, so pooled slabs pin
+// no technology, and returns every slab and the index to their pools.
+func (r *results) release() {
+	for i, s := range r.slabs {
+		if s != nil {
+			clear(s.banks[:s.n])
+			clear(s.mats[:s.n])
+			s.n = 0
+			slabPool.Put(s)
+			r.slabs[i] = nil
+		}
+	}
+	clear(r.merged)
+	r.merged = r.merged[:0]
+	resultsPool.Put(r)
+}
+
+// Enumerated is a bounded enumeration's surviving banks, in grid
+// order. They live in pooled slabs until Release: a caller that keeps
+// a bank copies it out first (Bank.Copy). Copies of an Enumerated share
+// its slabs, so exactly one of them is released.
+type Enumerated struct {
+	Banks []*Bank
+	res   *results
+}
+
+// Release returns the banks' slabs to their pool. Call it once, after
+// the last read of Banks; it empties e, so a second call does nothing.
+func (e *Enumerated) Release() {
+	if e.res != nil {
+		e.res.release()
+	}
+	*e = Enumerated{}
+}
 
 // enumerateWith is the shared engine behind EnumerateContext
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
 // thresholds). bc's grid must already be classified; bc is only read,
 // so enumerations of one context may run at once. Each slot's banks
-// land in a pooled result index, cleared before it goes back.
-func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) ([]*Bank, Counters, error) {
-	results := resultsPool.Get().(*[gridSlots][]*Bank)
-	defer func() {
-		clear(results[:])
-		resultsPool.Put(results)
-	}()
+// land in a pooled slab of the enumeration's own result index. A
+// cancelled enumeration releases its slabs and returns an empty
+// Enumerated.
+func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (Enumerated, Counters, error) {
+	res := resultsPool.Get().(*results)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, gridSlots)
 
+	// Both slot loops poll ctx.Done(), which locks nothing once made,
+	// where ctx.Err() takes the context's mutex once per slot.
 	var c Counters
 	if workers == 1 {
-		for slot := range results {
-			if ctx.Err() != nil {
-				break
+	serial:
+		for slot := range res.slabs {
+			select {
+			case <-ctx.Done():
+				break serial
+			default:
+				res.slabs[slot] = enumerateShard(bc, slot, lim, &c)
 			}
-			results[slot] = enumerateShard(bc, slot, lim, &c)
 		}
 	} else {
 		// Each worker sums the counters of the slots it takes and
@@ -300,12 +392,18 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 			go func() {
 				defer wg.Done()
 				var sum Counters
+			slots:
 				for {
 					slot := int(next.Add(1)) - 1
-					if slot >= gridSlots || ctx.Err() != nil {
+					if slot >= gridSlots {
 						break
 					}
-					results[slot] = enumerateShard(bc, slot, lim, &sum)
+					select {
+					case <-ctx.Done():
+						break slots
+					default:
+						res.slabs[slot] = enumerateShard(bc, slot, lim, &sum)
+					}
 				}
 				sums[w] = sum
 			}()
@@ -316,33 +414,35 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, c, err
+		res.release()
+		return Enumerated{}, c, err
 	}
 
 	// Merge in slot order: slots enumerate (rows, cols) in the same
 	// order as the serial triple loop, and each slot's banks are in
 	// ascending mux order, so the concatenation reproduces the serial
 	// output exactly.
-	total := 0
-	for _, banks := range results {
-		total += len(banks)
+	out := res.merged[:0]
+	for _, s := range res.slabs {
+		if s != nil {
+			for i := range s.n {
+				out = append(out, &s.banks[i])
+			}
+		}
 	}
-	out := make([]*Bank, 0, total)
-	for _, banks := range results {
-		out = append(out, banks...)
-	}
-	return out, c, nil
+	res.merged = out
+	return Enumerated{Banks: out, res: res}, c, nil
 }
 
-// enumerateShard evaluates one (rows, cols) slot of the grid and adds
-// its counters to c. The slot's precheck survivors are rebuilt from its
+// enumerateShard evaluates one (rows, cols) slot of the grid, adds its
+// counters to c and returns the slab of the banks it built, nil when it
+// built none. The slot's precheck survivors are rebuilt from its
 // classification mask into a stack buffer, which the bound tiers below
 // compact in place; the mux-independent mat model is then built once
-// and the final survivors are evaluated into []mat.Mat / []Bank slabs
-// sized exactly, one allocation per slab instead of one per point. The
-// emitted banks stay in ascending mux order, preserving the serial-scan
-// byte identity.
-func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) []*Bank {
+// and the final survivors are evaluated into a pooled slab. The banks
+// stay in ascending mux order, preserving the serial-scan byte
+// identity.
+func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 	c.addSlot(&bc.class[slot])
 	var buf [len(enumMux)]Org
 	surv := bc.survivors(slot, bc.class[slot].surv, &buf)
@@ -438,23 +538,24 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) []*Bank {
 		}
 	}
 
-	mats := make([]mat.Mat, len(surv))
-	banks := make([]Bank, len(surv))
-	out := make([]*Bank, 0, len(surv))
-	n := 0
+	s := slabPool.Get().(*slab)
 	for _, o := range surv {
 		parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
-		if err := sh.BuildInto(o.Mux, parts, &mats[n]); err != nil {
+		m := &s.mats[s.n]
+		if err := sh.BuildInto(o.Mux, parts, m); err != nil {
 			c.BuildErrors++
 			continue
 		}
-		mats[n].Tech = bc.spec.Tech // the caller's, not the table's private copy
+		m.Tech = bc.spec.Tech // the caller's, not the table's private copy
 		c.Built++
-		bc.finishInto(o, &mats[n], &banks[n])
-		out = append(out, &banks[n])
-		n++
+		bc.finishInto(o, m, &s.banks[s.n])
+		s.n++
 	}
-	return out
+	if s.n == 0 {
+		slabPool.Put(s)
+		return nil
+	}
+	return s
 }
 
 // OrgFor derives the full organization implied by a (rows, cols, mux)
@@ -885,8 +986,8 @@ func (bc *buildCtx) finishInto(o Org, m *mat.Mat, b *Bank) {
 		maxStages = 8
 	}
 	atomic := m.TBitline + m.TSense
-	segment := math.Max(atomic, b.HtreeInDelay/math.Max(1, float64(htreeWire.NumRep)))
-	nStages := int(math.Ceil(b.AccessTime / math.Max(segment, 1e-12)))
+	segment := max(atomic, b.HtreeInDelay/max(1, float64(htreeWire.NumRep)))
+	nStages := int(math.Ceil(b.AccessTime / max(segment, 1e-12)))
 	if nStages > maxStages {
 		nStages = maxStages
 	}
@@ -894,7 +995,7 @@ func (bc *buildCtx) finishInto(o Org, m *mat.Mat, b *Bank) {
 		nStages = 1
 	}
 	b.PipelineStages = nStages
-	b.InterleaveCycle = math.Max(b.AccessTime/float64(nStages), atomic)
+	b.InterleaveCycle = max(b.AccessTime/float64(nStages), atomic)
 
 	// ---- Energy ----
 	nAct := float64(o.MatsPerSubbank)

@@ -93,7 +93,7 @@ func newBounder(bc *buildCtx) bounder {
 // the given length; monotone in the length, so it may be applied to
 // any lower bound of the real length.
 func (bd *bounder) htreeDelayLB(length float64) float64 {
-	return math.Max(bd.htreeFixed+bd.htreeLin*length, bd.htreePerLen*length)
+	return max(bd.htreeFixed+bd.htreeLin*length, bd.htreePerLen*length)
 }
 
 // bankBounds assembles bank-level lower bounds from a mat-area lower
@@ -299,7 +299,8 @@ func Prescan(spec Spec) (*Prescanned, error) {
 // Release hands the prescan's build context and scratch back for the
 // next solve. Call it once, after the last Enumerate, Build or walk:
 // afterwards neither p nor its Points may be read. The banks Enumerate
-// and Build returned never point into the scratch and stay valid.
+// and Build returned never point into the scratch: Build's stay valid,
+// and Enumerate's until their own Release.
 func (p *Prescanned) Release() {
 	if p.bc != nil {
 		p.bc.release()
@@ -476,7 +477,9 @@ func (p *Prescanned) Build(o Org) (*Bank, error) {
 // deterministic function of (spec, lim) — the worker count never
 // changes them — and for limits derived by the solver's probe scheme
 // the surviving banks are exactly those the staged filter could ever
-// keep (DESIGN.md §1.2e).
-func (p *Prescanned) Enumerate(ctx context.Context, workers int, lim Limits) ([]*Bank, Counters, error) {
+// keep (DESIGN.md §1.2e). The banks live in pooled slabs: the caller
+// defers Release right after the call, and copies out any bank it
+// keeps. A cancelled enumeration returns an empty Enumerated.
+func (p *Prescanned) Enumerate(ctx context.Context, workers int, lim Limits) (Enumerated, Counters, error) {
 	return enumerateWith(ctx, p.bc, workers, lim)
 }

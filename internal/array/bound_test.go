@@ -45,10 +45,12 @@ func TestBoundTiersAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		banks, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
+		defer enum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		banks := enum.Banks
 		if len(banks) == 0 {
 			t.Fatalf("%s: no banks", name)
 		}
@@ -108,10 +110,12 @@ func TestWalkMinimaMatchEnumeration(t *testing.T) {
 		if err != nil || len(pre.Points) == 0 {
 			return true // infeasible specs have nothing to compare
 		}
-		banks, _, err := pre.Enumerate(context.Background(), 0, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), 0, NoLimits())
+		defer enum.Release()
 		if err != nil {
 			return false
 		}
+		banks := enum.Banks
 		aMin, okA := pre.MinArea()
 		accMin, okAcc := pre.MinAccessWithin(1, 0, math.Inf(1))
 		if len(banks) == 0 {
@@ -140,20 +144,24 @@ func TestBoundedEnumerateEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ctx := context.Background()
-		all, _, err := pre.Enumerate(ctx, 0, NoLimits())
+		allEnum, _, err := pre.Enumerate(ctx, 0, NoLimits())
+		defer allEnum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		all := allEnum.Banks
 		minArea, minAcc := math.Inf(1), math.Inf(1)
 		for _, b := range all {
 			minArea = math.Min(minArea, b.Area)
 			minAcc = math.Min(minAcc, b.AccessTime)
 		}
 		lim := Limits{MaxAreaLB: minArea * 1.4, MaxAccLB: minAcc * 1.1, AreaGuard: minArea}
-		bounded, c, err := pre.Enumerate(ctx, 0, lim)
+		boundedEnum, c, err := pre.Enumerate(ctx, 0, lim)
+		defer boundedEnum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		bounded := boundedEnum.Banks
 		if c.Considered != c.PrunedTotal()+c.Built+c.BuildErrors {
 			t.Fatalf("%s: counter accounting broken: %+v (pruned total %d)", name, c, c.PrunedTotal())
 		}

@@ -86,8 +86,9 @@ func tableSolve(spec Spec, workers int) ([]*Bank, error) {
 	}
 	defer pre.Release()
 	pre.MinArea()
-	banks, _, err := pre.Enumerate(context.Background(), workers, NoLimits())
-	return banks, err
+	enum, _, err := pre.Enumerate(context.Background(), workers, NoLimits())
+	defer enum.Release()
+	return copyOut(enum.Banks), err
 }
 
 // tableKey names a mat-stage table key by the provider and node that
@@ -188,11 +189,11 @@ func TestMatTableWarmByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", k, err)
 		}
-		banks, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
 		if err != nil {
 			t.Fatalf("%+v: %v", k, err)
 		}
-		for _, b := range banks {
+		for _, b := range enum.Banks {
 			if b.Mat.Tech != spec.Tech {
 				t.Fatalf("check %d %+v %v: the bank's Mat points at the table's Technology copy", i, k, b.Org)
 			}
@@ -205,6 +206,7 @@ func TestMatTableWarmByteIdentical(t *testing.T) {
 			}
 			checked++
 		}
+		enum.Release()
 	}
 	after := MatTableCounters()
 	if after.Misses != before.Misses || after.Clears != before.Clears {

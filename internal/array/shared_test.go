@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cactid/internal/tech"
@@ -47,8 +48,9 @@ func walkShared(pre *Prescanned, aMin float64, tag *Bank, nb float64, workers in
 	if w.accMin, w.okAcc = pre.MinAccessWithin(nb, tag.Area, window); w.okAcc {
 		lim.MaxAccLB = ((tag.AccessTime+w.accMin)*1.1 - tag.AccessTime) * (1 + 1e-9)
 	}
-	var err error
-	w.banks, w.counters, err = pre.Enumerate(context.Background(), workers, lim)
+	enum, counters, err := pre.Enumerate(context.Background(), workers, lim)
+	defer enum.Release()
+	w.banks, w.counters = copyOut(enum.Banks), counters
 	return w, err
 }
 
@@ -121,5 +123,121 @@ func TestSharedPrescanConcurrentWalks(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
+	}
+}
+
+// cancelAfter is a context whose Done channel closes at its k-th poll,
+// so an enumeration under it stops partway through the grid.
+type cancelAfter struct {
+	context.Context
+	k     int64
+	polls atomic.Int64
+	once  sync.Once
+	done  chan struct{}
+}
+
+func newCancelAfter(k int64) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.polls.Add(1) >= c.k {
+		c.once.Do(func() { close(c.done) })
+	}
+	return c.done
+}
+
+func (c *cancelAfter) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestEnumerateReleaseAfterCancel: four goroutines run bounded
+// enumerations of one shared prescan through the slab pool, on one and
+// on two workers, and every third is cancelled at a varying poll of
+// its slot loop. A completed enumeration must equal a serial reference
+// bit for bit; a cancelled one must return its context's error and an
+// empty Enumerated; every handle is released twice. A slab released
+// twice, or left in use by a cancelled enumeration, would reach two
+// enumerations at once and corrupt one of them. `make stress` runs it
+// under the race detector ten times.
+func TestEnumerateReleaseAfterCancel(t *testing.T) {
+	spec := specSRAM(1<<20, 512, 1)
+	shared, err := Prescan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Release()
+	aMin, ok := shared.MinArea()
+	if !ok {
+		t.Fatal("no feasible point")
+	}
+	accMin, _ := shared.MinAccessWithin(1, 0, aMin*1.4)
+	lims := []Limits{
+		{MaxAreaLB: aMin * 1.4, MaxAccLB: accMin * 1.1, AreaGuard: aMin},
+		{MaxAreaLB: aMin * 4, MaxAccLB: accMin * 2, AreaGuard: aMin},
+	}
+	want := make([][]*Bank, len(lims))
+	wantC := make([]Counters, len(lims))
+	for i, lim := range lims {
+		pre, err := Prescan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enum, c, err := pre.Enumerate(context.Background(), 1, lim)
+		if err != nil || len(enum.Banks) == 0 {
+			t.Fatalf("limits %d: %d banks, %v", i, len(enum.Banks), err)
+		}
+		want[i], wantC[i] = copyOut(enum.Banks), c
+		enum.Release()
+		pre.Release()
+	}
+
+	const rounds = 300
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				li := (g + i) % len(lims)
+				var ctx context.Context = context.Background()
+				if i%3 == 0 {
+					ctx = newCancelAfter(int64(1 + (i/3+g*7)%(gridSlots-1)))
+				}
+				enum, c, err := shared.Enumerate(ctx, 1+i%2, lims[li])
+				switch {
+				case i%3 == 0:
+					if err == nil || err != ctx.Err() || enum.Banks != nil || enum.res != nil {
+						errs <- fmt.Errorf("goroutine %d, round %d: cancelled enumeration returned %v with %d banks", g, i, err, len(enum.Banks))
+						return
+					}
+				case err != nil:
+					errs <- fmt.Errorf("goroutine %d, round %d: %v", g, i, err)
+					return
+				default:
+					if d := banksDiff(enum.Banks, want[li]); d != "" || c != wantC[li] {
+						errs <- fmt.Errorf("goroutine %d, round %d: enumeration differs from the serial one: %s (counters %+v, want %+v)", g, i, d, c, wantC[li])
+						return
+					}
+				}
+				enum.Release()
+				if enum.Banks != nil || enum.res != nil {
+					errs <- fmt.Errorf("goroutine %d, round %d: Release left the handle set", g, i)
+					return
+				}
+				enum.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -77,7 +77,7 @@ func (inv Inverter) SelfCap() float64 {
 func (inv Inverter) DriveRes() float64 {
 	rn := inv.Dev.RnOnPerWidth / inv.Wn
 	rp := inv.Dev.RpOnPerWidth / inv.Wp
-	return math.Max(rn, rp)
+	return max(rn, rp)
 }
 
 // Delay returns the Horowitz delay driving loadCap with the given
@@ -142,7 +142,7 @@ func GateArea(dev *tech.DeviceParams, widths []float64, pitch float64) float64 {
 	if legs == 0 {
 		return 0
 	}
-	height := math.Min(maxH, totalW/float64(legs)*1.2+2*legPitch)
+	height := min(maxH, totalW/float64(legs)*1.2+2*legPitch)
 	if pitch > 0 {
 		height = pitch
 	}
@@ -176,7 +176,7 @@ func OptimalChain(dev *tech.DeviceParams, cin, loadCap, branch float64) Chain {
 	if h < 1 {
 		h = 1
 	}
-	n := int(math.Max(1, math.Round(math.Log(h)/math.Log(4))))
+	n := int(max(1, math.Round(math.Log(h)/math.Log(4))))
 	f := math.Pow(h, 1/float64(n)) // per-stage effort
 
 	ch := Chain{Dev: dev, NumStage: n, Stages: make([]Inverter, 0, n)}
@@ -241,8 +241,8 @@ func NewRepeatedWire(dev *tech.DeviceParams, w *tech.WireParams, length, delaySl
 	// Relax: use fewer, smaller repeaters than the delay-optimal
 	// solution, by the slack factor.
 	stretch := 1 + delaySlack
-	nOpt := math.Max(1, math.Round(length/lopt))
-	n := int(math.Max(1, math.Round(nOpt/stretch)))
+	nOpt := max(1, math.Round(length/lopt))
+	n := int(max(1, math.Round(nOpt/stretch)))
 	wrep := wopt / stretch
 	lseg := length / float64(n)
 

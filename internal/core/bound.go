@@ -48,7 +48,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"cactid/internal/array"
 	"cactid/internal/tech"
@@ -162,22 +161,22 @@ func boundedCandidates(ctx context.Context, spec Spec, opts *Options, t *SubSolv
 		}
 	}
 
-	banks, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
+	// The candidates carry the enumeration's banks, and the caller
+	// releases them, on every path, once it has copied the winner out.
+	data, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Data = counters
 	}
+	c = candidates{spec: spec, data: data, tag: tag}
 	if err != nil {
 		return c, false, err
 	}
-	if len(banks) == 0 {
-		// The exact area argmin provably survives its own thresholds,
-		// so this cannot happen; stay safe and fall back.
-		return c, false, nil
-	}
 	// No access-time pre-sort here: Filter's final comparison is a
 	// total order, so its winner is independent of input order
-	// (ExploreContext keeps its sorted contract for API users).
-	return candidates{spec: spec, banks: banks, tag: tag}, true, nil
+	// (ExploreContext keeps its sorted contract for API users). An
+	// empty list cannot happen, since the exact area argmin provably
+	// survives its own thresholds; stay safe and fall back.
+	return c, len(data.Banks) > 0, nil
 }
 
 // probeTries bounds how many candidate organizations the tag probe
@@ -228,21 +227,13 @@ func optimizeTagBounded(ctx context.Context, spec Spec, t *tech.Technology, opts
 		MaxAccLB:  probe.AccessTime, // exact, untranslated: no nudge needed
 		AreaGuard: math.Inf(-1),     // no stage-1 minimum to protect
 	}
-	banks, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
+	tags, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
+	defer tags.Release()
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Tag = counters
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(banks) == 0 {
-		return nil, ErrNoSolution
-	}
-	sort.Slice(banks, func(i, j int) bool {
-		if banks[i].AccessTime != banks[j].AccessTime {
-			return banks[i].AccessTime < banks[j].AccessTime
-		}
-		return orgLess(banks[i].Org, banks[j].Org)
-	})
-	return banks[0], nil
+	return fastest(tags.Banks)
 }

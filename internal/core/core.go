@@ -412,12 +412,14 @@ func OptimizeContext(ctx context.Context, spec Spec, opts *Options) (*Solution, 
 // shares array sub-solves; a nil t solves per point.
 func optimize(ctx context.Context, spec Spec, opts *Options, t *SubSolves, i int) (*Solution, error) {
 	c, ok, err := boundedCandidates(ctx, spec, opts, t, i)
+	defer c.data.Release()
 	if err != nil {
 		return nil, err
 	}
 	if ok {
 		// Filter's first solution, assembled on the stack candidate
-		// by candidate: only the winner reaches the heap.
+		// by candidate: only the winner reaches the heap, with a copy
+		// of its data bank.
 		return c.best()
 	}
 	sols, err := ExploreContext(ctx, spec, opts)
@@ -455,21 +457,22 @@ func Filter(spec Spec, sols []*Solution) []*Solution {
 }
 
 // candidates is a solution set as the staged filter reads it: Filter's
-// assembled solutions, or the bounded solver's data banks, which at
-// assembles over the tag bank one at a time into a caller's scratch.
-// spec is normalized.
+// assembled solutions, or the bounded solver's enumerated data banks,
+// which at assembles over the tag bank one at a time into a caller's
+// scratch. The banks live in the enumeration's pooled slabs until its
+// caller releases data. spec is normalized.
 type candidates struct {
-	spec  Spec
-	sols  []*Solution
-	banks []*array.Bank
-	tag   *array.Bank
+	spec Spec
+	sols []*Solution
+	data array.Enumerated
+	tag  *array.Bank
 }
 
 func (c *candidates) len() int {
 	if c.sols != nil {
 		return len(c.sols)
 	}
-	return len(c.banks)
+	return len(c.data.Banks)
 }
 
 // at returns candidate i, assembling it into scratch when the set
@@ -478,7 +481,7 @@ func (c *candidates) at(i int, scratch *Solution) *Solution {
 	if c.sols != nil {
 		return c.sols[i]
 	}
-	assemble(c.spec, c.banks[i], c.tag, scratch)
+	assemble(c.spec, c.data.Banks[i], c.tag, scratch)
 	return scratch
 }
 
@@ -488,7 +491,7 @@ func (c *candidates) org(i int) *array.Org {
 	if c.sols != nil {
 		return &c.sols[i].Data.Org
 	}
-	return &c.banks[i].Org
+	return &c.data.Banks[i].Org
 }
 
 // metric is what the staged filter reads of one candidate: its area
@@ -593,7 +596,8 @@ func ranksBefore(oa, acca float64, a *array.Org, ob, accb float64, b *array.Org)
 
 // best returns Filter's first solution over c without building the
 // survivor list: each candidate is assembled once to measure it, and
-// only the winner is assembled again, onto the heap. The order is
+// only the winner is assembled again, onto the heap, over a copy of
+// its data bank that outlives the enumeration's slabs. The order is
 // total, so the minimum is the element Filter's sort puts first.
 func (c *candidates) best() (*Solution, error) {
 	// Most solves keep a few dozen candidates at most; the rare larger
@@ -618,8 +622,10 @@ func (c *candidates) best() (*Solution, error) {
 		return nil, ErrNoSolution
 	}
 	sol := new(Solution)
-	if s := c.at(win, sol); s != sol {
-		*sol = *s
+	if c.sols != nil {
+		*sol = *c.sols[win]
+	} else {
+		assemble(c.spec, c.data.Banks[win].Copy(), c.tag, sol)
 	}
 	return sol, nil
 }
@@ -701,18 +707,24 @@ func optimizeTag(ctx context.Context, spec Spec, t *tech.Technology, opts *Optio
 	if err != nil {
 		return nil, err
 	}
+	return fastest(banks)
+}
+
+// fastest returns a copy of the tag bank with the least access time,
+// organization order breaking ties: the bank a sort by that total
+// order would put first, found in one scan. Only it is copied, so the
+// tag pins nothing of the enumeration it came from.
+func fastest(banks []*array.Bank) (*array.Bank, error) {
 	if len(banks) == 0 {
 		return nil, ErrNoSolution
 	}
-	// Tags want latency: best access time within 10% of best area...
-	// use the same staged filter with cycle-heavy weights.
-	sort.Slice(banks, func(i, j int) bool {
-		if banks[i].AccessTime != banks[j].AccessTime {
-			return banks[i].AccessTime < banks[j].AccessTime
+	best := banks[0]
+	for _, b := range banks[1:] {
+		if b.AccessTime < best.AccessTime || b.AccessTime == best.AccessTime && orgLess(b.Org, best.Org) {
+			best = b
 		}
-		return orgLess(banks[i].Org, banks[j].Org)
-	})
-	return banks[0], nil
+	}
+	return best.Copy(), nil
 }
 
 // assemble combines a data organization with the tag array into the

@@ -4,10 +4,8 @@ import (
 	"context"
 	"math"
 	"sync/atomic"
-	"unsafe"
 
 	"cactid/internal/array"
-	"cactid/internal/mat"
 	"cactid/internal/tech"
 )
 
@@ -35,21 +33,6 @@ const (
 	maxDataEntries = 64
 	maxTagEntries  = 256
 )
-
-// tagCopy holds a table's tag bank and its mat in one allocation, so
-// an entry pins only them and not the enumeration slab it came from.
-type tagCopy struct {
-	bank array.Bank
-	mat  mat.Mat
-}
-
-const tagEntryBytes = int64(unsafe.Sizeof(tagCopy{}))
-
-func keepTag(b *array.Bank) *array.Bank {
-	c := &tagCopy{bank: *b, mat: *b.Mat}
-	c.bank.Mat = &c.mat
-	return &c.bank
-}
 
 // Process-wide counts of the sub-solves points took from their sweep's
 // table.
@@ -389,9 +372,8 @@ func (t *SubSolves) tag(ctx context.Context, spec Spec, tt *tech.Technology, k p
 		t.abandon(e, &t.liveTag)
 		return nil, err
 	}
-	b = keepTag(b)
 	e.tag = b
-	t.publish(e, tagEntryBytes)
+	t.publish(e, array.BankCopyBytes)
 	return b, nil
 }
 

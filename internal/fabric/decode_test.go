@@ -246,10 +246,10 @@ func BenchmarkWire(b *testing.B) {
 		typed func([]byte) error
 		ref   func([]byte) error
 	}{
-		{"reply/indented", indented,
+		{"reply-indented", indented,
 			func(b []byte) error { _, err := DecodeBatchResponse(b); return err },
 			func(b []byte) error { return referenceDecode(b, new(BatchResponse), false) }},
-		{"reply/compact", compact,
+		{"reply-compact", compact,
 			func(b []byte) error { _, err := DecodeBatchResponse(b); return err },
 			func(b []byte) error { return referenceDecode(b, new(BatchResponse), false) }},
 		{"request", req,

@@ -58,10 +58,23 @@ type Decoder struct {
 // Decode decodes data as the one value value consumes; only
 // whitespace may follow it. strict rejects every unknown key.
 func Decode(data []byte, strict bool, value func(*Decoder) error) error {
-	d := &Decoder{data: data, strict: strict}
-	if err := value(d); err != nil {
+	var d Decoder
+	d.Reset(data, strict)
+	if err := value(&d); err != nil {
 		return err
 	}
+	return d.End()
+}
+
+// Reset starts d on data, as Decode does. A caller that decodes with
+// its own Decoder value, and calls End after the one value, keeps the
+// decoder on its stack: Decode's callback makes it escape.
+func (d *Decoder) Reset(data []byte, strict bool) {
+	*d = Decoder{data: data, strict: strict}
+}
+
+// End reports an error unless only whitespace follows the value.
+func (d *Decoder) End() error {
 	if d.peek(); d.pos != len(d.data) {
 		return d.fail("invalid character %q after top-level value", d.data[d.pos])
 	}
@@ -330,7 +343,14 @@ func (d *Decoder) String(p *string) error {
 		*p = string(lit[1 : len(lit)-1])
 		return nil
 	}
-	return json.Unmarshal(lit, p)
+	// Unmarshal into a local: handing it p would move *p's owner to
+	// the heap.
+	var v string
+	if err := json.Unmarshal(lit, &v); err != nil {
+		return err
+	}
+	*p = v
+	return nil
 }
 
 // Bool decodes a bool field.

@@ -68,19 +68,22 @@ var recordKeys = jsondec.Keys(solutionRecord{})
 // folded is an error: json.Marshal spells every key exactly.
 func decodeRecord(data []byte) (solutionRecord, error) {
 	var rec solutionRecord
-	err := jsondec.Decode(data, false, func(d *jsondec.Decoder) error {
-		return d.Object(func(key []byte) error {
-			switch string(key) {
-			case "model_version":
-				return jsondec.Int(d, &rec.ModelVersion)
-			case "no_solution":
-				return d.Bool(&rec.NoSolution)
-			case "error":
-				return d.String(&rec.ErrText)
-			}
-			return d.ProjectionMember(&rec.Projection, key, recordKeys)
-		})
+	var d jsondec.Decoder // on the stack, as is rec
+	d.Reset(data, false)
+	err := d.Object(func(key []byte) error {
+		switch string(key) {
+		case "model_version":
+			return jsondec.Int(&d, &rec.ModelVersion)
+		case "no_solution":
+			return d.Bool(&rec.NoSolution)
+		case "error":
+			return d.String(&rec.ErrText)
+		}
+		return d.ProjectionMember(&rec.Projection, key, recordKeys)
 	})
+	if err == nil {
+		err = d.End()
+	}
 	return rec, err
 }
 
