@@ -41,8 +41,10 @@ race:
 # bound-ladder admissibility, the pinned STT-RAM/gain-cell solves, the
 # ITRS byte-identity goldens, the cross-technology mat-stage table
 # (warm vs cold byte identity, key safety, /metrics counters), the
-# per-slot precheck classification and off-grid probe builds against
-# their per-organization references, bounded == exhaustive solves on
+# per-slot precheck classification, the key-sorted walk orders, the
+# warm prescan's allocation count and off-grid probe builds against
+# their per-organization references, the H-tree repeater against its
+# one-function reference, bounded == exhaustive solves on
 # generated specs of every provider, the tier-0/wire/store projection
 # round trip on generated specs of every provider, and the
 # cross-technology fabric/server integration tests. It is a local
@@ -50,8 +52,8 @@ race:
 # (cmd/cactid) solves and renders a 4 MB 8-way 32 nm cache with every
 # provider.
 test-tech:
-	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|OffGrid|ExhaustiveGenerated|RoundTripGenerated' \
-		./internal/tech/ ./internal/mat/ ./internal/array/ ./internal/core/ \
+	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|WalkOrder|PrescanAllocs|OffGrid|Repeater|ExhaustiveGenerated|RoundTripGenerated' \
+		./internal/tech/ ./internal/circuit/ ./internal/mat/ ./internal/array/ ./internal/core/ \
 		./internal/explore/ ./internal/fabric/ ./cmd/cactid-serve/
 
 # stress runs the chaos/overload suite under the race detector: the
@@ -83,6 +85,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzRecordDecode -fuzztime $(FUZZTIME) ./internal/store/
 	go test -run '^$$' -fuzz FuzzLoadTrace -fuzztime $(FUZZTIME) ./internal/sim/workload/
 	go test -run '^$$' -fuzz FuzzClassify -fuzztime $(FUZZTIME) ./internal/array/
+	go test -run '^$$' -fuzz FuzzRepeater -fuzztime $(FUZZTIME) ./internal/circuit/
 	go test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/fabric/
 
 # vulncheck scans the module against the Go vulnerability database.

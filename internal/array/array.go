@@ -254,7 +254,7 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 		return nil, Counters{}, err
 	}
 	defer bc.release()
-	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
+	bc.attach()
 	bc.classifyGrid()
 	enum, c, err := enumerateWith(ctx, bc, workers, NoLimits())
 	defer enum.Release()
@@ -306,13 +306,18 @@ type slab struct {
 
 var slabPool = sync.Pool{New: func() any { return new(slab) }}
 
-// results is one enumeration's pooled result index: the slab of every
-// slot that built a bank, and the merged list that points into them.
-// One enumeration holds it from its first slot to its Release, so
-// several enumerations of one shared prescan each take their own.
+// results is one enumeration's pooled result index: every slot's slab,
+// the merged list that points into them, and the parallel slot loop's
+// bookkeeping. One enumeration holds it from its first slot to its
+// Release, so several enumerations of one shared prescan each take
+// their own.
 type results struct {
 	slabs  [gridSlots]*slab
 	merged []*Bank
+
+	sums []Counters   // one per worker
+	next atomic.Int64 // the next slot to take
+	wg   sync.WaitGroup
 }
 
 var resultsPool = sync.Pool{New: func() any { return new(results) }}
@@ -384,17 +389,16 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 		// publishes the sum once; integer sums are independent of
 		// which worker took which slot, so the merged counters are
 		// the serial scan's for any worker count.
-		sums := make([]Counters, workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range sums {
-			wg.Add(1)
+		res.sums = slices.Grow(res.sums[:0], workers)[:workers]
+		res.next.Store(0)
+		res.wg.Add(workers)
+		for w := range res.sums {
 			go func() {
-				defer wg.Done()
+				defer res.wg.Done()
 				var sum Counters
 			slots:
 				for {
-					slot := int(next.Add(1)) - 1
+					slot := int(res.next.Add(1)) - 1
 					if slot >= gridSlots {
 						break
 					}
@@ -405,11 +409,11 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 						res.slabs[slot] = enumerateShard(bc, slot, lim, &sum)
 					}
 				}
-				sums[w] = sum
+				res.sums[w] = sum
 			}()
 		}
-		wg.Wait()
-		for _, sum := range sums {
+		res.wg.Wait()
+		for _, sum := range res.sums {
 			c.Add(sum)
 		}
 	}
@@ -436,26 +440,26 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 
 // enumerateShard evaluates one (rows, cols) slot of the grid, adds its
 // counters to c and returns the slab of the banks it built, nil when it
-// built none. The slot's precheck survivors are rebuilt from its
-// classification mask into a stack buffer, which the bound tiers below
-// compact in place; the mux-independent mat model is then built once
-// and the final survivors are evaluated into a pooled slab. The banks
-// stay in ascending mux order, preserving the serial-scan byte
-// identity.
+// built none. The margin memo and the shard tiers charge the slot from
+// its survivor count; past them, its survivors are rebuilt from its
+// mask into a stack buffer, which the point tiers compact in place. The
+// mux-independent mat model is then built once and the final survivors
+// are evaluated into a pooled slab, in ascending mux order, preserving
+// the serial-scan byte identity.
 func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
-	c.addSlot(&bc.class[slot])
-	var buf [len(enumMux)]Org
-	surv := bc.survivors(slot, bc.class[slot].surv, &buf)
-	if len(surv) == 0 {
+	sc := &bc.class[slot]
+	c.addSlot(sc)
+	if sc.surv == 0 {
 		return nil
 	}
+	nSurv := int64(bits.OnesCount16(sc.surv))
 	rows, cols := slotRC(slot)
 
 	// DRAM signal-margin fast path: the closed-form check mirrors
 	// NewShared's ErrSignalMargin test bit for bit, so the shard can be
 	// charged to the same counter bucket without paying for the model.
 	if bc.marginFail[slot/len(enumCols)] {
-		c.PrunedMargin += int64(len(surv))
+		c.PrunedMargin += nSurv
 		return nil
 	}
 
@@ -474,14 +478,19 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 			pruned = true
 		}
 		if pruned {
-			c.PrunedBoundShard += int64(len(surv))
+			c.PrunedBoundShard += nSurv
 			return nil
 		}
+	}
 
-		// Lite point tier: per-point bounds from the memoized shard
-		// lower bound alone — the point's own floorplan fold gives an
-		// H-tree length floor without any circuit modeling. When it
-		// clears the whole shard, mat.NewShared is never paid for.
+	var buf [len(enumMux)]Org
+	surv := bc.survivors(slot, sc.surv, &buf)
+
+	// Lite point tier: per-point bounds from the memoized shard lower
+	// bound alone — the point's own floorplan fold gives an H-tree
+	// length floor without any circuit modeling. When it clears the
+	// whole shard, mat.NewShared is never paid for.
+	if lim.active() {
 		lb := bc.mats.shardLBFor(rows, cols)
 		kept := surv[:0]
 		for _, o := range surv {
@@ -622,12 +631,13 @@ func (c *Counters) addSlot(sc *slotClass) {
 }
 
 // buildCtx caches every organization-independent quantity of Build:
-// resolved technology pointers, address/data widths, and the bank-edge
-// output driver. It is shared across enumeration workers, and across
-// the solves of a sweep that share one prescan: the exactPt memo and
-// the slots of the table entry mats fill lazily with pure values
-// through atomics, the walk orders sort once under a sync.Once, and
-// everything else is immutable once Prescan returns.
+// resolved technology pointers, address/data widths, the H-tree's
+// repeater and the bank-edge output driver. It is shared across
+// enumeration workers, and across the solves of a sweep that share one
+// prescan: the exactPt memo and the slots of the table entry mats fill
+// lazily with pure values through atomics, the walk orders sort once
+// under a sync.Once, and everything else is immutable once Prescan
+// returns.
 //
 // Its grid-sized scratch (the classification, the exact-point memo
 // and the prescan's points) is held by value, and contexts come from
@@ -642,7 +652,11 @@ type buildCtx struct {
 	internalOut int
 	addrBits    int
 	dataBits    int
-	outDrv      circuit.Result
+
+	// rep is the H-tree's repeater, sized once for the whole grid;
+	// outDrv is the mat-stage table entry's bank-edge driver, or Build's.
+	rep    circuit.Repeater
+	outDrv circuit.Result
 
 	// bnd holds the spec-level constants of the branch-and-bound
 	// lower bounds (see bound.go).
@@ -663,6 +677,9 @@ type buildCtx struct {
 	// slot (classifyGrid); the enumeration, the walks and the exact
 	// point memo read survivors from its masks. Zero for Build.
 	class [gridSlots]slotClass
+
+	// cols holds the column-level half of the classification.
+	cols [len(enumCols)]colClass
 
 	// exactPt memoizes pointExact per precheck survivor of the grid,
 	// slot by slot in grid order and ascending mux within a slot: the
@@ -725,9 +742,7 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 	if spec.RouteAllWays {
 		bc.dataBits = bc.internalOut
 	}
-	// Output drivers at the bank edge.
-	bc.outDrv = circuit.TristateDriver(per, 60e-15)
-	bc.bnd = newBounder(bc)
+	bc.rep = circuit.NewRepeater(per, bc.wire, spec.RepeaterSlack)
 	bc.marginFail = [len(enumRows)]bool{}
 	if cell.Kind == tech.Kind1T1C && spec.Ports <= 1 {
 		for i, rows := range enumRows {
@@ -744,97 +759,122 @@ func newBuildCtx(spec Spec) (*buildCtx, error) {
 func (bc *buildCtx) release() {
 	bc.spec = Spec{}
 	bc.cell, bc.per, bc.wire, bc.mats = nil, nil, nil, nil
+	bc.rep, bc.outDrv = circuit.Repeater{}, circuit.Result{}
 	bc.exactPt = nil
 	bc.pre = Prescanned{}
 	ctxPool.Put(bc)
 }
 
+// attach points bc at its spec's mat-stage table entry and takes the
+// bank-edge driver the entry sized.
+func (bc *buildCtx) attach() {
+	bc.mats = matStageFor(bc.spec.Tech, bc.spec.RAM, bc.spec.Ports)
+	bc.outDrv = bc.mats.outDrv
+}
+
+// bankDriver sizes the output driver at the bank edge.
+func bankDriver(per *tech.DeviceParams) circuit.Result { return circuit.TristateDriver(per, 60e-15) }
+
+// colClass is the column-level half of a slot's precheck: per mux
+// degree, OrgFor's mats per subbank, and masks (bit i for enumMux[i]) of
+// the mux points no wider than the columns, of those with mats per
+// subbank below 1, and of those failing the page or else the output test.
+type colClass struct {
+	mps                  [len(enumMux)]int
+	fit, none, page, out uint16
+}
+
 // classifyGrid classifies every slot of the grid into bc.class and lays
 // out the survivor-indexed exactPt memo, returning the grid's survivor
-// count.
+// count. It reaches OrgFor and precheck's verdict on every grid triple,
+// bucket for bucket (TestClassifyMatchesPrecheck), but runs the tests
+// that depend only on the columns and the mux once per column, leaves
+// only divisibility and waste per slot, and charges the buckets by
+// popcount in the precheck's order: geometry, page, output, waste.
 func (bc *buildCtx) classifyGrid() int {
+	page := bc.spec.PageBits
+	for ci, cols := range enumCols {
+		cc := &bc.cols[ci]
+		*cc = colClass{}
+		colShift := bits.TrailingZeros(uint(4 * cols)) // log2 of the bits one mat senses
+		// OrgFor's divisors are powers of two, so its divisions are
+		// shifts here. They differ only for a negative dividend (an
+		// overflowed capacity or output width), where both paths leave
+		// a count below 1, rejected as geometry either way.
+		for mi, mux := range enumMux {
+			if mux > cols { // and so is every wider mux
+				break
+			}
+			bit := uint16(1) << mi
+			cc.fit |= bit
+			mps := page >> colShift
+			if page <= 0 {
+				sh := colShift - mi // log2(4*cols/mux), at least 2
+				mps = (bc.internalOut + 1<<sh - 1) >> sh
+			}
+			cc.mps[mi] = mps
+			sensed := mps << colShift // mps*4*cols
+			switch {
+			case mps < 1:
+				cc.none |= bit
+			case page > 0 && sensed != page:
+				cc.page |= bit
+			case sensed>>mi < bc.internalOut: // nonnegative wherever mps <= mats
+				cc.out |= bit
+			}
+		}
+	}
+
 	n := 0
 	for slot := range bc.class {
+		rows, cols := slotRC(slot)
+		cc := &bc.cols[slot%len(enumCols)]
+		mats := bc.matsOf(rows, cols)
+		geom := cc.fit
+		if mats >= 1 {
+			geom = cc.none
+			for m := cc.fit &^ cc.none; m != 0; m &= m - 1 {
+				// mats >= 1, so the remainder is nonzero for mps > mats too.
+				if _, r := quoRem(mats, cc.mps[bits.TrailingZeros16(m)]); r != 0 {
+					geom |= m & -m
+				}
+			}
+		}
+		pg, out := cc.page&^geom, cc.out&^geom
+		rest := cc.fit &^ (geom | pg | out)
 		sc := &bc.class[slot]
-		*sc = bc.classify(slotRC(slot))
-		sc.off = uint16(n)
+		*sc = slotClass{off: uint16(n)}
+		sc.pruned[prMux] = uint8(len(enumMux) - bits.OnesCount16(cc.fit))
+		sc.pruned[prGeom] = uint8(bits.OnesCount16(geom))
+		sc.pruned[prPage] = uint8(bits.OnesCount16(pg))
+		sc.pruned[prOutput] = uint8(bits.OnesCount16(out))
+		if int64(mats)*int64(4*rows*cols) > 2*bc.spec.CapacityBytes*8 {
+			sc.pruned[prWaste] = uint8(bits.OnesCount16(rest))
+		} else {
+			sc.surv = rest
+		}
 		n += bits.OnesCount16(sc.surv)
 	}
 	return n
 }
 
-// slotTerms are the mux-independent terms of the organizations of one
-// (rows, cols) slot, as OrgFor computes them.
-type slotTerms struct {
-	mats     int // total mats: capacity bits over bits per mat, rounded up
-	colShift int // log2(4*cols), the bits one mat senses
-	pageMPS  int // mats per subbank under a page constraint
-}
-
-// terms computes a slot's mux-independent terms. Every divisor is a
-// power of two, so the divisions are shifts; they match OrgFor's
-// truncating divisions wherever the dividend is nonnegative, and a
-// negative dividend (only an overflowed capacity or output width makes
-// one) leaves a mat or subbank count below 1 on both paths, which the
-// precheck rejects as geometry either way.
-func (bc *buildCtx) terms(rows, cols int) slotTerms {
+// matsOf returns OrgFor's mat count of a (rows, cols) slot: capacity
+// bits over bits per mat, rounded up. Bits per mat is a power of two,
+// so the division is a shift (see classifyGrid for negative dividends).
+func (bc *buildCtx) matsOf(rows, cols int) int {
 	bitsPerMat := int64(4 * rows * cols)
-	t := slotTerms{colShift: bits.TrailingZeros(uint(4 * cols))}
-	t.mats = int((bc.spec.CapacityBytes*8 + bitsPerMat - 1) >> bits.TrailingZeros64(uint64(bitsPerMat)))
-	if bc.spec.PageBits > 0 {
-		t.pageMPS = bc.spec.PageBits >> t.colShift
-	}
-	return t
+	return int((bc.spec.CapacityBytes*8 + bitsPerMat - 1) >> bits.TrailingZeros64(uint64(bitsPerMat)))
 }
 
-// matsPerSubbank returns OrgFor's MatsPerSubbank (below 1 when no
-// subbank shape exists) for enumMux[mi] in the slot of t; the mux
-// degree must not exceed the slot's columns.
-func (bc *buildCtx) matsPerSubbank(t *slotTerms, mi int) int {
-	if bc.spec.PageBits > 0 {
-		return t.pageMPS
+// quoRem returns m/d and m%d for m >= 0 and d >= 1, by a shift and a
+// mask when d is a power of two, as a data array's mats per subbank
+// usually is (a tag array's, tag bits times ways over a mat's output,
+// rarely is).
+func quoRem(m, d int) (q, r int) {
+	if d&(d-1) == 0 {
+		return m >> bits.TrailingZeros(uint(d)), m & (d - 1)
 	}
-	sh := t.colShift - mi // log2(4*cols/mux), at least 2
-	return (bc.internalOut + 1<<sh - 1) >> sh
-}
-
-// classify runs the precheck over the mux loop of one (rows, cols)
-// slot. It reaches the verdict that OrgFor followed by precheck
-// reaches for every enumMux value, bucket for bucket
-// (TestClassifyMatchesPrecheck), but computes the mux-independent
-// terms (the mat count, the waste test) once per slot, does the
-// power-of-two divisions as shifts and copies no Spec. Calling OrgFor
-// and precheck per point instead makes a solve about twice as slow
-// (EXPERIMENTS.md, "Single-solve hot path", round 4).
-func (bc *buildCtx) classify(rows, cols int) slotClass {
-	var sc slotClass
-	t := bc.terms(rows, cols)
-	waste := int64(t.mats)*int64(4*rows*cols) > 2*bc.spec.CapacityBytes*8
-	page := bc.spec.PageBits
-	for mi, mux := range enumMux {
-		if mux > cols { // and so is every wider mux
-			sc.pruned[prMux] += uint8(len(enumMux) - mi)
-			break
-		}
-		mps := bc.matsPerSubbank(&t, mi)
-		sensed := mps << t.colShift // mps*4*cols
-		var r pruneReason
-		switch {
-		case mps < 1 || t.mats < 1 || mps > t.mats || t.mats%mps != 0:
-			r = prGeom
-		case page > 0 && sensed != page:
-			r = prPage
-		case sensed>>mi < bc.internalOut: // nonnegative: mps <= mats bounds it
-			r = prOutput
-		case waste:
-			r = prWaste
-		default:
-			sc.surv |= 1 << mi
-			continue
-		}
-		sc.pruned[r]++
-	}
-	return sc
+	return m / d, m % d
 }
 
 // survivors rebuilds the slot's precheck survivors named by mask (a
@@ -845,15 +885,16 @@ func (bc *buildCtx) survivors(slot int, mask uint16, buf *[len(enumMux)]Org) []O
 		return buf[:0]
 	}
 	rows, cols := slotRC(slot)
-	t := bc.terms(rows, cols)
+	cc := &bc.cols[slot%len(enumCols)]
+	mats := bc.matsOf(rows, cols)
 	n := 0
 	for ; mask != 0; mask &= mask - 1 {
 		mi := bits.TrailingZeros16(mask)
-		mps := bc.matsPerSubbank(&t, mi)
+		mps := cc.mps[mi]
 		o := &buf[n]
 		o.Rows, o.Cols, o.Mux = rows, cols, enumMux[mi]
-		o.MatsPerSubbank, o.Mats = mps, t.mats
-		o.Subbanks = t.mats / mps
+		o.MatsPerSubbank, o.Mats = mps, mats
+		o.Subbanks, _ = quoRem(mats, mps)
 		n++
 	}
 	return buf[:n]
@@ -920,6 +961,7 @@ func Build(spec Spec, o Org) (*Bank, error) {
 	if reason := bc.precheck(o); reason != prOK {
 		return nil, bc.checkErr(o, reason)
 	}
+	bc.outDrv = bankDriver(bc.per)
 	m, err := mat.New(mat.Config{Tech: spec.Tech, RAM: spec.RAM, Rows: o.Rows, Cols: o.Cols, DegBLMux: o.Mux, Ports: spec.Ports})
 	if err != nil {
 		return nil, err
@@ -965,7 +1007,7 @@ func (bc *buildCtx) finishInto(o Org, m *mat.Mat, b *Bank) {
 	// case length is half the perimeter. Address and data trees have
 	// identical geometry, so one repeated-wire solution serves both.
 	htreeLen := (matsW + matsH) / 2
-	htreeWire := circuit.NewRepeatedWire(bc.per, bc.wire, htreeLen, spec.RepeaterSlack)
+	htreeWire := bc.rep.Wire(htreeLen)
 	b.HtreeInDelay = htreeWire.Res.Delay
 	b.HtreeOutDelay = htreeWire.Res.Delay
 

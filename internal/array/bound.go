@@ -4,8 +4,8 @@
 //
 // The bounds come at two fidelities. Before mat.NewShared runs, a
 // shard-level bound uses only closed-form geometry (mat.GeomLB,
-// mat.AccessLB) plus the provable per-meter H-tree delay floor
-// (circuit.RepeatedWireDelayLB). Once a shard survives and its Shared
+// mat.AccessLB) plus the provable H-tree delay floor
+// (circuit.Repeater.DelayLBParts). Once a shard survives and its Shared
 // exists, a point-level bound reuses the exact mux-dependent circuit
 // results (the memoized mat.MuxParts) to reproduce the mat's access
 // time and footprint exactly, leaving only the H-tree terms bounded.
@@ -23,11 +23,9 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
-	"cactid/internal/circuit"
 	"cactid/internal/mat"
 )
 
@@ -62,7 +60,7 @@ func (l Limits) prune(areaLB, accLB float64) bool {
 }
 
 // bounder holds the spec-level constants of the lower bounds, computed
-// once per enumeration in newBuildCtx.
+// once per prescan.
 type bounder struct {
 	cellW, cellH float64 // per-cell dimensions (ports-adjusted)
 	// Provable H-tree delay floor: delay(L) >= max(htreeFixed +
@@ -77,7 +75,7 @@ type bounder struct {
 
 func newBounder(bc *buildCtx) bounder {
 	cw, ch := mat.CellDims(bc.spec.Tech, bc.spec.RAM, bc.spec.Ports)
-	fixed, lin, rate := circuit.RepeatedWireDelayLBParts(bc.per, bc.wire, bc.spec.RepeaterSlack)
+	fixed, lin, rate := bc.rep.DelayLBParts()
 	return bounder{
 		cellW:       cw,
 		cellH:       ch,
@@ -117,7 +115,7 @@ func (bc *buildCtx) shardBounds(rows, cols int) (areaLB, accLB float64) {
 	matW := 2 * float64(cols) * bd.cellW
 	matH := 2 * float64(rows) * bd.cellH
 	matAccLB := mat.AccessLB(bc.spec.Tech, bc.spec.RAM, bc.spec.Ports, rows, cols)
-	return bd.bankBounds(bc.terms(rows, cols).mats, matW*matH, matAccLB)
+	return bd.bankBounds(bc.matsOf(rows, cols), matW*matH, matAccLB)
 }
 
 // shardBoundsTight computes the tightened shard-level lower bounds
@@ -130,7 +128,7 @@ func (bc *buildCtx) shardBounds(rows, cols int) (areaLB, accLB float64) {
 // fails to discard a shard.
 func (bc *buildCtx) shardBoundsTight(rows, cols int) (areaLB, accLB float64) {
 	lb := bc.mats.shardLBFor(rows, cols)
-	return bc.bnd.bankBounds(bc.terms(rows, cols).mats, lb.MatW*lb.MatH, lb.Access)
+	return bc.bnd.bankBounds(bc.matsOf(rows, cols), lb.MatW*lb.MatH, lb.Access)
 }
 
 // pointBoundsLite computes per-point lower bounds before mat.NewShared
@@ -205,15 +203,14 @@ func (bc *buildCtx) pointExact(sh *mat.Shared, parts *mat.MuxParts, o Org) (area
 	matsH := float64(gridY) * mh
 
 	htreeLen := (matsW + matsH) / 2
-	htreeWire := circuit.NewRepeatedWire(bc.per, bc.wire, htreeLen, bc.spec.RepeaterSlack)
-	d := htreeWire.Res.Delay
+	d, ra := bc.rep.DelayArea(htreeLen)
 
 	const latchDelay = 30e-12
 	acc = latchDelay + d + sh.MatAccessOf(parts, o.Mux) + d + bc.outDrv.Delay + latchDelay
 
 	matsArea := float64(o.Mats) * sh.MatAreaOf(parts)
 	wireArea := float64(bc.addrBits+bc.dataBits) * bc.wire.Pitch * htreeLen
-	repArea := float64(bc.addrBits)*htreeWire.Res.Area + float64(bc.dataBits)*htreeWire.Res.Area
+	repArea := float64(bc.addrBits)*ra + float64(bc.dataBits)*ra
 	area = matsArea + wireArea + repArea
 	pm.acc.Store(math.Float64bits(acc))
 	pm.area.Store(math.Float64bits(area))
@@ -267,7 +264,8 @@ func Prescan(spec Spec) (*Prescanned, error) {
 	if err != nil {
 		return nil, err
 	}
-	bc.mats = matStageFor(spec.Tech, spec.RAM, spec.Ports)
+	bc.attach()
+	bc.bnd = newBounder(bc)
 	bc.exactPt = bc.memo[:bc.classifyGrid()]
 	clear(bc.exactPt)
 
@@ -315,23 +313,22 @@ type walkOrder struct {
 }
 
 // sorted returns the indices of p.Points in ascending key order, grid
-// order breaking ties, sorting them into w on the first call. The
-// comparator is <, the walks' own test, so the order is that of any
-// stable sort by that comparison.
+// order breaking ties, sorting them into w on the first call. It
+// insertion-sorts the indices beside a local copy of their keys: a
+// point moves left only past strictly larger keys, so the sort is
+// stable, and its comparator is <, the walks' own test, so the order
+// is that of any stable sort by that comparison.
 func (p *Prescanned) sorted(w *walkOrder, key func(*PrescanPoint) float64) []uint8 {
 	w.once.Do(func() {
+		var keys [gridSlots]float64
 		for i := range p.Points {
-			w.idx[i] = uint8(i)
-		}
-		slices.SortStableFunc(w.idx[:len(p.Points)], func(a, b uint8) int {
-			switch ka, kb := key(&p.Points[a]), key(&p.Points[b]); {
-			case ka < kb:
-				return -1
-			case kb < ka:
-				return 1
+			k := key(&p.Points[i])
+			j := i
+			for ; j > 0 && k < keys[j-1]; j-- {
+				keys[j], w.idx[j] = keys[j-1], w.idx[j-1]
 			}
-			return 0
-		})
+			keys[j], w.idx[j] = k, uint8(i)
+		}
 	})
 	return w.idx[:len(p.Points)]
 }

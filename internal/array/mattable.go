@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cactid/internal/circuit"
 	"cactid/internal/mat"
 	"cactid/internal/tech"
 )
@@ -30,15 +31,15 @@ import (
 // DESIGN.md §1.2d), so the cap bounds the table near 12 MB.
 const matTableCap = 256
 
-// matKey is the table key. Technology is a comparable struct of
-// scalar arrays, so == compares every device, wire and cell field:
-// two solves share an entry exactly when their tables are equal
-// value for value. (A NaN field would never equal itself and miss on
+// matKey is the table key: the node, the RAM type and the port count
+// (< 1 means 1, as in mat). Its bucket holds one entry per Technology
+// value, told apart by == on the entry's own copy, which compares every
+// device, wire and cell field: two solves share an entry exactly when
+// their tables are equal value for value. (A NaN field would miss on
 // every lookup, and == equates a negative zero with a positive one;
 // the provider tables hold neither, which the MatTable tests pin.)
-// ports is normalized as mat normalizes it: < 1 means 1.
 type matKey struct {
-	tech  tech.Technology
+	node  tech.Node
 	ram   tech.RAMType
 	ports int
 }
@@ -60,6 +61,10 @@ type matStage struct {
 	ram   tech.RAMType
 	ports int
 
+	// outDrv is the bank-edge output driver, sized from the cell's
+	// peripheral device, which the key fixes.
+	outDrv circuit.Result
+
 	// shared holds the mux-independent mat model (or its error) per
 	// (rows, cols) slot.
 	shared []atomic.Pointer[sharedEntry]
@@ -79,10 +84,12 @@ type sharedEntry struct {
 	err error
 }
 
-// matTable maps each key to its entry.
+// matTable maps each key to its bucket of entries; n counts the
+// entries of all buckets.
 var matTable struct {
 	mu sync.Mutex
-	m  map[matKey]*matStage // guarded by mu
+	m  map[matKey][]*matStage // guarded by mu
+	n  int                    // guarded by mu
 }
 
 // Process-wide table counters: lookups that found their entry,
@@ -106,32 +113,35 @@ func MatTableCounters() MatTableStats {
 }
 
 // matStageFor returns the table entry of (t's value, ram, ports),
-// creating an empty one on a miss.
+// creating an empty one on a miss. It keeps no pointer of the caller's.
 func matStageFor(t *tech.Technology, ram tech.RAMType, ports int) *matStage {
-	k := matKey{tech: *t, ram: ram, ports: max(1, ports)}
+	k := matKey{node: t.Node, ram: ram, ports: max(1, ports)}
 	matTable.mu.Lock()
 	defer matTable.mu.Unlock()
-	if st, ok := matTable.m[k]; ok {
-		matTableHits.Add(1)
-		return st
+	for _, st := range matTable.m[k] {
+		if st.tech == *t {
+			matTableHits.Add(1)
+			return st
+		}
 	}
 	matTableMisses.Add(1)
-	if len(matTable.m) >= matTableCap {
-		matTable.m = nil
-		matTableClears.Add(1)
-	}
-	if matTable.m == nil {
-		matTable.m = make(map[matKey]*matStage)
+	if matTable.m == nil || matTable.n >= matTableCap {
+		if matTable.m != nil {
+			matTableClears.Add(1)
+		}
+		matTable.m, matTable.n = make(map[matKey][]*matStage), 0
 	}
 	st := &matStage{
-		tech:     k.tech,
+		tech:     *t,
 		ram:      k.ram,
 		ports:    k.ports,
 		shared:   make([]atomic.Pointer[sharedEntry], len(enumRows)*len(enumCols)),
 		shardLB:  make([]atomic.Pointer[mat.ShardLB], len(enumRows)*len(enumCols)),
 		muxParts: make([]atomic.Pointer[mat.MuxParts], len(enumCols)*len(enumMux)),
 	}
-	matTable.m[k] = st
+	st.outDrv = bankDriver(st.tech.Device(st.tech.Cell(ram).PeripheralDevice))
+	matTable.m[k] = append(matTable.m[k], st)
+	matTable.n++
 	return st
 }
 

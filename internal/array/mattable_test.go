@@ -400,3 +400,34 @@ func BenchmarkMatTable(b *testing.B) {
 		})
 	}
 }
+
+// TestMatTableTellsTechnologiesApart: two Technology values at one
+// node, RAM type and port count that differ in a single field share a
+// table key but get an entry each, each built from its own value; each
+// one's second lookup is a hit on its own entry, and the cap counts
+// both entries.
+func TestMatTableTellsTechnologiesApart(t *testing.T) {
+	resetMatTable()
+	a := *tech.New(tech.Node32)
+	b := a
+	b.SenseAmpDelay *= 2
+	before := MatTableCounters()
+	stA := matStageFor(&a, tech.SRAM, 1)
+	stB := matStageFor(&b, tech.SRAM, 0) // ports < 1 read as 1
+	if stA == stB || stA.tech != a || stB.tech != b {
+		t.Fatal("two technologies that differ in one field share an entry")
+	}
+	if matStageFor(&a, tech.SRAM, 1) != stA || matStageFor(&b, tech.SRAM, 1) != stB {
+		t.Fatal("a second lookup did not return the technology's own entry")
+	}
+	after := MatTableCounters()
+	if after.Misses-before.Misses != 2 || after.Hits-before.Hits != 2 || after.Clears != before.Clears {
+		t.Fatalf("counters %+v -> %+v, want two misses and two hits", before, after)
+	}
+	matTable.mu.Lock()
+	keys, entries := len(matTable.m), matTable.n
+	matTable.mu.Unlock()
+	if keys != 1 || entries != 2 {
+		t.Fatalf("table holds %d keys and counts %d entries, want 1 and 2", keys, entries)
+	}
+}

@@ -193,6 +193,22 @@ func FuzzClassify(f *testing.F) {
 	})
 }
 
+// TestClassifyWideMatCounts: capacities of terabytes give mat counts
+// past 32 bits, and output widths of tag bits times ways give mats per
+// subbank that are not powers of two; every slot still classifies as
+// OrgFor plus precheck do.
+func TestClassifyWideMatCounts(t *testing.T) {
+	for _, capacity := range []int64{1 << 41, 3 << 42, 1<<59 + 1<<40} {
+		for _, out := range []int{26 * 8, 9 * 64, 26 * 12} {
+			spec := Spec{Tech: tech.New(tech.Node32), RAM: tech.SRAM,
+				CapacityBytes: capacity, OutputBits: out, AssocReadout: 3}
+			if err := checkClassify(spec); err != nil {
+				t.Fatalf("cap %d out %d: %v", capacity, out, err)
+			}
+		}
+	}
+}
+
 // Prescanned.Build indexes the mat-stage table by grid slot, so an
 // organization off the grid must get exactly what the package-level
 // Build gives it (an error or a cold-built bank), never a neighbouring
@@ -265,5 +281,73 @@ func BenchmarkPrescan(b *testing.B) {
 				walk()
 			}
 		})
+	}
+}
+
+// stableOrder is the reference walk order: the indices of pts stably
+// sorted by key under the walks' comparison, <.
+func stableOrder(pts []PrescanPoint, key func(*PrescanPoint) float64) []uint8 {
+	idx := make([]uint8, len(pts))
+	for i := range idx {
+		idx[i] = uint8(i)
+	}
+	slices.SortStableFunc(idx, func(a, b uint8) int {
+		switch ka, kb := key(&pts[a]), key(&pts[b]); {
+		case ka < kb:
+			return -1
+		case kb < ka:
+			return 1
+		}
+		return 0
+	})
+	return idx
+}
+
+// checkWalkOrders compares a prescan's two walk orders with the
+// reference stable sorts of the same keys.
+func checkWalkOrders(pre *Prescanned) error {
+	acc := func(p *PrescanPoint) float64 { return p.AccLB }
+	area := func(p *PrescanPoint) float64 { return p.AreaLB }
+	if got, want := pre.ByAccess(), stableOrder(pre.Points, acc); !slices.Equal(got, want) {
+		return fmt.Errorf("ByAccess %v, want %v", got, want)
+	}
+	if got, want := pre.byArea(), stableOrder(pre.Points, area); !slices.Equal(got, want) {
+		return fmt.Errorf("byArea %v, want %v", got, want)
+	}
+	return nil
+}
+
+// TestWalkOrderMatchesStableSort: the walk orders, insertion-sorted
+// beside a copy of their keys, equal slices.SortStableFunc over the
+// same keys, on generated specs over every provider and on a hand-built
+// point set whose keys tie (equal values, and zeros of both signs).
+func TestWalkOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewPCG(29, 5))
+	n := 0
+	for _, k := range tableKeySpace(t) {
+		for i := 0; i < 4; i++ {
+			spec := classifySpec(t, k, r)
+			pre, err := Prescan(spec)
+			if err != nil {
+				continue
+			}
+			if err := checkWalkOrders(pre); err != nil {
+				t.Fatalf("%s %vnm %v cap %d out %d: %v", k.provider, k.node, k.ram, spec.CapacityBytes, spec.OutputBits, err)
+			}
+			n += len(pre.Points)
+			pre.Release()
+		}
+	}
+	t.Logf("%d points", n)
+
+	minusZero := math.Copysign(0, -1)
+	keys := []float64{3, 1, 2, 1, 0, minusZero, 3, 2, 0, 1, minusZero, 5, 1}
+	pts := make([]PrescanPoint, len(keys))
+	for i, k := range keys {
+		pts[i] = PrescanPoint{AreaLB: k, AccLB: keys[len(keys)-1-i]}
+	}
+	pre := &Prescanned{bc: new(buildCtx), Points: pts}
+	if err := checkWalkOrders(pre); err != nil {
+		t.Fatalf("tied keys: %v", err)
 	}
 }

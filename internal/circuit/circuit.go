@@ -222,13 +222,31 @@ type RepeatedWire struct {
 
 // NewRepeatedWire builds the repeated-wire solution. For short wires
 // (below one optimal segment) no repeaters are inserted and the wire
-// is driven directly.
+// is driven directly. It is NewRepeater(dev, w, delaySlack).Wire(length).
 func NewRepeatedWire(dev *tech.DeviceParams, w *tech.WireParams, length, delaySlack float64) RepeatedWire {
-	rw := RepeatedWire{Dev: dev, Wire: w, Length: length}
-	if length <= 0 {
-		rw.Res.Cin = NewInverter(dev, 4*dev.Lphy).InputCap()
-		return rw
-	}
+	r := NewRepeater(dev, w, delaySlack)
+	return r.Wire(length)
+}
+
+// Repeater is the length-independent half of a repeated-wire solution
+// for one device, wire and slack: the optimal segment length, the
+// repeater's width and its capacitances, drive, leakage and area. A
+// caller that solves many lengths of one wire (a bank's H-tree over a
+// whole organization grid) builds it once and calls Wire per length.
+type Repeater struct {
+	dev  *tech.DeviceParams
+	wire *tech.WireParams
+	// lopt is the delay-optimal segment length, stretch 1 + the slack,
+	// wrep the repeater's NMOS width, and cnext, self, drive, leak and
+	// area its input and output capacitance, switching resistance,
+	// leakage and area; k is Horowitz's step-input factor, and cin0 the
+	// input capacitance of a zero-length wire's driver.
+	lopt, stretch, wrep, cnext, self, drive, leak, area, k, cin0 float64
+}
+
+// NewRepeater sizes the repeater of a repeated wire of dev and w under
+// delaySlack (see RepeatedWire).
+func NewRepeater(dev *tech.DeviceParams, w *tech.WireParams, delaySlack float64) Repeater {
 	cg := dev.CgIdealPerWidth + dev.CFringePerWidth
 	r0 := dev.RnOnPerWidth // per unit NMOS width
 	// Total capacitance per unit NMOS width: both gate and junction
@@ -236,34 +254,65 @@ func NewRepeatedWire(dev *tech.DeviceParams, w *tech.WireParams, length, delaySl
 	c0 := 3 * (cg + dev.CJuncPerWidth)
 	// Classic optimal repeater insertion:
 	//   Lseg* = sqrt(2*r0*c0 / (Rw*Cw)), Wopt = sqrt(r0*Cw/(Rw*c0))
-	lopt := math.Sqrt(2 * r0 * c0 / (w.RPerLen * w.CPerLen))
-	wopt := math.Sqrt(r0 * w.CPerLen / (w.RPerLen * c0))
 	// Relax: use fewer, smaller repeaters than the delay-optimal
 	// solution, by the slack factor.
 	stretch := 1 + delaySlack
-	nOpt := max(1, math.Round(length/lopt))
-	n := int(max(1, math.Round(nOpt/stretch)))
-	wrep := wopt / stretch
-	lseg := length / float64(n)
-
+	wrep := math.Sqrt(r0*w.CPerLen/(w.RPerLen*c0)) / stretch
 	inv := Inverter{Dev: dev, Wn: wrep, Wp: 2 * wrep}
-	cwire := w.CPerLen * lseg
-	rwire := w.RPerLen * lseg
-	// Per-segment Elmore: Rdrv*(Cself+Cwire+Cnext) + Rwire*(Cwire/2+Cnext)
-	cnext := inv.InputCap()
-	tf := inv.DriveRes()*(inv.SelfCap()+cwire+cnext) + rwire*(cwire/2+cnext)
-	segDelay := Horowitz(0, tf, dev.Vth/dev.Vdd)
+	ln := math.Log(dev.Vth / dev.Vdd)
+	return Repeater{
+		dev: dev, wire: w, stretch: stretch, wrep: wrep,
+		lopt:  math.Sqrt(2 * r0 * c0 / (w.RPerLen * w.CPerLen)),
+		cnext: inv.InputCap(), self: inv.SelfCap(), drive: inv.DriveRes(),
+		leak: inv.Leakage(), area: inv.Area(),
+		k:    math.Sqrt(ln * ln),
+		cin0: NewInverter(dev, 4*dev.Lphy).InputCap(),
+	}
+}
 
+// Wire solves the repeated wire of the given length.
+func (r *Repeater) Wire(length float64) RepeatedWire {
+	rw := RepeatedWire{Dev: r.dev, Wire: r.wire, Length: length}
+	if length <= 0 {
+		rw.Res.Cin = r.cin0
+		return rw
+	}
+	n, lseg, cwire, segDelay := r.segment(length)
 	rw.NumRep = n
-	rw.RepWidth = wrep
+	rw.RepWidth = r.wrep
 	rw.SegmentLen = lseg
 	rw.Res.Delay = float64(n) * segDelay
-	vdd := dev.Vdd
-	rw.Res.Energy = float64(n) * 0.5 * (cwire + cnext + inv.SelfCap()) * vdd * vdd
-	rw.Res.Leakage = float64(n) * inv.Leakage()
-	rw.Res.Area = float64(n) * inv.Area()
-	rw.Res.Cin = cnext
+	vdd := r.dev.Vdd
+	rw.Res.Energy = float64(n) * 0.5 * (cwire + r.cnext + r.self) * vdd * vdd
+	rw.Res.Leakage = float64(n) * r.leak
+	rw.Res.Area = float64(n) * r.area
+	rw.Res.Cin = r.cnext
 	return rw
+}
+
+// DelayArea returns Wire(length).Res's delay and area without
+// assembling the rest of the solution.
+func (r *Repeater) DelayArea(length float64) (delay, area float64) {
+	if length <= 0 {
+		return 0, 0
+	}
+	n, _, _, segDelay := r.segment(length)
+	return float64(n) * segDelay, float64(n) * r.area
+}
+
+// segment splits a wire of positive length into repeated segments,
+// returning their count, length and wire capacitance and the delay of
+// one.
+func (r *Repeater) segment(length float64) (n int, lseg, cwire, delay float64) {
+	nOpt := max(1, math.Round(length/r.lopt))
+	n = int(max(1, math.Round(nOpt/r.stretch)))
+	lseg = length / float64(n)
+	cwire = r.wire.CPerLen * lseg
+	rwire := r.wire.RPerLen * lseg
+	// Per-segment Elmore: Rdrv*(Cself+Cwire+Cnext) + Rwire*(Cwire/2+Cnext),
+	// through Horowitz's step-input delay.
+	tf := r.drive*(r.self+cwire+r.cnext) + rwire*(cwire/2+r.cnext)
+	return n, lseg, cwire, tf * r.k
 }
 
 // RepeatedWireDelayLB returns a provable per-meter lower bound on the
@@ -296,20 +345,17 @@ func RepeatedWireDelayLB(dev *tech.DeviceParams, w *tech.WireParams, delaySlack 
 // term), and at least k*L*(B + 2*sqrt(A*C)) by AM-GM over n. Both
 // hold for the integer count NewRepeatedWire actually picks.
 func RepeatedWireDelayLBParts(dev *tech.DeviceParams, w *tech.WireParams, delaySlack float64) (fixed, lin, rate float64) {
-	cg := dev.CgIdealPerWidth + dev.CFringePerWidth
-	r0 := dev.RnOnPerWidth
-	c0 := 3 * (cg + dev.CJuncPerWidth)
-	wopt := math.Sqrt(r0 * w.CPerLen / (w.RPerLen * c0))
-	stretch := 1 + delaySlack
-	wrep := wopt / stretch
-	inv := Inverter{Dev: dev, Wn: wrep, Wp: 2 * wrep}
-	cnext := inv.InputCap()
-	a := inv.DriveRes() * (inv.SelfCap() + cnext)
-	b := inv.DriveRes()*w.CPerLen + w.RPerLen*cnext
-	c := w.RPerLen * w.CPerLen / 2
-	ln := math.Log(dev.Vth / dev.Vdd)
-	k := math.Sqrt(ln * ln) // Horowitz step-input factor
-	return k * a, k * b, k * (b + 2*math.Sqrt(a*c))
+	r := NewRepeater(dev, w, delaySlack)
+	return r.DelayLBParts()
+}
+
+// DelayLBParts is RepeatedWireDelayLBParts of the repeater's device,
+// wire and slack.
+func (r *Repeater) DelayLBParts() (fixed, lin, rate float64) {
+	a := r.drive * (r.self + r.cnext)
+	b := r.drive*r.wire.CPerLen + r.wire.RPerLen*r.cnext
+	c := r.wire.RPerLen * r.wire.CPerLen / 2
+	return r.k * a, r.k * b, r.k * (b + 2*math.Sqrt(a*c))
 }
 
 // TristateDriver models the bus drivers used on shared H-tree data
