@@ -59,15 +59,19 @@ test-tech:
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the
 # cactid-serve admission-control and load-shedding tests (the running
-# sweep-job bound and finished-job eviction and read-back among them),
-# concurrent solves through the solver's pooled scratch, concurrent
-# walks and enumerations of one shared prescan, and enumerations
-# cancelled mid-grid through the pooled bank slabs, ten times each, and
-# sweeps that share array sub-solves against per-point solves.
+# sweep-job bound, finished-job eviction and read-back, and a job that
+# outlives another client's deadline on a shared point among them),
+# and sweeps that share array sub-solves against per-point solves;
+# and ten times each: concurrent solves through the solver's pooled
+# scratch, concurrent walks and enumerations of one shared prescan,
+# enumerations cancelled mid-grid through the pooled bank slabs, the
+# tier-0 bound checked after every concurrent insert, and callers that
+# outlive a cancelled owner's in-flight solve.
 stress:
 	go test -race ./internal/chaos/
 	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
 	go test -race -count=10 -run 'TestSharedPrescanConcurrentWalks|TestEnumerateReleaseAfterCancel' ./internal/array/
+	go test -race -count=10 -run 'TestCacheBoundUnderConcurrency|TestInFlightWaiterOutlivesOwnerCancel' ./internal/explore/
 	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
 	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/

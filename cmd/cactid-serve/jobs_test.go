@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cactid/internal/core"
@@ -380,4 +381,59 @@ func TestSweepJobInFlightBound(t *testing.T) {
 	pollJob(t, ts.URL+"/v1/sweep-jobs/"+first, func(m map[string]any) bool { return m["state"] == jobDone })
 	submitJob(t, ts.URL, grid("128KB"))
 	close(park[64<<10])
+}
+
+// TestSweepJobOutlivesOtherClientsDeadline: a job point that parks on
+// another client's in-flight solve of the same spec does not inherit
+// that client's deadline. The /v1/solve answers 504 at its 100 ms
+// X-Cactid-Timeout; the job then solves the point itself and finishes
+// instead of stopping as if the drain had cut it off.
+func TestSweepJobOutlivesOtherClientsDeadline(t *testing.T) {
+	n, fast := persistableSolver()
+	var calls atomic.Int64
+	started := make(chan struct{})
+	solver := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			<-ctx.Done() // the first solve lasts until its request's deadline
+			return nil, ctx.Err()
+		}
+		return fast(ctx, spec)
+	}
+	ts := newTestServer(t, config{solver: solver})
+	solved := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/solve",
+			strings.NewReader(`{"ram":"sram","capacity":"64KB","block_bytes":64,"cache":false}`))
+		req.Header.Set("X-Cactid-Timeout", "100ms")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			solved <- 0
+			return
+		}
+		resp.Body.Close()
+		solved <- resp.StatusCode
+	}()
+	select {
+	case <-started:
+	case code := <-solved:
+		t.Fatalf("/v1/solve answered %d before reaching the solver", code)
+	}
+	id := submitJob(t, ts.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["64KB"]}`)
+	if code := <-solved; code != http.StatusGatewayTimeout {
+		t.Fatalf("/v1/solve past its X-Cactid-Timeout: %d, want 504", code)
+	}
+	m := pollJob(t, ts.URL+"/v1/sweep-jobs/"+id, func(m map[string]any) bool { return m["state"] != jobRunning })
+	results, _ := m["results"].([]any)
+	if m["state"] != jobDone || jobCompleted(m) != 1 || len(results) != 1 {
+		t.Fatalf("job sharing the timed-out point: state %v, completed %v, %d results; want done, 1, 1",
+			m["state"], m["completed"], len(results))
+	}
+	if point, _ := results[0].(map[string]any); point["error"] != nil {
+		t.Fatalf("job point failed: %v", point["error"])
+	}
+	if got := n.Load(); got != 1 {
+		t.Fatalf("job solved the point %d times, want 1", got)
+	}
 }

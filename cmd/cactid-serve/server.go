@@ -193,7 +193,7 @@ func newServer(cfg config) (*server, error) {
 	}
 	switch {
 	case cfg.cacheBound < 0:
-		cfg.cacheBound = 0 // explore.CacheConfig: 0 = unbounded
+		cfg.cacheBound = 0 // explore.Options.CacheEntries: 0 = unbounded
 	case cfg.cacheBound == 0:
 		cfg.cacheBound = defaultCacheBound
 	}

@@ -3,8 +3,8 @@
 // mux points — be discarded before the expensive mat modeling.
 //
 // The bounds come at two fidelities. Before mat.NewShared runs, a
-// shard-level bound uses only closed-form geometry (mat.GeomLB,
-// mat.AccessLB) plus the provable H-tree delay floor
+// shard-level bound uses only closed-form cell geometry (mat.CellDims)
+// and mat.AccessLB plus the provable H-tree delay floor
 // (circuit.Repeater.DelayLBParts). Once a shard survives and its Shared
 // exists, a point-level bound reuses the exact mux-dependent circuit
 // results (the memoized mat.MuxParts) to reproduce the mat's access

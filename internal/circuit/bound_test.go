@@ -18,7 +18,8 @@ func TestRepeatedWireDelayLBAdmissible(t *testing.T) {
 	f := func(lenU uint16, slackU uint8) bool {
 		length := 1e-6 + float64(lenU)*1e-7 // 1um .. ~6.6mm
 		slack := float64(slackU%5) * 0.25   // 0 .. 1.0
-		fixed, lin, rate := RepeatedWireDelayLBParts(d, w, slack)
+		r := NewRepeater(d, w, slack)
+		fixed, lin, rate := r.DelayLBParts()
 		lb := math.Max(fixed+lin*length, rate*length)
 		return lb <= NewRepeatedWire(d, w, length, slack).Res.Delay
 	}
@@ -30,14 +31,12 @@ func TestRepeatedWireDelayLBAdmissible(t *testing.T) {
 func TestRepeatedWireDelayLBParts(t *testing.T) {
 	d := dev32()
 	w := t32().Wire(tech.WireGlobal)
-	fixed, lin, rate := RepeatedWireDelayLBParts(d, w, 0)
+	r := NewRepeater(d, w, 0)
+	fixed, lin, rate := r.DelayLBParts()
 	if fixed <= 0 || lin <= 0 || rate <= 0 {
 		t.Fatalf("parts must be positive: fixed=%g lin=%g rate=%g", fixed, lin, rate)
 	}
 	if rate <= lin {
 		t.Errorf("rate %g should exceed lin %g (it adds the AM-GM repeater term)", rate, lin)
-	}
-	if RepeatedWireDelayLB(d, w, 0) != rate {
-		t.Error("RepeatedWireDelayLB must return the per-meter rate branch")
 	}
 }

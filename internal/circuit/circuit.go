@@ -315,42 +315,23 @@ func (r *Repeater) segment(length float64) (n int, lseg, cwire, delay float64) {
 	return n, lseg, cwire, tf * r.k
 }
 
-// RepeatedWireDelayLB returns a provable per-meter lower bound on the
-// delay of any NewRepeatedWire solution built from the same device,
-// wire and slack. The per-segment time constant of a repeated wire of
-// length L split into n segments is tf(L/n) = A + B*lseg + C*lseg^2
-// with A = Rdrv*(Cself+Cnext), B = Rdrv*Cw + Rw*Cnext, C = Rw*Cw/2,
-// so the total delay k*(A*n + B*L + C*L^2/n) is, by AM-GM over the
-// repeater count n >= 1, at least k*L*(B + 2*sqrt(A*C)) — linear in L
-// with a coefficient that depends only on the fixed repeater inverter
-// (width wopt/stretch, independent of L). The bound holds for every
-// integer n, hence for the count NewRepeatedWire actually picks.
-func RepeatedWireDelayLB(dev *tech.DeviceParams, w *tech.WireParams, delaySlack float64) float64 {
-	_, _, rate := RepeatedWireDelayLBParts(dev, w, delaySlack)
-	return rate
-}
-
-// RepeatedWireDelayLBParts returns constants such that the delay of
-// any NewRepeatedWire solution of length L built from the same
+// DelayLBParts returns constants such that the delay of any
+// NewRepeatedWire solution of length L built from the repeater's
 // device, wire and slack satisfies
 //
 //	delay >= max(fixed + lin*L, rate*L)
 //
-// The affine branch keeps the n>=1 repeater self-delay term that the
-// per-meter rate discards — on wires shorter than one optimal segment
-// the fixed driver delay dominates and the rate alone is far too low.
-// Both branches follow from the per-segment time constant tf(L/n) =
-// A + B*lseg + C*lseg^2: the total k*(A*n + B*L + C*L^2/n) is at
-// least k*(A + B*L) for every n >= 1 (drop the nonnegative quadratic
-// term), and at least k*L*(B + 2*sqrt(A*C)) by AM-GM over n. Both
-// hold for the integer count NewRepeatedWire actually picks.
-func RepeatedWireDelayLBParts(dev *tech.DeviceParams, w *tech.WireParams, delaySlack float64) (fixed, lin, rate float64) {
-	r := NewRepeater(dev, w, delaySlack)
-	return r.DelayLBParts()
-}
-
-// DelayLBParts is RepeatedWireDelayLBParts of the repeater's device,
-// wire and slack.
+// The per-segment time constant of a repeated wire of length L split
+// into n segments is tf(L/n) = A + B*lseg + C*lseg^2 with
+// A = Rdrv*(Cself+Cnext), B = Rdrv*Cw + Rw*Cnext, C = Rw*Cw/2, and the
+// repeater inverter (width wopt/stretch) does not depend on L. The
+// total k*(A*n + B*L + C*L^2/n) is at least k*(A + B*L) for every
+// n >= 1 (drop the nonnegative quadratic term), and at least
+// k*L*(B + 2*sqrt(A*C)) by AM-GM over n. Both hold for every integer
+// n, hence for the count NewRepeatedWire actually picks. The affine
+// branch keeps the n>=1 repeater self-delay term that the per-meter
+// rate discards: on wires shorter than one optimal segment the fixed
+// driver delay dominates and the rate alone is far too low.
 func (r *Repeater) DelayLBParts() (fixed, lin, rate float64) {
 	a := r.drive * (r.self + r.cnext)
 	b := r.drive*r.wire.CPerLen + r.wire.RPerLen*r.cnext

@@ -47,8 +47,9 @@ func refRepeatedWire(dev *tech.DeviceParams, w *tech.WireParams, length, delaySl
 	return rw
 }
 
-// refDelayLBParts is RepeatedWireDelayLBParts with the repeater sized
-// inline, the reference Repeater.DelayLBParts must reproduce.
+// refDelayLBParts sizes the repeater inline and returns the H-tree
+// delay floor's constants: the reference Repeater.DelayLBParts must
+// reproduce.
 func refDelayLBParts(dev *tech.DeviceParams, w *tech.WireParams, delaySlack float64) (fixed, lin, rate float64) {
 	cg := dev.CgIdealPerWidth + dev.CFringePerWidth
 	r0 := dev.RnOnPerWidth

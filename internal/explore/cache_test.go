@@ -12,7 +12,7 @@ import (
 )
 
 // fill inserts n distinct completed entries (keys key0..key{n-1}).
-func fill(c *Cache, n int) {
+func fill(c *cache, n int) {
 	for i := 0; i < n; i++ {
 		e, created := c.lookup(fmt.Sprintf("key%d", i))
 		if created {
@@ -21,28 +21,40 @@ func fill(c *Cache, n int) {
 	}
 }
 
+// entries is the cache's live entry count, in-flight ones included.
+func entries(c *cache) int {
+	n, _, _ := c.stats()
+	return n
+}
+
+// evictions is the cache's count of entries removed by its bound.
+func evictions(c *cache) int64 {
+	_, ev, _ := c.stats()
+	return ev
+}
+
 func TestCacheUnboundedByDefault(t *testing.T) {
-	c := NewCacheWith(CacheConfig{})
-	fill(c, 500)
-	if got := c.Len(); got != 500 {
-		t.Fatalf("unbounded cache evicted: Len = %d", got)
-	}
-	st := c.Stats()
-	if st.MaxEntries != 0 || st.Evictions != 0 {
-		t.Fatalf("unbounded stats %+v", st)
+	for _, bound := range []int{0, -1} {
+		c := newCache(bound, nil)
+		fill(c, 500)
+		if got, ev := entries(c), evictions(c); got != 500 || ev != 0 {
+			t.Fatalf("bound %d: unbounded cache evicted: %d entries, %d evictions", bound, got, ev)
+		}
+		if c.maxEntries != 0 {
+			t.Fatalf("bound %d: maxEntries = %d, want 0", bound, c.maxEntries)
+		}
 	}
 }
 
 func TestCacheBoundEvictsLRU(t *testing.T) {
 	const bound = 16
-	c := NewCacheWith(CacheConfig{MaxEntries: bound})
+	c := newCache(bound, nil)
 	fill(c, 4*bound)
-	if got := c.Len(); got > bound {
-		t.Fatalf("Len = %d exceeds bound %d", got, bound)
+	if got := entries(c); got > bound {
+		t.Fatalf("%d entries exceed bound %d", got, bound)
 	}
-	st := c.Stats()
-	if st.Evictions != 3*bound {
-		t.Fatalf("evictions = %d, want %d", st.Evictions, 3*bound)
+	if ev := evictions(c); ev != 3*bound {
+		t.Fatalf("evictions = %d, want %d", ev, 3*bound)
 	}
 	// The newest keys survive; the oldest were evicted.
 	if _, created := c.lookup("key0"); !created {
@@ -55,7 +67,7 @@ func TestCacheBoundEvictsLRU(t *testing.T) {
 
 func TestCacheTouchOnHitProtectsFromEviction(t *testing.T) {
 	const bound = 8
-	c := NewCacheWith(CacheConfig{MaxEntries: bound})
+	c := newCache(bound, nil)
 	fill(c, bound) // keys 0..7, key0 the least recently used
 	// Touch key0: key1 becomes the eviction candidate.
 	if _, created := c.lookup("key0"); created {
@@ -73,7 +85,7 @@ func TestCacheTouchOnHitProtectsFromEviction(t *testing.T) {
 
 func TestCacheNeverEvictsInFlightEntries(t *testing.T) {
 	const bound = 4
-	c := NewCacheWith(CacheConfig{MaxEntries: bound})
+	c := newCache(bound, nil)
 	// Fill the cache with in-flight (never-completed) entries past
 	// the bound: none may be evicted.
 	var owners []*entry
@@ -84,10 +96,10 @@ func TestCacheNeverEvictsInFlightEntries(t *testing.T) {
 		}
 		owners = append(owners, e)
 	}
-	if got := c.Len(); got != 2*bound {
-		t.Fatalf("in-flight entries evicted: Len = %d, want %d", got, 2*bound)
+	if got := entries(c); got != 2*bound {
+		t.Fatalf("in-flight entries evicted: %d entries, want %d", got, 2*bound)
 	}
-	if ev := c.Stats().Evictions; ev != 0 {
+	if ev := evictions(c); ev != 0 {
 		t.Fatalf("evicted %d in-flight entries", ev)
 	}
 	// Complete them; the next insert pulls the cache back in bound.
@@ -96,34 +108,43 @@ func TestCacheNeverEvictsInFlightEntries(t *testing.T) {
 	}
 	e, _ := c.lookup("trigger")
 	close(e.ready)
-	if got := c.Len(); got > bound {
-		t.Fatalf("Len = %d after completion + insert, want <= %d", got, bound)
+	if got := entries(c); got > bound {
+		t.Fatalf("%d entries after completion + insert, want <= %d", got, bound)
 	}
 }
 
 func TestCacheForgetReleasesCapacity(t *testing.T) {
-	c := NewCacheWith(CacheConfig{MaxEntries: 4})
+	c := newCache(4, nil)
 	fill(c, 4)
 	c.forget("key0")
-	if got := c.Len(); got != 3 {
-		t.Fatalf("Len after forget = %d, want 3", got)
+	if got := entries(c); got != 3 {
+		t.Fatalf("%d entries after forget, want 3", got)
 	}
 	fill(c, 5) // re-inserts key0..key3 (key0 recreated), adds key4
-	if ev := c.Stats().Evictions; ev != 1 {
+	if ev := evictions(c); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 }
 
+// TestCacheBoundUnderConcurrency: eviction runs under the insert's
+// lock, so the bound holds after every insert, not only once the
+// inserts stop. Each goroutine checks while its own entry is still in
+// flight; eight in-flight entries never outnumber the bound, so no
+// slack is due.
 func TestCacheBoundUnderConcurrency(t *testing.T) {
-	const bound = 32
-	c := NewCacheWith(CacheConfig{MaxEntries: bound})
+	const bound, workers, keys = 32, 8, 200
+	c := newCache(bound, nil)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < keys; i++ {
 				e, created := c.lookup(fmt.Sprintf("w%d-k%d", w, i))
+				if got := entries(c); got > bound {
+					t.Errorf("%d entries after an insert, bound %d", got, bound)
+					return
+				}
 				if created {
 					close(e.ready)
 				}
@@ -131,17 +152,11 @@ func TestCacheBoundUnderConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Quiesced: everything is completed, so the bound must hold
-	// after one more insert triggers a final eviction pass.
-	e, created := c.lookup("final")
-	if created {
-		close(e.ready)
+	if got := entries(c); got != bound {
+		t.Fatalf("%d entries after the inserts, want the bound %d", got, bound)
 	}
-	if got := c.Len(); got > bound {
-		t.Fatalf("Len = %d after quiesce, bound %d", got, bound)
-	}
-	if ev := c.Stats().Evictions; ev < 8*200-bound {
-		t.Fatalf("evictions = %d, want >= %d", ev, 8*200-bound)
+	if ev := evictions(c); ev != workers*keys-bound {
+		t.Fatalf("evictions = %d, want %d", ev, workers*keys-bound)
 	}
 }
 
@@ -173,7 +188,7 @@ func TestChaosMissStormForcesRecompute(t *testing.T) {
 
 func TestChaosMissStormSparesInFlightEntries(t *testing.T) {
 	inj := chaos.New(1, chaos.Rule{Point: chaos.CacheLookup, Fault: chaos.Miss, Rate: 1})
-	c := NewCacheWith(CacheConfig{Chaos: inj})
+	c := newCache(0, inj)
 	if _, created := c.lookup("k"); !created {
 		t.Fatal("first lookup should create")
 	}
@@ -182,7 +197,7 @@ func TestChaosMissStormSparesInFlightEntries(t *testing.T) {
 	if _, created := c.lookup("k"); created {
 		t.Fatal("miss storm created a second owner for an in-flight entry")
 	}
-	if c.Stats().ForcedMisses != 0 {
+	if _, _, forced := c.stats(); forced != 0 {
 		t.Fatal("in-flight entry counted as a forced miss")
 	}
 }

@@ -24,15 +24,15 @@ var ErrSolverPanic = errors.New("solver panicked")
 type Options struct {
 	// Workers bounds sweep concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// CacheEntries bounds the result cache (see
-	// CacheConfig.MaxEntries); 0 means unbounded.
+	// CacheEntries bounds the result cache: past it, the least
+	// recently used completed results are evicted. 0 means unbounded.
 	CacheEntries int
 	// Solver replaces the default core.OptimizeContext solver (tests
 	// inject counting or slow solvers). The context is the
 	// requester's: solvers should abandon work when it is cancelled.
 	Solver func(context.Context, core.Spec) (*core.Solution, error)
 	// Tier1 plugs a durable result store under the in-memory cache:
-	// the sharded LRU is tier 0, Tier1 is consulted on a tier-0 miss
+	// the LRU is tier 0, Tier1 is consulted on a tier-0 miss
 	// before the solver runs, and pure outcomes are written back. A
 	// tier-1 read fault is absorbed as a miss; nil disables the tier.
 	// Singleflight still applies: concurrent fingerprint-equal
@@ -48,7 +48,7 @@ type Options struct {
 // fingerprint-keyed result cache and in-flight deduplication. All
 // methods are safe for concurrent use.
 type Engine struct {
-	cache   *Cache
+	cache   *cache
 	workers int
 	solver  func(context.Context, core.Spec) (*core.Solution, error)
 	chaos   *chaos.Injector // nil = fault injection disabled
@@ -77,7 +77,7 @@ type Engine struct {
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
 	e := &Engine{workers: opts.Workers, solver: opts.Solver, chaos: opts.Chaos, tier1: opts.Tier1,
-		cache: NewCacheWith(CacheConfig{MaxEntries: opts.CacheEntries, Chaos: opts.Chaos})}
+		cache: newCache(opts.CacheEntries, opts.Chaos)}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
@@ -161,18 +161,26 @@ func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution,
 // otherwise.
 func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep, i int) (*core.Solution, bool, error) {
 	ent, created := e.cache.lookup(fp)
-	if !created {
+	for !created {
 		select {
 		case <-ent.ready:
-			e.hits.Add(1)
-			return ent.sol, true, ent.err
+			if !canceled(ent.err) {
+				e.hits.Add(1)
+				return ent.sol, true, ent.err
+			}
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		// The owner's context ended, not this caller's, and the owner
+		// forgot the key before closing ready: solve it here or park
+		// on the new owner.
+		ent, created = e.cache.lookup(fp)
 	}
 	if err := ctx.Err(); err != nil {
 		// Cancelled before solving: drop the entry so later callers
-		// recompute, and fail any waiter already parked on it.
+		// recompute, and release any waiter already parked on it.
 		e.cache.forget(fp)
 		ent.err = err
 		close(ent.ready)
@@ -194,7 +202,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 	e.solves.Add(1)
 	sol, err := e.runSolver(ctx, spec, sw, i)
 	ent.sol, ent.err = core.Project(sol), err
-	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
+	if canceled(ent.err) {
 		// The solver was cut short by this requester's context: the
 		// failure says nothing about the spec, so don't poison the
 		// cache with it.
@@ -206,6 +214,13 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 	}
 	close(ent.ready)
 	return ent.sol, false, ent.err
+}
+
+// canceled reports whether err is the end of a context rather than an
+// answer about the spec: such a result is never cached, and a waiter
+// whose own context is live does not take it from the owner.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // runSolver invokes the solver with the explore.solve injection point
@@ -393,16 +408,16 @@ func (s Stats) PruneRatio() float64 {
 
 // Stats returns the current counters.
 func (e *Engine) Stats() Stats {
-	cs := e.cache.Stats()
+	entries, evictions, forcedMisses := e.cache.stats()
 	return Stats{
 		Solves:            e.solves.Load(),
 		CacheHits:         e.hits.Load(),
-		CacheEntries:      cs.Entries,
+		CacheEntries:      entries,
 		Tier1Hits:         e.tier1Hits.Load(),
 		Tier1Misses:       e.tier1Misses.Load(),
-		CacheMaxEntries:   cs.MaxEntries,
-		CacheEvictions:    cs.Evictions,
-		CacheForcedMisses: cs.ForcedMisses,
+		CacheMaxEntries:   e.cache.maxEntries,
+		CacheEvictions:    evictions,
+		CacheForcedMisses: forcedMisses,
 		Panics:            e.panics.Load(),
 		OrgsConsidered:    e.orgsConsidered.Load(),
 		OrgsPruned:        e.orgsPruned.Load(),

@@ -249,6 +249,93 @@ func TestInFlightDedup(t *testing.T) {
 	}
 }
 
+// parkProbe is a live context that reports when Solve first asks for
+// its Done channel: a caller of an in-flight fingerprint does so as it
+// parks on the owner's entry.
+type parkProbe struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func newParkProbe() *parkProbe {
+	return &parkProbe{Context: context.Background(), parked: make(chan struct{})}
+}
+
+func (p *parkProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.parked) })
+	return p.Context.Done()
+}
+
+// TestInFlightWaiterOutlivesOwnerCancel: callers parked on an in-flight
+// solve whose owner's context ends (a client hang-up, a deadline) do
+// not inherit that cancellation while their own contexts are live.
+// The owner has forgotten the key, so one of them solves it again and
+// the other parks on that solve: two solver runs in all, both waiters
+// answered.
+func TestInFlightWaiterOutlivesOwnerCancel(t *testing.T) {
+	var runs atomic.Int64
+	started := make(chan struct{})
+	solver := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		if runs.Add(1) == 1 {
+			close(started)
+			<-ctx.Done() // the owner's solve runs until its context ends
+			return nil, ctx.Err()
+		}
+		return &core.Solution{Spec: spec, AccessTime: 1}, nil
+	}
+	e := New(Options{Solver: solver})
+	spec := core.Spec{RAM: tech.SRAM, CapacityBytes: 1 << 20, BlockBytes: 64}
+
+	ownerCtx, cancel := context.WithCancel(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := e.Solve(ownerCtx, spec)
+		ownerErr <- err
+	}()
+	<-started
+
+	const waiters = 2
+	type answer struct {
+		sol    *core.Solution
+		cached bool
+		err    error
+	}
+	answers := make(chan answer, waiters)
+	for i := 0; i < waiters; i++ {
+		p := newParkProbe()
+		go func() {
+			sol, cached, err := e.Solve(p, spec)
+			answers <- answer{sol, cached, err}
+		}()
+		<-p.parked
+	}
+	cancel()
+
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	cached := 0
+	for i := 0; i < waiters; i++ {
+		a := <-answers
+		if a.err != nil || a.sol == nil {
+			t.Fatalf("waiter with a live context: sol=%v err=%v", a.sol, a.err)
+		}
+		if a.cached {
+			cached++
+		}
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("solver ran %d times, want 2: the cancelled owner's and one re-solve", got)
+	}
+	if cached != waiters-1 {
+		t.Fatalf("%d waiters reported cached, want %d", cached, waiters-1)
+	}
+	if _, cached, err := e.Solve(context.Background(), spec); err != nil || !cached {
+		t.Fatalf("re-solved point not cached: cached=%v err=%v", cached, err)
+	}
+}
+
 func TestEngineDefaultSolver(t *testing.T) {
 	e := New(Options{})
 	sol, cached, err := e.Solve(context.Background(),

@@ -5,26 +5,25 @@
 // constraints, before any circuit modeling. This file supplies the
 // mat-level ingredients at two fidelities:
 //
-//   - Closed-form bounds (CellDims, GeomLB, AccessLB, EnergyLB, and
-//     the tighter NewShardLB): computable from the technology tables
-//     alone, used to discard a whole (rows, cols) shard before
-//     NewShared runs. GeomLB/AccessLB keep only the provably monotone
-//     terms of the model — pure cell geometry, the distributed
-//     wordline RC, the exact bitline development time and the
-//     constant sense-amp resolution — and bound everything else
-//     (decoder, driver chains, sense strips) by zero. NewShardLB
+//   - Closed-form bounds (CellDims, AccessLB and the tighter
+//     NewShardLB): computable from the technology tables alone, used
+//     to discard a whole (rows, cols) shard before NewShared runs.
+//     AccessLB keeps only the provably monotone terms of the model —
+//     the distributed wordline RC, the exact bitline development time
+//     and the constant sense-amp resolution — and bounds everything
+//     else (decoder, driver chains, column mux) by zero. NewShardLB
 //     spends one wordline-chain sizing and a handful of gate-area
-//     evaluations to recover most of what GeomLB/AccessLB give away:
-//     the exact wordline-driver delay, the decoder's distribution-wire
-//     Elmore term, the wordline-driver share of the decoder strip
-//     width, and the smallest possible sense-amp strip height.
+//     evaluations to recover most of what AccessLB and the bare cell
+//     geometry give away: the exact wordline-driver delay, the
+//     decoder's distribution-wire Elmore term, the wordline-driver
+//     share of the decoder strip width, and the smallest possible
+//     sense-amp strip height.
 //
-//   - Shared-level exact terms (MatAccessOf, MatAreaOf, WidthLB,
-//     MatAccessLB): once a shard survives and its Shared exists,
-//     these reproduce Build's access time and footprint for one mux
-//     degree exactly (given its MuxParts) or bound them tightly
-//     (without), letting individual mux points be discarded before
-//     BuildInto.
+//   - Shared-level exact terms (MatAccessOf, MatAreaOf, MatDimsOf):
+//     once a shard survives and its Shared exists, these reproduce
+//     Build's access time and footprint for one mux degree exactly,
+//     given its MuxParts, letting individual mux points be discarded
+//     before BuildInto.
 //
 // Admissibility — bound <= fully-modeled value — is enforced by
 // property tests in internal/array and internal/core; the derivation
@@ -55,14 +54,6 @@ func CellDims(t *tech.Technology, ram tech.RAMType, ports int) (w, h float64) {
 		h += 2 * f * extra
 	}
 	return w, h
-}
-
-// GeomLB returns lower bounds on one mat's width and height from pure
-// cell geometry: the 2x2 subarray matrix with the decoder strip and
-// sense strips excluded (both are nonnegative additions in Build).
-func GeomLB(t *tech.Technology, ram tech.RAMType, ports, rows, cols int) (w, h float64) {
-	cw, ch := CellDims(t, ram, ports)
-	return 2 * float64(cols) * cw, 2 * float64(rows) * ch
 }
 
 // AccessLB returns a lower bound on the mat access time computable
@@ -132,9 +123,9 @@ func bitlineTime(cell *tech.CellParams, acc *tech.DeviceParams, cBL, rBL float64
 // (rows, cols) shard: mat footprint and mat access time valid for
 // every mux degree the shard can take. It costs one wordline-chain
 // sizing plus a dozen gate-area evaluations — far below NewShared —
-// and is markedly tighter than GeomLB/AccessLB, so the enumeration
-// uses it as a second bounding tier when the cheap tier fails to
-// discard a shard.
+// and is markedly tighter than AccessLB and the bare cell geometry, so
+// the enumeration uses it as a second bounding tier when the cheap
+// tier fails to discard a shard.
 type ShardLB struct {
 	MatW   float64 // mat width lower bound (m)
 	MatH   float64 // mat height lower bound (m)
@@ -243,71 +234,6 @@ func SignalMarginOK(t *tech.Technology, ram tech.RAMType, ports, rows int) bool 
 	cs := cell.Cs
 	vSignal := (cell.Vdd / 2) * cs / (cs + cBL)
 	return vSignal >= cell.SenseVmin
-}
-
-// EnergyLB returns a lower bound on one bank access's read energy
-// (activate + read + precharge) from the wordline and bitline lengths
-// alone: at least one mat activates, swinging its wordline and all its
-// bitlines, and restores them afterwards. H-tree, decoder, sense and
-// column-path energies are nonnegative and bounded by zero.
-func EnergyLB(t *tech.Technology, ram tech.RAMType, ports, rows, cols int) float64 {
-	cell := t.Cell(ram)
-	acc := t.Device(cell.AccessDevice)
-	per := t.Device(cell.PeripheralDevice)
-	kind := cell.Kind
-	isDRAM := kind == tech.Kind1T1C
-	cw, ch := CellDims(t, ram, ports)
-	saW := float64(cols) * cw
-	saH := float64(rows) * ch
-
-	wlWire := t.WireOf(tech.WireLocal, tech.Copper)
-	gatesPerCell := 2.0
-	if kind != tech.KindStatic {
-		gatesPerCell = 1.0
-	}
-	cGate := (acc.CgIdealPerWidth + acc.CFringePerWidth) * cell.AccessWidth
-	cWL := wlWire.CPerLen*saW + float64(cols)*gatesPerCell*cGate
-	vWL := per.Vdd
-	if cell.Vpp > 0 {
-		vWL = cell.Vpp
-	}
-	eWL := cWL * vWL * vWL
-
-	blWire := t.WireOf(tech.WireLocal, cell.BitlineMaterial)
-	attach := float64(rows)
-	if isDRAM {
-		attach = float64(rows) / 2
-	}
-	cPerCell := acc.CJuncPerWidth*cell.AccessWidth + contactCap
-	cBL := blWire.CPerLen*saH + attach*cPerCell
-
-	vdd := cell.Vdd
-	var eBLAct, ePre float64
-	if isDRAM {
-		eBLAct = float64(cols) * (cBL*vdd*vdd + 0.5*cell.Cs*vdd*vdd)
-		ePre = float64(subarraysPerMat) * float64(cols) * cBL * (vdd / 2) * (vdd / 2)
-	} else {
-		eBLAct = float64(cols) * cBL * cell.SenseVmin * vdd
-		ePre = float64(subarraysPerMat) * float64(cols) * cBL * cell.SenseVmin * vdd * 0.5
-	}
-	// One activated mat: all four subarrays swing; precharge restores.
-	return float64(subarraysPerMat)*(eWL+eBLAct) + ePre
-}
-
-// WidthLB returns the exact mat width Build will report (it is
-// mux-independent: 2 subarrays plus the decoder strip).
-func (s *Shared) WidthLB() float64 { return s.width }
-
-// HeightLB returns a mux-independent lower bound on the mat height:
-// the subarray matrix with the sense strips (which depend on the mux
-// degree) bounded by zero.
-func (s *Shared) HeightLB() float64 { return 2 * s.saHeight }
-
-// MatAccessLB returns a mux-independent lower bound on the mat access
-// time with the decoder, wordline and bitline stages exact and the
-// column mux bounded by zero (TSense is the constant sense-amp delay).
-func (s *Shared) MatAccessLB() float64 {
-	return s.tDecoder + s.tWordline + s.tBitline + s.cfg.Tech.SenseAmpDelay
 }
 
 // MatAccessOf returns the exact mat access time Build would report for

@@ -134,8 +134,8 @@ func TestGainCellRefreshIncludesWriteback(t *testing.T) {
 }
 
 // Closed-form bound admissibility for the new kinds, mirrored from
-// NewShared: AccessLB and EnergyLB must never exceed the built mat's
-// access time and activation-energy surface, for any feasible shape.
+// NewShared: AccessLB and NewShardLB must never exceed the built mat's
+// access time and footprint, for any feasible shape.
 func TestBoundsAdmissibleForAllKinds(t *testing.T) {
 	for _, name := range []string{"itrs-sram", "itrs-lpdram", "itrs-commdram", "stt-ram", "pcm", "gain-cell"} {
 		tt := techFor(t, name, tech.Node32)
@@ -156,10 +156,6 @@ func TestBoundsAdmissibleForAllKinds(t *testing.T) {
 				if slb.MatW > m.Width || slb.MatH > m.Height {
 					t.Errorf("%s %dx%d: ShardLB dims (%g, %g) exceed built (%g, %g)",
 						name, rows, cols, slb.MatW, slb.MatH, m.Width, m.Height)
-				}
-				if lb := EnergyLB(tt, ram, 1, rows, cols); lb > m.EActivate+m.EPrecharge {
-					t.Errorf("%s %dx%d: EnergyLB %g > activate+precharge %g",
-						name, rows, cols, lb, m.EActivate+m.EPrecharge)
 				}
 			}
 		}
