@@ -46,15 +46,18 @@ race:
 # their per-organization references, the H-tree repeater against its
 # one-function reference, bounded == exhaustive solves on
 # generated specs of every provider, the tier-0/wire/store projection
-# round trip on generated specs of every provider, and the
+# round trip on generated specs of every provider, the weight
+# properties on generated specs, the dead-input check over every
+# technology table input, the spec generator's coverage and its
+# import guard (only test files may import internal/spectest), and the
 # cross-technology fabric/server integration tests. It is a local
 # shortcut: `make test` runs all of it, and TestJSONMatchesReference
 # (cmd/cactid) solves and renders a 4 MB 8-way 32 nm cache with every
 # provider.
 test-tech:
-	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|WalkOrder|PrescanAllocs|OffGrid|Repeater|ExhaustiveGenerated|RoundTripGenerated' \
+	go test -run 'Provider|Tech|Kind|GainCell|NVM|Overlay|Resolve|BoundTiers|BoundedEnumerate|MatTable|Classify|WalkOrder|PrescanAllocs|OffGrid|Repeater|ExhaustiveGenerated|RoundTripGenerated|WeightProperties|EveryInputMoves|SpecCovers|OnlyTestsImport' \
 		./internal/tech/ ./internal/circuit/ ./internal/mat/ ./internal/array/ ./internal/core/ \
-		./internal/explore/ ./internal/fabric/ ./cmd/cactid-serve/
+		./internal/explore/ ./internal/fabric/ ./internal/spectest/ ./cmd/cactid-serve/
 
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -139,15 +138,9 @@ func (s *server) proxySolveToOwner(w http.ResponseWriter, r *http.Request, spec 
 	}
 	res := fabric.FromWire(wr)
 	if res.Err != nil {
-		// Same classification as the local path: model and context
-		// errors pass through (wire errors keep errors.Is identity),
-		// anything else is a bad spec.
-		if errors.Is(res.Err, core.ErrNoSolution) ||
-			errors.Is(res.Err, context.DeadlineExceeded) ||
-			errors.Is(res.Err, context.Canceled) {
-			return true, res.Err
-		}
-		return true, badRequest(res.Err)
+		// Wire errors keep their errors.Is identity, so the local
+		// path's classification applies.
+		return true, solveError(res.Err)
 	}
 	return true, writeSolution(w, res.Solution, res.Cached)
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -329,17 +328,45 @@ func specsOf(rec jobRecord) ([]core.Spec, error) {
 // cancellation: a canceled point says nothing about its spec.
 func uncanceled(results []explore.Result) int {
 	for i, r := range results {
-		if r.Err != nil && (errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)) {
+		if explore.Canceled(r.Err) {
 			return i
 		}
 	}
 	return len(results)
 }
 
+// keep appends the prefix of chunk untouched by cancellation to j's
+// results, chunk[0] being grid point from, and returns its length: a
+// canceled point must not be recorded (resume would otherwise serve it
+// as a real failure).
+func (j *job) keep(chunk []explore.Result, from, points int) int {
+	good := uncanceled(chunk)
+	j.mu.Lock()
+	if j.results == nil {
+		// Sized to the job, so a finished job holds no spare
+		// capacity beyond the points it counts for.
+		j.results = make([]explore.Result, 0, points)
+	}
+	for i := 0; i < good; i++ {
+		r := chunk[i]
+		r.Index = from + i // chunk-relative -> grid-relative
+		j.results = append(j.results, r)
+	}
+	j.rec.Cursor = len(j.results)
+	close(j.updated) // broadcast "more results"
+	j.updated = make(chan struct{})
+	j.mu.Unlock()
+	return good
+}
+
 // run executes the job's sweep in checkpointed chunks and reports how
 // it ended: done, failed, or still running when a drain stopped it at a
-// chunk boundary. A stopped job's checkpoint holds its done prefix,
-// which is exactly what resumeAll looks for.
+// chunk boundary or cut a chunk short. A stopped job's checkpoint holds
+// its done prefix, which is exactly what resumeAll looks for. A point
+// canceled while the manager is live was not cut off by a drain (an
+// injected fault cancels one, say): the rest of its chunk is swept
+// again from that point, and the job fails only when the same point is
+// canceled again, so every point gets one retry.
 func (m *jobManager) run(j *job) (string, error) {
 	specs, err := specsOf(j.record())
 	if err != nil {
@@ -349,33 +376,19 @@ func (m *jobManager) run(j *job) (string, error) {
 		if m.ctx.Err() != nil {
 			return jobRunning, nil // interrupted: checkpoint already reflects the done prefix
 		}
-		end := cur + m.checkpointEvery
-		if end > len(specs) {
-			end = len(specs)
+		end := min(cur+m.checkpointEvery, len(specs))
+		done := cur + j.keep(m.sweep(m.ctx, specs[cur:end]), cur, len(specs))
+		for done < end && m.ctx.Err() == nil {
+			chunk := m.sweep(m.ctx, specs[done:end])
+			retried := done + j.keep(chunk, done, len(specs))
+			if retried == done && m.ctx.Err() == nil {
+				return jobFailed, fmt.Errorf("sweep job point %d canceled twice: %w", done, chunk[0].Err)
+			}
+			done = retried
 		}
-		chunk := m.sweep(m.ctx, specs[cur:end])
-		// Keep only the prefix untouched by cancellation: a canceled
-		// point must not be recorded (resume would otherwise serve it
-		// as a real failure).
-		good := uncanceled(chunk)
-		j.mu.Lock()
-		if j.results == nil {
-			// Sized to the job, so a finished job holds no spare
-			// capacity beyond the points it counts for.
-			j.results = make([]explore.Result, 0, len(specs))
-		}
-		for i := 0; i < good; i++ {
-			r := chunk[i]
-			r.Index = cur + i // chunk-relative -> grid-relative
-			j.results = append(j.results, r)
-		}
-		j.rec.Cursor = len(j.results)
-		close(j.updated) // broadcast "more results"
-		j.updated = make(chan struct{})
-		j.mu.Unlock()
-		if good < len(chunk) {
+		if done < end {
 			m.checkpoint(j.record())
-			return jobRunning, nil // canceled mid-chunk; still "running" for resume
+			return jobRunning, nil // a drain cut the chunk; still "running" for resume
 		}
 		cur = end
 		// The chunk that completes the grid is recorded by settle's

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cactid/internal/chaos"
 	"cactid/internal/core"
 	"cactid/internal/explore"
 )
@@ -435,5 +436,112 @@ func TestSweepJobOutlivesOtherClientsDeadline(t *testing.T) {
 	}
 	if got := n.Load(); got != 1 {
 		t.Fatalf("job solved the point %d times, want 1", got)
+	}
+}
+
+// chaosJob is a four-point sweep job.
+const chaosJob = `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB","256KB"]}`
+
+// TestSweepJobChaosCancelFails: a job every solve of which takes an
+// injected Cancel at explore.solve, while the server is live, sweeps
+// its canceled points once more and then fails, naming the point; it
+// records no canceled point as a result and does not stay running.
+func TestSweepJobChaosCancelFails(t *testing.T) {
+	inj := chaos.New(1, chaos.Rule{Point: chaos.ExploreSolve, Fault: chaos.Cancel, Rate: 1})
+	m, solves := runChaosJob(t, inj)
+	results, _ := m["results"].([]any)
+	msg, _ := m["error"].(string)
+	if m["state"] != jobFailed || jobCompleted(m) != 0 || len(results) != 0 || !strings.Contains(msg, "point 0 canceled twice") {
+		t.Fatalf("job under a rate-1 cancel: state %v, completed %v, %d results, error %q; want failed at point 0 with none",
+			m["state"], m["completed"], len(results), msg)
+	}
+	if cancels := inj.Snapshot()[chaos.ExploreSolve].Cancels; cancels < 2 {
+		t.Fatalf("%d injected cancels: point 0 was not swept twice", cancels)
+	}
+	if solves != 0 {
+		t.Fatalf("the solver ran %d times behind a rate-1 cancel", solves)
+	}
+}
+
+// chaosSeed returns the first seed on which rule fires on exactly the
+// arms fire marks among the first len(fire) arms of its point.
+func chaosSeed(rule chaos.Rule, fire ...bool) uint64 {
+	for seed := uint64(1); ; seed++ {
+		probe, match := chaos.New(seed, rule), true
+		for _, want := range fire {
+			if (probe.Inject(context.Background(), rule.Point) != nil) != want {
+				match = false
+				break
+			}
+		}
+		if match {
+			return seed
+		}
+	}
+}
+
+// runChaosJob submits chaosJob to a server whose solves go through inj
+// and returns the job once it leaves running, with the solver's call
+// count.
+func runChaosJob(t *testing.T, inj *chaos.Injector) (map[string]any, int64) {
+	t.Helper()
+	n, fast := persistableSolver()
+	ts := newTestServer(t, config{solver: fast, chaos: inj})
+	id := submitJob(t, ts.URL, chaosJob)
+	m := pollJob(t, ts.URL+"/v1/sweep-jobs/"+id, func(m map[string]any) bool { return m["state"] != jobRunning })
+	return m, n.Load()
+}
+
+// wantJobDone fails t unless job m finished done with all four points
+// solved.
+func wantJobDone(t *testing.T, m map[string]any) {
+	t.Helper()
+	results, _ := m["results"].([]any)
+	if m["state"] != jobDone || jobCompleted(m) != 4 || len(results) != 4 {
+		t.Fatalf("job: state %v, completed %v, %d results, error %v; want done with 4",
+			m["state"], m["completed"], len(results), m["error"])
+	}
+	for i, r := range results {
+		if point, _ := r.(map[string]any); point["error"] != nil {
+			t.Fatalf("point %d: %v", i, point["error"])
+		}
+	}
+}
+
+// TestSweepJobChaosCancelRetried: a job one solve of which takes an
+// injected Cancel (a rule that fires on the first arm of explore.solve
+// and on none after) retries that point and finishes done, every point
+// solved once.
+func TestSweepJobChaosCancelRetried(t *testing.T) {
+	rule := chaos.Rule{Point: chaos.ExploreSolve, Fault: chaos.Cancel, Rate: 0.1}
+	// Two sweeps of the four points at most.
+	inj := chaos.New(chaosSeed(rule, true, false, false, false, false, false, false, false, false), rule)
+	m, solves := runChaosJob(t, inj)
+	wantJobDone(t, m)
+	if cancels := inj.Snapshot()[chaos.ExploreSolve].Cancels; cancels != 1 {
+		t.Fatalf("%d injected cancels, want 1", cancels)
+	}
+	if solves != 4 {
+		t.Fatalf("the solver ran %d times for 4 points", solves)
+	}
+}
+
+// TestSweepJobChaosCancelRetriedTail: a point canceled for the first
+// time while an earlier point is retried gets its own retry rather
+// than failing the job. explore.worker arms once per point, cached or
+// not, in point order (a four-point sweep runs on one worker): its
+// first arm cancels point 0, and the seventh cancels point 2 in the
+// sweep that retries points 0-3; a third sweep retries points 2-3 and
+// the job finishes done.
+func TestSweepJobChaosCancelRetriedTail(t *testing.T) {
+	rule := chaos.Rule{Point: chaos.ExploreWorker, Fault: chaos.Cancel, Rate: 0.1}
+	inj := chaos.New(chaosSeed(rule, true, false, false, false, false, false, true, false, false, false), rule)
+	m, solves := runChaosJob(t, inj)
+	wantJobDone(t, m)
+	if st := inj.Snapshot()[chaos.ExploreWorker]; st.Cancels != 2 || st.Armed != 10 {
+		t.Fatalf("explore.worker armed %d times with %d cancels, want 10 and 2", st.Armed, st.Cancels)
+	}
+	if solves != 4 {
+		t.Fatalf("the solver ran %d times for 4 points", solves)
 	}
 }

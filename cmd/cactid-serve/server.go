@@ -536,12 +536,20 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) error {
 	}
 	sol, cached, err := s.eng.Solve(r.Context(), spec)
 	if err != nil {
-		if errors.Is(err, core.ErrNoSolution) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return err
-		}
-		return badRequest(err) // invalid spec
+		return solveError(err)
 	}
 	return writeSolution(w, sol, cached)
+}
+
+// solveError classifies a failed solve of one spec, local or on its
+// owner: the no-solution verdict and the end of the request's context
+// pass through to writeError's status mapping, and anything else is an
+// invalid spec.
+func solveError(err error) error {
+	if errors.Is(err, core.ErrNoSolution) || explore.Canceled(err) {
+		return err
+	}
+	return badRequest(err)
 }
 
 // writeSolution renders a solved spec exactly like `cactid -json`,

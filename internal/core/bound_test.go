@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -93,92 +92,5 @@ func TestOptimizeNoBoundIdentical(t *testing.T) {
 		if total := stB.Total(); total.Considered != total.PrunedTotal()+total.Built+total.BuildErrors {
 			t.Errorf("%s: bounded accounting invariant broken: %+v", name, total)
 		}
-	}
-}
-
-// boundableSpec draws a valid spec the bounded explore applies to:
-// any provider with any RAM type it accepts, nodes 32/45/65/78/90
-// (78 interpolated), caches in all three access modes and plain
-// memories, PageBits set or unset, ECC on or off, repeater slack,
-// sleep transistors and 1-8 banks (bank routing only with one bank,
-// the boundable shape).
-func boundableSpec(r *rand.Rand) Spec {
-	providers := tech.Providers()
-	for {
-		s := Spec{
-			Technology:        providers[r.IntN(len(providers))],
-			Node:              []tech.Node{32, 45, 65, 78, 90}[r.IntN(5)],
-			RAM:               tech.RAMType(r.IntN(int(tech.GAINCELL) + 1)),
-			BlockBytes:        []int{32, 64, 128}[r.IntN(3)],
-			Associativity:     1 << r.IntN(5),
-			Banks:             1 + r.IntN(8),
-			IsCache:           r.IntN(3) != 0,
-			Mode:              AccessMode(r.IntN(3)),
-			MaxPipelineStages: []int{0, 6}[r.IntN(2)],
-			MaxRepeaterSlack:  []float64{0, 0.2}[r.IntN(2)],
-			SleepTransistors:  r.IntN(4) == 0,
-			ECC:               r.IntN(3) == 0,
-		}
-		if r.IntN(2) == 0 {
-			s.PageBits = 1024 << r.IntN(4)
-		}
-		s.CapacityBytes = int64(s.Banks) * (int64(16<<10) << r.IntN(11))
-		s.IncludeBankRouting = s.Banks == 1 && r.IntN(2) == 0
-		if c := s; c.normalize() == nil && c.boundable() {
-			return s
-		}
-	}
-}
-
-// TestBoundedMatchesExhaustiveGenerated extends
-// TestBoundedFilterOutputIdentical from its hand-picked specs to
-// generated ones over every provider: wherever the bounded path
-// applies, its filtered list equals the filtered exhaustive list,
-// value for value and in order, OptimizeContext's winner pick returns
-// that list's first solution, and its counters keep the accounting
-// invariant; where it falls back, the exhaustive path must agree that
-// the spec has no solution or handle it alone.
-func TestBoundedMatchesExhaustiveGenerated(t *testing.T) {
-	ctx := context.Background()
-	r := rand.New(rand.NewPCG(17, 6))
-	const n = 400
-	applied := 0
-	for i := 0; i < n; i++ {
-		spec := boundableSpec(r)
-		var st SolveStats
-		sols, ok, err := exploreBounded(ctx, spec, &Options{Stats: &st})
-		all, errU := ExploreContext(ctx, spec, nil)
-		if err != nil {
-			if errU == nil {
-				t.Fatalf("spec %d %+v: bounded explore failed (%v) where the exhaustive one solves", i, spec, err)
-			}
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if errU != nil {
-			t.Fatalf("spec %d %+v: exhaustive explore: %v", i, spec, errU)
-		}
-		applied++
-		fu := Filter(spec, all)
-		if fb := Filter(spec, sols); !reflect.DeepEqual(fb, fu) {
-			t.Fatalf("spec %d %+v: filtered %d bounded solutions differ from %d exhaustive ones",
-				i, spec, len(fb), len(fu))
-		}
-		best, err := OptimizeContext(ctx, spec, nil)
-		if err != nil || len(fu) == 0 {
-			t.Fatalf("spec %d %+v: OptimizeContext: %v (%d exhaustive survivors)", i, spec, err, len(fu))
-		}
-		if !reflect.DeepEqual(best, fu[0]) {
-			t.Fatalf("spec %d %+v: OptimizeContext's winner differs from Filter's first solution", i, spec)
-		}
-		if total := st.Total(); total.Considered != total.PrunedTotal()+total.Built+total.BuildErrors {
-			t.Fatalf("spec %d %+v: accounting invariant broken: %+v", i, spec, total)
-		}
-	}
-	t.Logf("bounded path applied to %d of %d specs", applied, n)
-	if applied < n*3/4 {
-		t.Fatalf("bounded path applied to only %d of %d generated specs", applied, n)
 	}
 }

@@ -583,9 +583,15 @@ func (st *stageCuts) objective(m *metric) float64 {
 
 // ranksBefore is Filter's total order on survivors a and b with
 // objectives oa and ob and access times acca and accb: objective, then
-// access time, then organization order.
+// access time, then organization order. A NaN objective (NaN or
+// infinite weights make them) ranks after every number and ties with
+// another NaN, so the order stays total and the bounded and exhaustive
+// paths, which meet the candidates in different orders, pick the same
+// winner.
 func ranksBefore(oa, acca float64, a *array.Org, ob, accb float64, b *array.Org) bool {
-	if oa != ob {
+	if na, nb := math.IsNaN(oa), math.IsNaN(ob); na != nb {
+		return nb
+	} else if !na && oa != ob {
 		return oa < ob
 	}
 	if acca != accb {

@@ -1,12 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"math"
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,105 +163,6 @@ func TestFingerprintPropertyIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// referenceHashInput is the fmt formula Fingerprint hashed before it
-// built its input with strconv; appendHashInput must reproduce it
-// byte for byte, or every persisted store key would change.
-func referenceHashInput(c Spec) string {
-	var h strings.Builder
-	fmt.Fprintf(&h, "node=%d|ram=%d|cap=%d|blk=%d|assoc=%d|banks=%d|",
-		int(c.Node), int(c.RAM), c.CapacityBytes, c.BlockBytes, c.Associativity, c.Banks)
-	fmt.Fprintf(&h, "cache=%t|mode=%d|", c.IsCache, int(c.Mode))
-	tag := -1
-	if c.TagRAM != nil {
-		tag = int(*c.TagRAM)
-	}
-	fmt.Fprintf(&h, "tag=%d|page=%d|pipe=%d|", tag, c.PageBits, c.MaxPipelineStages)
-	fmt.Fprintf(&h, "area=%.17g|acc=%.17g|slack=%.17g|", c.MaxAreaConstraint, c.MaxAcctimeConstraint, c.MaxRepeaterSlack)
-	fmt.Fprintf(&h, "w=%.17g,%.17g,%.17g,%.17g|", c.Weights.DynamicEnergy, c.Weights.LeakagePower,
-		c.Weights.RandomCycle, c.Weights.InterleaveCycle)
-	fmt.Fprintf(&h, "sleep=%t|ports=%d|ecc=%t|route=%t|pa=%d",
-		c.SleepTransistors, c.Ports, c.ECC, c.IncludeBankRouting, c.PhysicalAddressBits)
-	if c.Technology != "" {
-		fmt.Fprintf(&h, "|tech=%s", c.Technology)
-	}
-	return h.String()
-}
-
-// randomSpec draws a spec over every field Fingerprint hashes: any
-// provider and RAM type, defaulted and explicit integers, negative,
-// subnormal, infinite and NaN constraints and weights, TagRAM set or
-// not. Some draws are invalid; the caller skips those.
-func randomSpec(rng *rand.Rand) Spec {
-	floats := []float64{0, 0.4, 0.1, -0.25, 3, 1e-300, 5e-324, 1e21, -1e-7,
-		math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
-	ints := []int{-3, 0, 1, 2, 6, 8, 40, 8192, math.MaxInt32}
-	f := func() float64 { return floats[rng.Intn(len(floats))] }
-	n := func() int { return ints[rng.Intn(len(ints))] }
-	providers := append(tech.Providers(), "")
-	s := Spec{
-		Node:                 []tech.Node{0, 90, 65, 45, 32, 78}[rng.Intn(6)],
-		RAM:                  tech.RAMType(rng.Intn(int(tech.GAINCELL) + 1)),
-		Technology:           providers[rng.Intn(len(providers))],
-		BlockBytes:           []int{32, 64, 128}[rng.Intn(3)],
-		Associativity:        n(),
-		Banks:                []int{0, 1, 2, 8}[rng.Intn(4)],
-		IsCache:              rng.Intn(2) == 0,
-		Mode:                 AccessMode(rng.Intn(3)),
-		PageBits:             n(),
-		MaxPipelineStages:    n(),
-		MaxAreaConstraint:    f(),
-		MaxAcctimeConstraint: f(),
-		MaxRepeaterSlack:     f(),
-		SleepTransistors:     rng.Intn(2) == 0,
-		Ports:                n(),
-		ECC:                  rng.Intn(2) == 0,
-		IncludeBankRouting:   rng.Intn(2) == 0,
-		PhysicalAddressBits:  n(),
-	}
-	s.CapacityBytes = int64(max(s.Banks, 1)) << (10 + rng.Intn(20))
-	if rng.Intn(2) == 0 {
-		s.Weights = &Weights{f(), f(), f(), f()}
-	}
-	if rng.Intn(2) == 0 {
-		r := tech.RAMType(rng.Intn(int(tech.GAINCELL) + 1))
-		s.TagRAM = &r
-	}
-	return s
-}
-
-// TestFingerprintMatchesFmtReference is a differential test of the
-// fmt-free fingerprint over generated specs of every technology
-// provider: the hash input equals the fmt formula's, and the
-// fingerprint is that input's truncated SHA-256.
-func TestFingerprintMatchesFmtReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	perTech := map[string]int{}
-	for i := 0; i < 4000; i++ {
-		s := randomSpec(rng)
-		c, err := s.Canonical()
-		if err != nil {
-			continue
-		}
-		want := referenceHashInput(c)
-		if got := string(c.appendHashInput(nil)); got != want {
-			t.Fatalf("spec %+v:\nhash input %q\nfmt formula %q", s, got, want)
-		}
-		sum := sha256.Sum256([]byte(want))
-		if fp, err := s.Fingerprint(); err != nil || fp != hex.EncodeToString(sum[:16]) {
-			t.Fatalf("spec %+v: fingerprint %q (%v), want %x", s, fp, err, sum[:16])
-		}
-		perTech[c.Technology]++
-	}
-	for _, name := range tech.Providers() {
-		if name == tech.DefaultTech {
-			name = "" // canonical spelling of the default family
-		}
-		if perTech[name] < 50 {
-			t.Errorf("provider %q: only %d valid generated specs", name, perTech[name])
-		}
 	}
 }
 

@@ -1,28 +1,37 @@
-package core
+package core_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
 
+	"cactid/internal/core"
+	"cactid/internal/spectest"
 	"cactid/internal/tech"
 )
+
+// boundable reports whether s is a valid spec the bounded explore
+// applies to: the predicate that filters generated specs for the
+// bounded path's tests.
+func boundable(s core.Spec) bool {
+	return core.Normalize(&s) == nil && core.Boundable(&s)
+}
 
 // pooledSpecs draws, for every tech.Providers() entry, two boundable
 // specs (the bounded path: pooled prescans and the winner pick) and a
 // routed four-bank spec (the exhaustive fallback: pooled
 // EnumerateContext contexts).
-func pooledSpecs() []Spec {
+func pooledSpecs() []core.Spec {
 	r := rand.New(rand.NewPCG(19, 3))
-	var specs []Spec
+	var specs []core.Spec
 	for _, p := range tech.Providers() {
 		for found := 0; found < 2; {
-			s := boundableSpec(r)
-			if c := s; c.normalize() != nil || c.Technology != p && !(p == tech.DefaultTech && c.Technology == "") {
+			s := spectest.Spec(r)
+			c := s
+			if core.Normalize(&c) != nil || !core.Boundable(&c) || c.Technology != p && !(p == tech.DefaultTech && c.Technology == "") {
 				continue
 			}
 			specs = append(specs, s)
@@ -31,7 +40,7 @@ func pooledSpecs() []Spec {
 		base := specs[len(specs)-1]
 		routed := base
 		routed.Banks, routed.IncludeBankRouting = 4, true
-		routed.CapacityBytes = 4 * (base.CapacityBytes / int64(base.Banks))
+		routed.CapacityBytes = 4 * (base.CapacityBytes / int64(max(base.Banks, 1)))
 		specs = append(specs, routed)
 	}
 	return specs
@@ -49,13 +58,13 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 	specs := pooledSpecs()
 	ctx := context.Background()
 	type outcome struct {
-		sol *Solution
+		sol *core.Solution
 		err error
 	}
 	want := make([]outcome, len(specs))
 	solved := 0
 	for i, s := range specs {
-		sol, err := OptimizeContext(ctx, s, &Options{Workers: 1})
+		sol, err := core.OptimizeContext(ctx, s, &core.Options{Workers: 1})
 		want[i] = outcome{sol, err}
 		if err == nil {
 			solved++
@@ -73,8 +82,8 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 			defer wg.Done()
 			for k := range specs {
 				i := (k + g*len(specs)/goroutines) % len(specs)
-				sol, err := OptimizeContext(ctx, specs[i], &Options{Workers: 2})
-				if !errors.Is(err, want[i].err) || !reflect.DeepEqual(sol, want[i].sol) {
+				sol, err := core.OptimizeContext(ctx, specs[i], &core.Options{Workers: 2})
+				if (err == nil) != (want[i].err == nil) || err != nil && err.Error() != want[i].err.Error() || !reflect.DeepEqual(sol, want[i].sol) {
 					errs <- fmt.Errorf("spec %d %+v: concurrent solve (%v) differs from the serial one (%v)",
 						i, specs[i], err, want[i].err)
 					return

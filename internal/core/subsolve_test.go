@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"cactid/internal/array"
+	"cactid/internal/core"
+	"cactid/internal/spectest"
 )
 
 // TestSubSolvesMatchOptimize: a table solves every point of generated
@@ -23,26 +25,30 @@ func TestSubSolvesMatchOptimize(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewPCG(23, 5))
 	tagShared, dataShared := 0, 0
-	for g := 0; g < 12; g++ {
-		base := boundableSpec(r)
-		var specs []Spec
+	for g := 0; g < 12; {
+		base := spectest.Spec(r)
+		if !boundable(base) {
+			continue
+		}
+		bankCap := base.CapacityBytes / int64(max(base.Banks, 1))
+		var specs []core.Spec
 		for _, assoc := range []int{1, 2, 4} {
-			for _, banks := range []int{base.Banks, 2 * base.Banks} {
-				for _, mode := range []AccessMode{Normal, Sequential, Fast} {
+			for _, banks := range []int{base.Banks, 2 * max(base.Banks, 1)} {
+				for _, mode := range []core.AccessMode{core.Normal, core.Sequential, core.Fast} {
 					s := base
 					s.Associativity, s.Banks, s.Mode = assoc, banks, mode
-					s.CapacityBytes = base.CapacityBytes / int64(base.Banks) * int64(banks)
+					s.CapacityBytes = bankCap * int64(max(banks, 1))
 					specs = append(specs, s)
 				}
 			}
 		}
-		tab := NewSubSolves(specs)
+		tab := core.NewSubSolves(specs)
 		seenData, seenTag := map[array.Spec]bool{}, map[array.Spec]bool{}
 		for i, s := range specs {
-			var st SolveStats
-			got, err := tab.Optimize(ctx, i, &Options{Workers: 1, Stats: &st})
+			var st core.SolveStats
+			got, err := tab.Optimize(ctx, i, &core.Options{Workers: 1, Stats: &st})
 			tab.Done(i)
-			want, wantErr := OptimizeContext(ctx, s, &Options{Workers: 1})
+			want, wantErr := core.OptimizeContext(ctx, s, &core.Options{Workers: 1})
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("sweep %d point %d %+v: error %v, per point %v", g, i, s, err, wantErr)
 			}
@@ -50,10 +56,10 @@ func TestSubSolvesMatchOptimize(t *testing.T) {
 				t.Fatalf("sweep %d point %d %+v: solution differs from the per-point one", g, i, s)
 			}
 			n := s
-			if n.normalize() != nil || !n.boundable() {
+			if core.Normalize(&n) != nil || !core.Boundable(&n) {
 				continue
 			}
-			ds, ts := dataArraySpec(n, nil), tagArraySpec(n, nil)
+			ds, ts := core.ArrayKeys(n)
 			if st.DataShared != seenData[ds] {
 				t.Fatalf("sweep %d point %d: DataShared %v, key seen before %v", g, i, st.DataShared, seenData[ds])
 			}
@@ -75,6 +81,7 @@ func TestSubSolvesMatchOptimize(t *testing.T) {
 			}
 		}
 		tab.Close()
+		g++
 	}
 	t.Logf("%d tag banks and %d data prescans shared", tagShared, dataShared)
 	if tagShared == 0 || dataShared == 0 {

@@ -164,7 +164,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 	for !created {
 		select {
 		case <-ent.ready:
-			if !canceled(ent.err) {
+			if !Canceled(ent.err) {
 				e.hits.Add(1)
 				return ent.sol, true, ent.err
 			}
@@ -202,7 +202,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 	e.solves.Add(1)
 	sol, err := e.runSolver(ctx, spec, sw, i)
 	ent.sol, ent.err = core.Project(sol), err
-	if canceled(ent.err) {
+	if Canceled(ent.err) {
 		// The solver was cut short by this requester's context: the
 		// failure says nothing about the spec, so don't poison the
 		// cache with it.
@@ -216,10 +216,11 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 	return ent.sol, false, ent.err
 }
 
-// canceled reports whether err is the end of a context rather than an
-// answer about the spec: such a result is never cached, and a waiter
-// whose own context is live does not take it from the owner.
-func canceled(err error) bool {
+// Canceled reports whether err is the end of a context rather than an
+// answer about the spec: such a result is never cached, a waiter whose
+// own context is live does not take it from the owner, and a sweep job
+// does not record it.
+func Canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 

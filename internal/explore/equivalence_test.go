@@ -71,14 +71,15 @@ func equivSweepGrids() []Grid {
 // cactid-serve and cmd/cactid do.
 func renderBoth(t *testing.T, results []Result) (jsonOut, csvOut []byte) {
 	t.Helper()
-	var jb, cb bytes.Buffer
-	if err := WriteJSON(&jb, results); err != nil {
+	jb, err := AppendResultsJSON(nil, results, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
+	var cb bytes.Buffer
 	if err := WriteCSV(&cb, results); err != nil {
 		t.Fatal(err)
 	}
-	return jb.Bytes(), cb.Bytes()
+	return append(jb, '\n'), cb.Bytes()
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

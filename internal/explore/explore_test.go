@@ -158,14 +158,15 @@ func TestParallelSweepMatchesSerialByteIdentical(t *testing.T) {
 	if !bytes.Equal(bufS.Bytes(), bufP.Bytes()) {
 		t.Fatal("parallel sweep CSV differs from serial")
 	}
-	var jS, jP bytes.Buffer
-	if err := WriteJSON(&jS, serial); err != nil {
+	jS, err := AppendResultsJSON(nil, serial, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&jP, parallel); err != nil {
+	jP, err := AppendResultsJSON(nil, parallel, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jS.Bytes(), jP.Bytes()) {
+	if !bytes.Equal(jS, jP) {
 		t.Fatal("parallel sweep JSON differs from serial")
 	}
 }

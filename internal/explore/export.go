@@ -124,17 +124,6 @@ func AppendResultsJSON(dst []byte, results []Result, prefix, indent string) ([]b
 	return e.finish(dst)
 }
 
-// WriteJSON writes the sweep results as an indented JSON array in
-// sweep order.
-func WriteJSON(w io.Writer, results []Result) error {
-	b, err := AppendResultsJSON(nil, results, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
-}
-
 // jsonEnc appends JSON in encoding/json's layout: compact when indent
 // is empty, otherwise MarshalIndent's newline, prefix and one indent
 // per open object or array before every member and before a non-empty

@@ -112,11 +112,11 @@ func TestWriteCSVRealSolution(t *testing.T) {
 	if !strings.Contains(out, "65536") || !strings.Contains(out, "SRAM") {
 		t.Fatalf("CSV missing spec identity:\n%s", out)
 	}
-	var jbuf bytes.Buffer
-	if err := WriteJSON(&jbuf, res); err != nil {
+	jb, err := AppendResultsJSON(nil, res, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(jbuf.String(), "\"access_time_s\"") {
+	if !strings.Contains(string(jb), "\"access_time_s\"") {
 		t.Fatal("JSON missing metrics")
 	}
 }

@@ -2,54 +2,46 @@ package explore
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"cactid/internal/core"
+	"cactid/internal/spectest"
 	"cactid/internal/tech"
 )
 
-// subSolveGrids draws seeded grids shaped like design-space tiles: a
-// base of fixed fields crossed with capacities, associativities, banks
-// and the three access modes, the axes along which points share array
-// sub-solves. Across the grids they cover every tech.Providers() entry,
-// nodes 32/45/65/90 and the interpolated 78, the three RAM types,
-// caches and plain memories, ECC, two SRAM ports, a TagRAM override,
-// sleep transistors, repeater slack, routed banks (the per-point
-// fallback) and page sizes, some of which no organization meets, so
-// some points have no solution.
-func subSolveGrids(n int, seed uint64) []Grid {
+// tileGrids draws seeded grids shaped like design-space tiles: a
+// generated valid base crossed with two capacities, three
+// associativities, three bank counts and the three access modes, the
+// axes along which points share array sub-solves. Grid g's base is a
+// draw of the g-th provider in turn (the empty default after the named
+// ones), and in every five grids four bases also have, in turn, two
+// SRAM ports, a tag RAM override, ECC and bank routing (the per-point
+// fallback). The bases' other fields (node, RAM type, page size,
+// constraints) stay as drawn, so some grids have points no
+// organization meets.
+func tileGrids(n int, seed uint64) []Grid {
 	r := rand.New(rand.NewPCG(seed, 23))
-	providers := tech.Providers()
-	nodes := []tech.Node{32, 45, 65, 90, 78}
-	rams := []tech.RAMType{tech.SRAM, tech.LPDRAM, tech.COMMDRAM}
+	providers := append(tech.Providers(), "")
+	features := []func(s core.Spec) bool{
+		func(core.Spec) bool { return true },
+		func(s core.Spec) bool { return s.Ports == 2 && s.RAM == tech.SRAM },
+		func(s core.Spec) bool { return s.IsCache && s.TagRAM != nil },
+		func(s core.Spec) bool { return s.ECC },
+		func(s core.Spec) bool { return s.IncludeBankRouting },
+	}
 	grids := make([]Grid, 0, n)
-	for g := 0; g < n; g++ {
-		base := core.Spec{
-			Technology:        providers[g%len(providers)],
-			Node:              nodes[g%len(nodes)],
-			RAM:               rams[g%len(rams)],
-			BlockBytes:        []int{32, 64, 128}[r.IntN(3)],
-			IsCache:           g%6 != 5,
-			MaxPipelineStages: []int{0, 6}[r.IntN(2)],
-			MaxRepeaterSlack:  []float64{0, 0.2}[r.IntN(4)/3],
-			SleepTransistors:  r.IntN(4) == 0,
-			ECC:               r.IntN(3) == 0,
+	for len(grids) < n {
+		g := len(grids)
+		base := spectest.Spec(r)
+		if base.Technology != providers[g%len(providers)] || !features[g%len(features)](base) {
+			continue
 		}
-		if base.RAM == tech.SRAM && r.IntN(2) == 0 {
-			base.Ports = 2
+		if _, err := base.Canonical(); err != nil {
+			continue
 		}
-		if base.IsCache && r.IntN(4) == 0 {
-			tagRAM := rams[r.IntN(len(rams))]
-			base.TagRAM = &tagRAM
-		}
-		if base.RAM.IsDRAM() && r.IntN(2) == 0 {
-			base.PageBits = []int{1024, 8192, 1 << 20}[r.IntN(3)]
-		}
-		base.IncludeBankRouting = r.IntN(8) == 0
-		c := int64(16<<10) << r.IntN(10)
+		c := base.CapacityBytes / int64(max(base.Banks, 1))
 		grids = append(grids, Grid{
 			Base:       base,
 			Capacities: []int64{c, 2 * c},
@@ -61,39 +53,68 @@ func subSolveGrids(n int, seed uint64) []Grid {
 	return grids
 }
 
-// outcome is a point's answer as a caller sees it: the projection's
-// JSON, or the error text.
-func outcome(t *testing.T, sol *core.Solution, err error) string {
-	t.Helper()
+// outcome is a point's answer as a caller sees it: every field of the
+// projection, or the error text. fmt spells each float exactly, NaN
+// and the infinities included, which JSON cannot carry.
+func outcome(sol *core.Solution, err error) string {
 	if err != nil {
 		return "error: " + err.Error()
 	}
 	p := sol.Projection()
-	b, jerr := json.Marshal(&p)
-	if jerr != nil {
-		t.Fatal(jerr)
+	spec, tag := *p.Spec, "none"
+	if spec.TagRAM != nil {
+		tag = spec.TagRAM.String()
 	}
-	return string(b)
+	w, data, tagOrg := spec.Weights, p.DataOrg, p.TagOrg
+	spec.Weights, spec.TagRAM, p.Spec, p.DataOrg, p.TagOrg = nil, nil, nil, nil, nil
+	return fmt.Sprintf("%+v %+v tag=%s %+v %+v %+v", spec, w, tag, p, data, tagOrg)
 }
 
 // TestSweepMatchesPerPointGenerated: Engine.Sweep, whose points share
 // their tag banks and data-array prescans through one core.SubSolves
 // table, answers every point of generated grids exactly as a per-point
-// core.OptimizeContext does — the projection's JSON or the error text —
-// at one worker and at four. The one-worker sweep must take some of
-// each sub-solve from the table, or the test compares nothing.
+// core.OptimizeContext does — every field of the projection or the
+// error text — at one worker and at four. The grids' bases must cover
+// every provider, the five ITRS-table nodes, the three ITRS RAM types,
+// plain memories, two SRAM ports, a tag RAM override, ECC and bank
+// routing, and the one-worker sweep must take some of each sub-solve
+// from the table, or the test compares less than it claims.
 func TestSweepMatchesPerPointGenerated(t *testing.T) {
 	ctx := context.Background()
 	var specs []core.Spec
-	for _, g := range subSolveGrids(28, 9) {
+	bases := map[string]int{}
+	for _, g := range tileGrids(28, 9) {
 		s, _ := g.Expand()
 		specs = append(specs, s...)
+		b := g.Base
+		for k, ok := range map[string]bool{
+			"provider " + b.Technology: true, "node " + b.Node.String(): true, "ram " + b.RAM.String(): true,
+			"plain memory": !b.IsCache, "2-port SRAM": b.Ports == 2 && b.RAM == tech.SRAM,
+			"tag RAM": b.IsCache && b.TagRAM != nil, "ECC": b.ECC, "bank routing": b.IncludeBankRouting,
+			"page bits": b.PageBits != 0, "sleep transistors": b.SleepTransistors, "repeater slack": b.MaxRepeaterSlack != 0,
+		} {
+			if ok {
+				bases[k]++
+			}
+		}
+	}
+	t.Logf("grid bases: %v", bases)
+	for _, want := range []string{"2-port SRAM", "tag RAM", "ECC", "bank routing", "plain memory",
+		"node 32nm", "node 45nm", "node 65nm", "node 78nm", "node 90nm", "ram SRAM", "ram LP-DRAM", "ram COMM-DRAM"} {
+		if bases[want] == 0 {
+			t.Errorf("no grid base has %s", want)
+		}
+	}
+	for _, p := range append(tech.Providers(), "") {
+		if bases["provider "+p] == 0 {
+			t.Errorf("no grid base of provider %q", p)
+		}
 	}
 	want := make([]string, len(specs))
 	failed := 0
 	for i, s := range specs {
 		sol, err := core.OptimizeContext(ctx, s, nil)
-		want[i] = outcome(t, sol, err)
+		want[i] = outcome(sol, err)
 		if err != nil {
 			failed++
 		}
@@ -107,7 +128,7 @@ func TestSweepMatchesPerPointGenerated(t *testing.T) {
 			results := New(Options{Workers: workers}).Sweep(ctx, specs)
 			after := core.SubSolveCounters()
 			for i, r := range results {
-				if got := outcome(t, r.Solution, r.Err); got != want[i] {
+				if got := outcome(r.Solution, r.Err); got != want[i] {
 					t.Fatalf("point %d %+v:\nsweep     %s\nper point %s", i, specs[i], got, want[i])
 				}
 			}
@@ -125,7 +146,7 @@ func TestSweepMatchesPerPointGenerated(t *testing.T) {
 // from a sub-solve table.
 func TestCustomSolverSweepSharesNothing(t *testing.T) {
 	ctx := context.Background()
-	specs, _ := subSolveGrids(1, 3)[0].Expand()
+	specs, _ := tileGrids(1, 3)[0].Expand()
 	before := core.SubSolveCounters()
 	e := New(Options{Workers: 1, Solver: func(ctx context.Context, s core.Spec) (*core.Solution, error) {
 		return core.OptimizeContext(ctx, s, nil)

@@ -122,12 +122,16 @@ func TestTier1DoesNotPersistCancellation(t *testing.T) {
 		return nil, context.Canceled
 	}
 	spec := core.Spec{Node: tech.Node32, RAM: tech.SRAM, CapacityBytes: 64 << 10, BlockBytes: 64}
-	tier := openTier(t, dir)
-	e := New(Options{Solver: solver, Tier1: tier})
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	e := New(Options{Solver: solver, Tier1: store.NewSolutions(st)})
 	if _, _, err := e.Solve(context.Background(), spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if tier.Store().Len() != 0 {
+	if st.Len() != 0 {
 		t.Fatal("cancellation persisted to the durable tier")
 	}
 }
@@ -180,8 +184,8 @@ func TestTier1SweepByteIdenticalAcrossRestart(t *testing.T) {
 	e1 := New(Options{Tier1: openTier(t, dir)})
 	e1.Sweep(ctx, specs) // cold pass populates the store
 	warm1 := e1.Sweep(ctx, specs)
-	var a bytes.Buffer
-	if err := WriteJSON(&a, warm1); err != nil {
+	a, err := AppendResultsJSON(nil, warm1, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,12 +194,12 @@ func TestTier1SweepByteIdenticalAcrossRestart(t *testing.T) {
 	// report cached=true everywhere) with zero solver invocations.
 	e2 := New(Options{Tier1: openTier(t, dir)})
 	warm2 := e2.Sweep(ctx, specs)
-	var b bytes.Buffer
-	if err := WriteJSON(&b, warm2); err != nil {
+	b, err := AppendResultsJSON(nil, warm2, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("restart sweep not byte-identical:\n%s\nvs\n%s", a.Bytes(), b.Bytes())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("restart sweep not byte-identical:\n%s\nvs\n%s", a, b)
 	}
 	if st := e2.Stats(); st.Solves != 0 || st.Tier1Hits != int64(len(warm2)) {
 		t.Fatalf("restart stats = %+v, want all tier-1 hits", st)

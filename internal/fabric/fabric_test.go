@@ -157,16 +157,18 @@ func TestFabricSweepByteIdenticalToSingleNode(t *testing.T) {
 
 func assertSameBytes(t *testing.T, want, got []explore.Result, what string) {
 	t.Helper()
-	var wj, gj, wc, gc bytes.Buffer
-	if err := explore.WriteJSON(&wj, want); err != nil {
+	wj, err := explore.AppendResultsJSON(nil, want, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := explore.WriteJSON(&gj, got); err != nil {
+	gj, err := explore.AppendResultsJSON(nil, got, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wj.Bytes(), gj.Bytes()) {
+	if !bytes.Equal(wj, gj) {
 		t.Fatalf("%s: JSON differs from single-node output", what)
 	}
+	var wc, gc bytes.Buffer
 	if err := explore.WriteCSV(&wc, want); err != nil {
 		t.Fatal(err)
 	}

@@ -14,41 +14,10 @@ import (
 
 	"cactid/internal/core"
 	"cactid/internal/explore"
+	"cactid/internal/spectest"
 	"cactid/internal/store"
 	"cactid/internal/tech"
 )
-
-// generatedSpecs draws n specs with distinct fingerprints across every
-// technology provider, the four study nodes, the three RAM types,
-// caches and plain memories, blocks, associativities, banks, access
-// modes and pipelining capped or free. Some admit no solution.
-func generatedSpecs(n int, seed uint64) []core.Spec {
-	r := rand.New(rand.NewPCG(seed, 21))
-	providers := tech.Providers()
-	seen := map[string]bool{}
-	specs := make([]core.Spec, 0, n)
-	for len(specs) < n {
-		s := core.Spec{
-			Technology:        providers[len(specs)%len(providers)],
-			Node:              []tech.Node{32, 45, 65, 90}[r.IntN(4)],
-			RAM:               []tech.RAMType{tech.SRAM, tech.LPDRAM, tech.COMMDRAM}[r.IntN(3)],
-			BlockBytes:        []int{32, 64, 128}[r.IntN(3)],
-			Associativity:     1 << r.IntN(5),
-			Banks:             1 << r.IntN(3),
-			IsCache:           r.IntN(3) != 0,
-			Mode:              core.AccessMode(r.IntN(3)),
-			MaxPipelineStages: []int{0, 6}[r.IntN(2)],
-		}
-		s.CapacityBytes = int64(s.Banks) * (int64(16<<10) << r.IntN(10))
-		fp, err := s.Fingerprint()
-		if err != nil || seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		specs = append(specs, s)
-	}
-	return specs
-}
 
 func renderResult(t *testing.T, r explore.Result) []byte {
 	t.Helper()
@@ -60,18 +29,53 @@ func renderResult(t *testing.T, r explore.Result) []byte {
 }
 
 // TestProjectionRoundTripGenerated: every point of 1,000 generated
-// specs reaches a caller as the same value whichever way it came — the
-// tier-0 result, the result through the fabric wire (ToWire,
-// json.Marshal, the typed decoder, FromWire) and the result through
-// the durable store (Save, then Lookup) — and renders to the same
-// bytes as the full design core.Optimize returns.
+// specs with distinct fingerprints reaches a caller as the same value
+// whichever way it came — the tier-0 result, the result through the
+// fabric wire (ToWire, json.Marshal, the typed decoder, FromWire) and
+// the result through the durable store (Save, then Lookup) — and
+// renders to the same bytes as the full design core.Optimize returns.
+// A point whose spec holds a NaN or infinite float cannot be encoded
+// for the wire or stored as a solution; the store answers it with at
+// most its no-solution verdict.
 func TestProjectionRoundTripGenerated(t *testing.T) {
 	ctx := context.Background()
-	specs := generatedSpecs(1000, 5)
-	results := explore.New(explore.Options{}).Sweep(ctx, specs)
+	r := rand.New(rand.NewPCG(5, 21))
+	seen := map[string]bool{}
+	var specs []core.Spec
+	for len(specs) < 1000 {
+		s := spectest.Spec(r)
+		fp, err := s.Fingerprint()
+		if err != nil || seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		specs = append(specs, s)
+	}
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tier := store.NewSolutions(st)
+
 	var resp BatchResponse
-	for _, r := range results {
-		resp.Results = append(resp.Results, ToWire(r))
+	var results []explore.Result
+	uncarried := 0
+	for _, r := range explore.New(explore.Options{}).Sweep(ctx, specs) {
+		w := ToWire(r)
+		if _, err := json.Marshal(w); err != nil {
+			// A NaN or infinite spec field: no JSON carries the point
+			// to another node, and the store keeps at most its
+			// no-solution verdict.
+			tier.Save(ctx, r.Fingerprint, r.Solution, r.Err)
+			if hit, ok := tier.Lookup(ctx, r.Fingerprint); ok && (r.Err == nil || hit.Err == nil || hit.Err.Error() != r.Err.Error()) {
+				t.Fatalf("%+v: the wire cannot encode the point (%v), but the store answers %+v", r.Spec, err, hit)
+			}
+			uncarried++
+			continue
+		}
+		resp.Results = append(resp.Results, w)
+		results = append(results, r)
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -81,12 +85,6 @@ func TestProjectionRoundTripGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tier := store.NewSolutions(st)
 
 	verdicts := 0
 	for i, r := range results {
@@ -119,7 +117,7 @@ func TestProjectionRoundTripGenerated(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d points, %d without a solution", len(results), verdicts)
+	t.Logf("%d points, %d without a solution; %d more no JSON can carry", len(results), verdicts, uncarried)
 	if verdicts == len(results) {
 		t.Fatal("no generated spec solved")
 	}

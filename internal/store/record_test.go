@@ -47,7 +47,8 @@ func checkRecordAgrees(t *testing.T, what string, data []byte, required bool) {
 func savedRecords(t *testing.T) [][]byte {
 	t.Helper()
 	ctx := context.Background()
-	tier := NewSolutions(openT(t, Config{Dir: t.TempDir()}))
+	st := openT(t, Config{Dir: t.TempDir()})
+	tier := NewSolutions(st)
 	var fps []string
 	for _, p := range tech.Providers() {
 		for _, cache := range []bool{true, false} {
@@ -68,7 +69,7 @@ func savedRecords(t *testing.T) [][]byte {
 	fps = append(fps, "fp-nosol")
 	var out [][]byte
 	for _, fp := range fps {
-		out = append(out, mustGet(t, tier.Store(), solutionKey(fp)))
+		out = append(out, mustGet(t, st, solutionKey(fp)))
 	}
 	return out
 }

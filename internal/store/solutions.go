@@ -20,7 +20,7 @@ type Tiered interface {
 	// false on a miss, a read fault, or a record written under a
 	// different ModelVersion.
 	Lookup(ctx context.Context, fingerprint string) (Hit, bool)
-	// Save persists a pure outcome. Outcomes that Persistable rejects
+	// Save persists a pure outcome. Outcomes that persistable rejects
 	// and write faults are dropped silently: the store is a cache of
 	// recomputable results, so losing a write costs durability only.
 	Save(ctx context.Context, fingerprint string, sol *core.Solution, solveErr error)
@@ -33,13 +33,13 @@ type Hit struct {
 	Err      error
 }
 
-// Persistable reports whether a solve outcome may be written to the
+// persistable reports whether a solve outcome may be written to the
 // durable tier: a success, or the deterministic "spec admits no
 // feasible design" verdict. Cancellations, deadline hits, recovered
 // panics and injected faults are circumstances of one run, not
 // properties of the spec, and must never be replayed to later
 // callers.
-func Persistable(solveErr error) bool {
+func persistable(solveErr error) bool {
 	return solveErr == nil || errors.Is(solveErr, core.ErrNoSolution)
 }
 
@@ -96,9 +96,6 @@ type Solutions struct {
 // NewSolutions wraps a Store as the engine's durable tier.
 func NewSolutions(s *Store) *Solutions { return &Solutions{s: s} }
 
-// Store returns the underlying store (for stats and lifecycle).
-func (t *Solutions) Store() *Store { return t.s }
-
 // solutionKey namespaces fingerprints by model version, so a bumped
 // ModelVersion orphans every stale record instead of serving it.
 func solutionKey(fingerprint string) string {
@@ -132,7 +129,7 @@ func (t *Solutions) Lookup(ctx context.Context, fingerprint string) (Hit, bool) 
 
 // Save implements Tiered.
 func (t *Solutions) Save(ctx context.Context, fingerprint string, sol *core.Solution, solveErr error) {
-	if !Persistable(solveErr) {
+	if !persistable(solveErr) {
 		return
 	}
 	rec := solutionRecord{ModelVersion: core.ModelVersion}

@@ -22,42 +22,38 @@ import "math"
 // the Horowitz-fit constants in the original tool).
 func rEff(vdd, ion float64) float64 { return 2.4 * vdd / ion }
 
-func dev(t DeviceType, vdd, vth, lphyNM, cg, cfr, cj, ionN, ioffN, ig float64, long bool) DeviceParams {
-	ionP := ionN / 2
+func dev(t DeviceType, vdd, vth, lphyNM, cg, cfr, cj, ionN, ioffN, ig float64) DeviceParams {
 	return DeviceParams{
 		Type:            t,
 		Vdd:             vdd,
 		Vth:             vth,
 		Lphy:            lphyNM * 1e-9,
-		Lelc:            lphyNM * 0.8 * 1e-9,
 		CgIdealPerWidth: cg,
 		CFringePerWidth: cfr,
 		CJuncPerWidth:   cj,
 		IonN:            ionN,
-		IonP:            ionP,
 		IoffN:           ioffN,
 		IoffP:           ioffN / 2,
 		IgOn:            ig,
 		RnOnPerWidth:    rEff(vdd, ionN),
 		RpOnPerWidth:    2 * rEff(vdd, ionN),
-		LongChannel:     long,
 	}
 }
 
 // wire builds WireParams for a pitch (in units of F), an effective
-// resistivity (ohm*m) and a capacitance per length.
+// resistivity (ohm*m), an aspect ratio (thickness/width) and a
+// capacitance per length.
 func wire(c WireClass, m WireMaterial, node Node, pitchF, rho, ar, cPerLen float64) WireParams {
 	f := node.FeatureSize()
 	pitch := pitchF * f
 	width := pitch / 2
 	thick := ar * width
 	return WireParams{
-		Class:     c,
-		Material:  m,
-		Pitch:     pitch,
-		RPerLen:   rho / (width * thick),
-		CPerLen:   cPerLen,
-		AspectRat: ar,
+		Class:    c,
+		Material: m,
+		Pitch:    pitch,
+		RPerLen:  rho / (width * thick),
+		CPerLen:  cPerLen,
 	}
 }
 
@@ -152,35 +148,31 @@ func buildTech(n Node, devs [numDeviceTypes]DeviceParams, saDelay, saEnergy floa
 
 var baseTechnologies = map[Node]*Technology{
 	Node90: buildTech(Node90, [numDeviceTypes]DeviceParams{
-		HP:             dev(HP, 1.2, 0.24, 37, 6.4e-10, 2.4e-10, 8.0e-10, 1080, 0.35, 0.008, false),
-		LSTP:           dev(LSTP, 1.2, 0.50, 75, 8.8e-10, 2.6e-10, 9.0e-10, 450, 1.0e-5, 1e-6, false),
-		LOP:            dev(LOP, 0.9, 0.28, 53, 7.2e-10, 2.5e-10, 8.5e-10, 600, 1.0e-2, 1e-4, false),
-		HPLongChannel:  dev(HPLongChannel, 1.2, 0.30, 52, 7.7e-10, 2.5e-10, 8.5e-10, 860, 0.08, 0.004, true),
-		LPDRAMAccess:   dev(LPDRAMAccess, 1.2, 0.35, 90, 9.0e-10, 2.6e-10, 4.0e-10, 600, 2.0e-4, 1e-7, false),
-		COMMDRAMAccess: dev(COMMDRAMAccess, 1.8, 0.90, 110, 1.0e-9, 2.8e-10, 3.0e-10, 260, 1.5e-6, 1e-9, false),
+		HP:             dev(HP, 1.2, 0.24, 37, 6.4e-10, 2.4e-10, 8.0e-10, 1080, 0.35, 0.008),
+		LSTP:           dev(LSTP, 1.2, 0.50, 75, 8.8e-10, 2.6e-10, 9.0e-10, 450, 1.0e-5, 1e-6),
+		HPLongChannel:  dev(HPLongChannel, 1.2, 0.30, 52, 7.7e-10, 2.5e-10, 8.5e-10, 860, 0.08, 0.004),
+		LPDRAMAccess:   dev(LPDRAMAccess, 1.2, 0.35, 90, 9.0e-10, 2.6e-10, 4.0e-10, 600, 2.0e-4, 1e-7),
+		COMMDRAMAccess: dev(COMMDRAMAccess, 1.8, 0.90, 110, 1.0e-9, 2.8e-10, 3.0e-10, 260, 1.5e-6, 1e-9),
 	}, 150e-12, 8e-15),
 	Node65: buildTech(Node65, [numDeviceTypes]DeviceParams{
-		HP:             dev(HP, 1.1, 0.22, 25, 5.8e-10, 2.4e-10, 7.2e-10, 1200, 0.40, 0.012, false),
-		LSTP:           dev(LSTP, 1.2, 0.50, 45, 8.0e-10, 2.5e-10, 8.0e-10, 480, 1.0e-5, 1e-6, false),
-		LOP:            dev(LOP, 0.8, 0.27, 32, 6.6e-10, 2.4e-10, 7.6e-10, 650, 1.0e-2, 2e-4, false),
-		HPLongChannel:  dev(HPLongChannel, 1.1, 0.28, 35, 7.0e-10, 2.4e-10, 7.6e-10, 960, 0.10, 0.006, true),
-		LPDRAMAccess:   dev(LPDRAMAccess, 1.1, 0.35, 65, 8.4e-10, 2.5e-10, 3.6e-10, 640, 2.0e-4, 1e-7, false),
-		COMMDRAMAccess: dev(COMMDRAMAccess, 1.5, 0.85, 80, 9.4e-10, 2.6e-10, 2.7e-10, 250, 1.5e-6, 1e-9, false),
+		HP:             dev(HP, 1.1, 0.22, 25, 5.8e-10, 2.4e-10, 7.2e-10, 1200, 0.40, 0.012),
+		LSTP:           dev(LSTP, 1.2, 0.50, 45, 8.0e-10, 2.5e-10, 8.0e-10, 480, 1.0e-5, 1e-6),
+		HPLongChannel:  dev(HPLongChannel, 1.1, 0.28, 35, 7.0e-10, 2.4e-10, 7.6e-10, 960, 0.10, 0.006),
+		LPDRAMAccess:   dev(LPDRAMAccess, 1.1, 0.35, 65, 8.4e-10, 2.5e-10, 3.6e-10, 640, 2.0e-4, 1e-7),
+		COMMDRAMAccess: dev(COMMDRAMAccess, 1.5, 0.85, 80, 9.4e-10, 2.6e-10, 2.7e-10, 250, 1.5e-6, 1e-9),
 	}, 120e-12, 6e-15),
 	Node45: buildTech(Node45, [numDeviceTypes]DeviceParams{
-		HP:             dev(HP, 1.0, 0.18, 18, 5.2e-10, 2.4e-10, 6.4e-10, 1400, 0.45, 0.020, false),
-		LSTP:           dev(LSTP, 1.1, 0.50, 28, 7.2e-10, 2.5e-10, 7.2e-10, 510, 1.0e-5, 1e-6, false),
-		LOP:            dev(LOP, 0.7, 0.25, 22, 6.0e-10, 2.4e-10, 6.8e-10, 700, 1.0e-2, 4e-4, false),
-		HPLongChannel:  dev(HPLongChannel, 1.0, 0.24, 25, 6.2e-10, 2.4e-10, 6.8e-10, 1120, 0.12, 0.010, true),
-		LPDRAMAccess:   dev(LPDRAMAccess, 1.0, 0.35, 45, 7.8e-10, 2.4e-10, 3.2e-10, 670, 2.0e-4, 1e-7, false),
-		COMMDRAMAccess: dev(COMMDRAMAccess, 1.2, 0.80, 55, 8.8e-10, 2.5e-10, 2.4e-10, 240, 1.5e-6, 1e-9, false),
+		HP:             dev(HP, 1.0, 0.18, 18, 5.2e-10, 2.4e-10, 6.4e-10, 1400, 0.45, 0.020),
+		LSTP:           dev(LSTP, 1.1, 0.50, 28, 7.2e-10, 2.5e-10, 7.2e-10, 510, 1.0e-5, 1e-6),
+		HPLongChannel:  dev(HPLongChannel, 1.0, 0.24, 25, 6.2e-10, 2.4e-10, 6.8e-10, 1120, 0.12, 0.010),
+		LPDRAMAccess:   dev(LPDRAMAccess, 1.0, 0.35, 45, 7.8e-10, 2.4e-10, 3.2e-10, 670, 2.0e-4, 1e-7),
+		COMMDRAMAccess: dev(COMMDRAMAccess, 1.2, 0.80, 55, 8.8e-10, 2.5e-10, 2.4e-10, 240, 1.5e-6, 1e-9),
 	}, 100e-12, 4.5e-15),
 	Node32: buildTech(Node32, [numDeviceTypes]DeviceParams{
-		HP:             dev(HP, 0.9, 0.16, 13, 4.7e-10, 2.4e-10, 5.6e-10, 1600, 0.50, 0.032, false),
-		LSTP:           dev(LSTP, 1.1, 0.50, 20, 6.5e-10, 2.5e-10, 6.5e-10, 540, 1.0e-5, 1e-6, false),
-		LOP:            dev(LOP, 0.6, 0.24, 16, 5.4e-10, 2.4e-10, 6.0e-10, 750, 1.0e-2, 8e-4, false),
-		HPLongChannel:  dev(HPLongChannel, 0.9, 0.22, 18, 5.6e-10, 2.4e-10, 6.0e-10, 1280, 0.15, 0.016, true),
-		LPDRAMAccess:   dev(LPDRAMAccess, 1.0, 0.35, 32, 7.2e-10, 2.4e-10, 2.8e-10, 700, 2.0e-4, 1e-7, false),
-		COMMDRAMAccess: dev(COMMDRAMAccess, 1.0, 0.75, 40, 8.2e-10, 2.4e-10, 2.1e-10, 230, 1.5e-6, 1e-9, false),
+		HP:             dev(HP, 0.9, 0.16, 13, 4.7e-10, 2.4e-10, 5.6e-10, 1600, 0.50, 0.032),
+		LSTP:           dev(LSTP, 1.1, 0.50, 20, 6.5e-10, 2.5e-10, 6.5e-10, 540, 1.0e-5, 1e-6),
+		HPLongChannel:  dev(HPLongChannel, 0.9, 0.22, 18, 5.6e-10, 2.4e-10, 6.0e-10, 1280, 0.15, 0.016),
+		LPDRAMAccess:   dev(LPDRAMAccess, 1.0, 0.35, 32, 7.2e-10, 2.4e-10, 2.8e-10, 700, 2.0e-4, 1e-7),
+		COMMDRAMAccess: dev(COMMDRAMAccess, 1.0, 0.75, 40, 8.2e-10, 2.4e-10, 2.1e-10, 230, 1.5e-6, 1e-9),
 	}, 80e-12, 3.5e-15),
 }

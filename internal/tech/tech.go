@@ -1,6 +1,6 @@
 // Package tech provides the technology models that underlie CACTI-D:
-// ITRS-style device projections (High Performance, Low Standby Power,
-// Low Operating Power and long-channel device types), wire RC
+// ITRS-style device projections (High Performance, Low Standby Power
+// and long-channel device types), wire RC
 // projections following Ron Ho's data, and memory-cell characteristics
 // for SRAM, logic-process DRAM (LP-DRAM) and commodity DRAM
 // (COMM-DRAM).
@@ -50,9 +50,6 @@ const (
 	// oxide, high Vth; subthreshold leakage pinned near 10 pA/um.
 	// Gate lengths lag HP by four years.
 	LSTP
-	// LOP is the ITRS Low Operating Power device: lowest VDD;
-	// gate lengths lag HP by two years.
-	LOP
 	// HPLongChannel is a long-channel variant of HP trading speed for
 	// roughly an order of magnitude less leakage (used for SRAM cells
 	// and the peripheral circuitry of SRAM and LP-DRAM, as in the
@@ -73,8 +70,6 @@ func (d DeviceType) String() string {
 		return "ITRS-HP"
 	case LSTP:
 		return "ITRS-LSTP"
-	case LOP:
-		return "ITRS-LOP"
 	case HPLongChannel:
 		return "ITRS-HP-long-channel"
 	case LPDRAMAccess:
@@ -95,7 +90,6 @@ type DeviceParams struct {
 	Vdd  float64 // supply voltage (V)
 	Vth  float64 // threshold voltage (V)
 	Lphy float64 // physical gate length (m)
-	Lelc float64 // electrical gate length (m)
 
 	// Capacitances per meter of device width.
 	CgIdealPerWidth float64 // intrinsic gate capacitance (F/m)
@@ -104,7 +98,6 @@ type DeviceParams struct {
 
 	// Drive and leakage currents per meter of device width.
 	IonN  float64 // NMOS on-current (A/m)
-	IonP  float64 // PMOS on-current (A/m)
 	IoffN float64 // NMOS subthreshold leakage at Vgs=0 (A/m)
 	IoffP float64 // PMOS subthreshold leakage (A/m)
 	IgOn  float64 // gate leakage (A/m)
@@ -113,10 +106,6 @@ type DeviceParams struct {
 	// on-resistance of a device of width W is R*PerWidth / W.
 	RnOnPerWidth float64
 	RpOnPerWidth float64
-
-	// LongChannel reports whether this entry is a long-channel
-	// variant (affects only bookkeeping/printing).
-	LongChannel bool
 }
 
 // FO4 returns the fanout-of-4 inverter delay implied by the device
@@ -176,12 +165,11 @@ func (m WireMaterial) String() string {
 
 // WireParams holds the RC properties of one wire class at one node.
 type WireParams struct {
-	Class     WireClass
-	Material  WireMaterial
-	Pitch     float64 // wire pitch (m)
-	RPerLen   float64 // resistance per length (ohm/m)
-	CPerLen   float64 // capacitance per length (F/m)
-	AspectRat float64 // thickness/width
+	Class    WireClass
+	Material WireMaterial
+	Pitch    float64 // wire pitch (m)
+	RPerLen  float64 // resistance per length (ohm/m)
+	CPerLen  float64 // capacitance per length (F/m)
 }
 
 // RC returns the distributed RC product per length squared (s/m^2),
@@ -512,38 +500,33 @@ func interpolate(n Node) *Technology {
 			Vdd:             mix(da.Vdd, db.Vdd),
 			Vth:             mix(da.Vth, db.Vth),
 			Lphy:            mix(da.Lphy, db.Lphy),
-			Lelc:            mix(da.Lelc, db.Lelc),
 			CgIdealPerWidth: mix(da.CgIdealPerWidth, db.CgIdealPerWidth),
 			CFringePerWidth: mix(da.CFringePerWidth, db.CFringePerWidth),
 			CJuncPerWidth:   mix(da.CJuncPerWidth, db.CJuncPerWidth),
 			IonN:            mix(da.IonN, db.IonN),
-			IonP:            mix(da.IonP, db.IonP),
 			IoffN:           mix(da.IoffN, db.IoffN),
 			IoffP:           mix(da.IoffP, db.IoffP),
 			IgOn:            mix(da.IgOn, db.IgOn),
 			RnOnPerWidth:    mix(da.RnOnPerWidth, db.RnOnPerWidth),
 			RpOnPerWidth:    mix(da.RpOnPerWidth, db.RpOnPerWidth),
-			LongChannel:     da.LongChannel,
 		}
 	}
 	for i := range t.Wires {
 		wa, wb := a.Wires[i], b.Wires[i]
 		t.Wires[i] = WireParams{
-			Class:     wa.Class,
-			Material:  wa.Material,
-			Pitch:     mix(wa.Pitch, wb.Pitch),
-			RPerLen:   mix(wa.RPerLen, wb.RPerLen),
-			CPerLen:   mix(wa.CPerLen, wb.CPerLen),
-			AspectRat: mix(wa.AspectRat, wb.AspectRat),
+			Class:    wa.Class,
+			Material: wa.Material,
+			Pitch:    mix(wa.Pitch, wb.Pitch),
+			RPerLen:  mix(wa.RPerLen, wb.RPerLen),
+			CPerLen:  mix(wa.CPerLen, wb.CPerLen),
 		}
 		ta, tb := a.TungstenWires[i], b.TungstenWires[i]
 		t.TungstenWires[i] = WireParams{
-			Class:     ta.Class,
-			Material:  ta.Material,
-			Pitch:     mix(ta.Pitch, tb.Pitch),
-			RPerLen:   mix(ta.RPerLen, tb.RPerLen),
-			CPerLen:   mix(ta.CPerLen, tb.CPerLen),
-			AspectRat: mix(ta.AspectRat, tb.AspectRat),
+			Class:    ta.Class,
+			Material: ta.Material,
+			Pitch:    mix(ta.Pitch, tb.Pitch),
+			RPerLen:  mix(ta.RPerLen, tb.RPerLen),
+			CPerLen:  mix(ta.CPerLen, tb.CPerLen),
 		}
 	}
 	for i := range t.Cells {

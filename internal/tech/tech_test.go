@@ -108,22 +108,22 @@ func TestLSTPLeakagePinned(t *testing.T) {
 }
 
 func TestDeviceOrdering(t *testing.T) {
-	// At every node: HP fastest (lowest R), LSTP slowest of the ITRS
-	// trio; HP leakiest, LSTP tightest; long-channel HP in between.
+	// At every node: HP fastest (lowest R) and leakiest, LSTP slowest
+	// and tightest; long-channel HP in between.
 	for _, n := range []Node{Node90, Node65, Node45, Node32} {
 		tt := New(n)
-		hp, lstp, lop, lc := tt.Device(HP), tt.Device(LSTP), tt.Device(LOP), tt.Device(HPLongChannel)
-		if !(hp.RnOnPerWidth < lop.RnOnPerWidth && lop.RnOnPerWidth < lstp.RnOnPerWidth) {
-			t.Errorf("%v: R ordering violated: HP %g, LOP %g, LSTP %g", n, hp.RnOnPerWidth, lop.RnOnPerWidth, lstp.RnOnPerWidth)
+		hp, lstp, lc := tt.Device(HP), tt.Device(LSTP), tt.Device(HPLongChannel)
+		if !(hp.RnOnPerWidth < lstp.RnOnPerWidth) {
+			t.Errorf("%v: R ordering violated: HP %g, LSTP %g", n, hp.RnOnPerWidth, lstp.RnOnPerWidth)
 		}
-		if !(hp.IoffN > lop.IoffN && lop.IoffN > lstp.IoffN) {
+		if !(hp.IoffN > lstp.IoffN) {
 			t.Errorf("%v: Ioff ordering violated", n)
 		}
 		if !(lc.IoffN < hp.IoffN && lc.RnOnPerWidth > hp.RnOnPerWidth) {
 			t.Errorf("%v: long-channel HP should be less leaky and slower than HP", n)
 		}
-		if !lc.LongChannel || hp.LongChannel {
-			t.Errorf("%v: LongChannel flags wrong", n)
+		if !(lc.IoffN > lstp.IoffN && lc.RnOnPerWidth < lstp.RnOnPerWidth) {
+			t.Errorf("%v: long-channel HP should be leakier and faster than LSTP", n)
 		}
 	}
 }
@@ -329,7 +329,6 @@ func TestStringers(t *testing.T) {
 	cases := map[string]string{
 		HP.String():             "ITRS-HP",
 		LSTP.String():           "ITRS-LSTP",
-		LOP.String():            "ITRS-LOP",
 		HPLongChannel.String():  "ITRS-HP-long-channel",
 		LPDRAMAccess.String():   "LP-DRAM-access",
 		COMMDRAMAccess.String(): "COMM-DRAM-access",
