@@ -23,8 +23,12 @@ build:
 test:
 	go test ./...
 
+# vet also checks the benchmark harness, its own module (bench/go.mod,
+# which replaces cactid with this checkout), so a change to a type the
+# harness builds fails here rather than in a benchmark run.
 vet:
 	go vet ./...
+	cd bench && go vet ./...
 
 # lint runs the in-repo analyzer suite: the per-function checks
 # (floatdet, ctxflow, lockguard) plus the program-level detpure — see

@@ -39,16 +39,15 @@ func TestSolveAllocBudget(t *testing.T) {
 	}
 	sort.Strings(names)
 	ctx := context.Background()
-	opts := &core.Options{Workers: 1}
 	for _, name := range names {
 		spec := specs[name]
-		if _, err := core.OptimizeContext(ctx, spec, opts); err != nil {
+		if _, err := core.OptimizeContext(ctx, spec, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < solves; i++ {
-			if _, err := core.OptimizeContext(ctx, spec, opts); err != nil {
+			if _, err := core.OptimizeContext(ctx, spec, nil); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

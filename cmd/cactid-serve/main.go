@@ -67,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"os/signal"
 	"syscall"
@@ -90,12 +91,18 @@ func main() {
 	flag.DurationVar(&cfg.heartbeatEvery, "heartbeat-every", 5*time.Second, "worker health-probe period in coordinator mode (0 disables background probing)")
 	flag.Parse()
 
+	// Bind first: building the server opens -store and revives its
+	// sweep jobs, which a process that cannot have its address must
+	// not do.
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s, err := newServer(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv := &http.Server{
-		Addr:              cfg.addr,
 		Handler:           s,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -104,8 +111,8 @@ func main() {
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("cactid-serve listening on %s", cfg.addr)
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("cactid-serve listening on %s", ln.Addr())
 
 	select {
 	case err := <-errc:

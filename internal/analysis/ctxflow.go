@@ -8,7 +8,7 @@ import (
 
 // CtxFlow enforces context propagation through the solver's
 // cancellable call graph (core.ExploreContext -> array.EnumerateContext
-// -> worker pools, and the explore engine above them):
+// -> its slot loop, and the explore engine's sweep workers above them):
 //
 //  1. a function that accepts a context.Context must not start a new
 //     root context (context.Background/TODO) in its body — pass the

@@ -31,8 +31,9 @@ import (
 //   - core.Solve / Explore / ExploreContext / Optimize /
 //     OptimizeContext — the solver API whose outputs the 7-digit pins
 //     and the store digests freeze;
-//   - array.Enumerate* — the enumeration the parallel hot path must
-//     replay byte-identically;
+//   - array.Enumerate* — the enumeration every solve, including the
+//     solves of a sweep that share one prescan, must replay
+//     byte-identically;
 //   - explore.Frontier — the Pareto filter every served frontier,
 //     single-node or distributed, comes from.
 //

@@ -7,9 +7,9 @@ import (
 )
 
 // FloatDet flags nondeterminism hazards on floating-point result
-// paths. The solver's outputs (and the byte-identical guarantee of the
-// parallel enumeration) depend on every float being computed by the
-// exact same sequence of operations on every run:
+// paths. The solver's outputs, which the repository pins byte for
+// byte, depend on every float being computed by the exact same
+// sequence of operations on every run:
 //
 //  1. accumulating into (or formatting) floats while ranging over a
 //     map — iteration order is randomized, and float addition is not

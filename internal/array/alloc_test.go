@@ -17,11 +17,8 @@ import (
 // allocates, on the BenchmarkPrescan specs with the mat-stage table
 // filled: a prescan, its exact-minimum walks and its release allocate
 // nothing (the bank-edge driver comes from the table entry, not from a
-// chain sized per prescan), an enumeration on one worker allocates
-// nothing either (its index and slabs are pooled), and one on two
-// workers at most one object per worker (its goroutine's closure; the
-// per-worker sums, the wait group and the slot cursor live on the
-// pooled index).
+// chain sized per prescan), and neither does an enumeration (its index
+// and slabs are pooled).
 func TestPrescanAllocs(t *testing.T) {
 	specs := map[string]Spec{
 		"sram": specSRAM(4<<20, 512, 8),
@@ -31,7 +28,7 @@ func TestPrescanAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, spec := range specs {
-		solve := func(workers int) {
+		solve := func(enumerate bool) {
 			pre, err := Prescan(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -42,26 +39,25 @@ func TestPrescanAllocs(t *testing.T) {
 				t.Fatalf("%s: no feasible point", name)
 			}
 			pre.MinAccessWithin(1, 0, math.Inf(1))
-			if workers == 0 {
+			if !enumerate {
 				return
 			}
 			lim := Limits{MaxAreaLB: 2 * aMin, MaxAccLB: math.Inf(1), AreaGuard: math.Inf(1)}
-			enum, _, err := pre.Enumerate(ctx, workers, lim)
+			enum, _, err := pre.Enumerate(ctx, lim)
 			if err != nil {
 				t.Fatal(err)
 			}
 			enum.Release()
 		}
 		for _, leg := range []struct {
-			name    string
-			workers int // 0: no enumeration
-			budget  float64
-		}{{"prescan and walks", 0, 0}, {"one worker", 1, 0}, {"two workers", 2, 2}} {
-			solve(leg.workers) // fill the table and the pools
-			got := testing.AllocsPerRun(50, func() { solve(leg.workers) })
+			name      string
+			enumerate bool
+		}{{"prescan and walks", false}, {"enumeration", true}} {
+			solve(leg.enumerate) // fill the table and the pools
+			got := testing.AllocsPerRun(50, func() { solve(leg.enumerate) })
 			t.Logf("%s, %s: %v allocations", name, leg.name, got)
-			if got > leg.budget {
-				t.Errorf("%s, %s: %v allocations, budget %v", name, leg.name, got, leg.budget)
+			if got > 0 {
+				t.Errorf("%s, %s: %v allocations, want none", name, leg.name, got)
 			}
 		}
 	}

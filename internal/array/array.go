@@ -6,14 +6,12 @@
 // area, timing (access, random cycle, multisubbank interleave cycle),
 // energy, leakage and refresh for each organization.
 //
-// Enumeration is the solver's hot path: EnumerateContext shards the
-// (rows, cols) grid across a bounded worker pool, prunes infeasible
-// organizations with cheap integer/signal-margin prechecks before any
-// circuit modeling, and reuses the mux-independent mat model
-// (mat.Shared) across the column-mux inner loop and, through the
-// process-wide mat-stage table (mattable.go), across solves of the
-// same technology. The merged output is byte-identical to a serial
-// scan of the same grid.
+// Enumeration is the solver's hot path: EnumerateContext scans the
+// (rows, cols) grid slot by slot, prunes infeasible organizations with
+// cheap integer/signal-margin prechecks before any circuit modeling,
+// and reuses the mux-independent mat model (mat.Shared) across the
+// column-mux inner loop and, through the process-wide mat-stage table
+// (mattable.go), across solves of the same technology.
 package array
 
 import (
@@ -22,11 +20,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"cactid/internal/circuit"
@@ -217,8 +213,7 @@ func (c Counters) PrunedTotal() int64 {
 }
 
 // Add accumulates another enumeration's counters: core combines the
-// data- and tag-array scans with it, and the enumeration merges its
-// per-worker sums through the same single code path.
+// data- and tag-array scans with it.
 func (c *Counters) Add(o Counters) {
 	c.Considered += o.Considered
 	c.PrunedMux += o.PrunedMux
@@ -236,19 +231,18 @@ func (c *Counters) Add(o Counters) {
 // Enumerate evaluates every valid organization for spec, returning
 // them in deterministic grid order (rows-major, then cols, then mux).
 // Invalid combinations (signal margin, divisibility) are skipped
-// silently. It is EnumerateContext with the default worker pool.
+// silently. It is EnumerateContext without cancellation.
 func Enumerate(spec Spec) []*Bank {
-	banks, _, _ := EnumerateContext(context.Background(), spec, 0)
+	banks, _, _ := EnumerateContext(context.Background(), spec)
 	return banks
 }
 
-// EnumerateContext evaluates every valid organization for spec on a
-// bounded worker pool (workers <= 0 means GOMAXPROCS), returning them
-// in the same deterministic grid order as a serial scan, plus the
-// prune/build counters. A cancelled context aborts the scan and
-// returns ctx.Err() with nil banks. The caller keeps every bank, so
-// they are copied out of the enumeration's pooled slabs.
-func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Counters, error) {
+// EnumerateContext evaluates every valid organization for spec,
+// returning them in deterministic grid order, plus the prune/build
+// counters. A cancelled context aborts the scan and returns ctx.Err()
+// with nil banks. The caller keeps every bank, so they are copied out
+// of the enumeration's pooled slabs.
+func EnumerateContext(ctx context.Context, spec Spec) ([]*Bank, Counters, error) {
 	bc, err := newBuildCtx(spec)
 	if err != nil {
 		return nil, Counters{}, err
@@ -256,7 +250,7 @@ func EnumerateContext(ctx context.Context, spec Spec, workers int) ([]*Bank, Cou
 	defer bc.release()
 	bc.attach()
 	bc.classifyGrid()
-	enum, c, err := enumerateWith(ctx, bc, workers, NoLimits())
+	enum, c, err := enumerateWith(ctx, bc, NoLimits())
 	defer enum.Release()
 	if err != nil {
 		return nil, c, err
@@ -306,18 +300,13 @@ type slab struct {
 
 var slabPool = sync.Pool{New: func() any { return new(slab) }}
 
-// results is one enumeration's pooled result index: every slot's slab,
-// the merged list that points into them, and the parallel slot loop's
-// bookkeeping. One enumeration holds it from its first slot to its
-// Release, so several enumerations of one shared prescan each take
-// their own.
+// results is one enumeration's pooled result index: every slot's slab
+// and the merged list that points into them. One enumeration holds it
+// from its first slot to its Release, so several enumerations of one
+// shared prescan each take their own.
 type results struct {
 	slabs  [gridSlots]*slab
 	merged []*Bank
-
-	sums []Counters   // one per worker
-	next atomic.Int64 // the next slot to take
-	wg   sync.WaitGroup
 }
 
 var resultsPool = sync.Pool{New: func() any { return new(results) }}
@@ -360,61 +349,22 @@ func (e *Enumerated) Release() {
 // enumerateWith is the shared engine behind EnumerateContext
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
 // thresholds). bc's grid must already be classified; bc is only read,
-// so enumerations of one context may run at once. Each slot's banks
-// land in a pooled slab of the enumeration's own result index. A
-// cancelled enumeration releases its slabs and returns an empty
-// Enumerated.
-func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (Enumerated, Counters, error) {
+// so enumerations of one context may run at once. It scans the slots
+// in grid order, and each slot's banks land in a pooled slab of the
+// enumeration's own result index. A cancelled enumeration releases its
+// slabs and returns an empty Enumerated.
+func enumerateWith(ctx context.Context, bc *buildCtx, lim Limits) (Enumerated, Counters, error) {
 	res := resultsPool.Get().(*results)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, gridSlots)
-
-	// Both slot loops poll ctx.Done(), which locks nothing once made,
+	// The slot loop polls ctx.Done(), which locks nothing once made,
 	// where ctx.Err() takes the context's mutex once per slot.
 	var c Counters
-	if workers == 1 {
-	serial:
-		for slot := range res.slabs {
-			select {
-			case <-ctx.Done():
-				break serial
-			default:
-				res.slabs[slot] = enumerateShard(bc, slot, lim, &c)
-			}
-		}
-	} else {
-		// Each worker sums the counters of the slots it takes and
-		// publishes the sum once; integer sums are independent of
-		// which worker took which slot, so the merged counters are
-		// the serial scan's for any worker count.
-		res.sums = slices.Grow(res.sums[:0], workers)[:workers]
-		res.next.Store(0)
-		res.wg.Add(workers)
-		for w := range res.sums {
-			go func() {
-				defer res.wg.Done()
-				var sum Counters
-			slots:
-				for {
-					slot := int(res.next.Add(1)) - 1
-					if slot >= gridSlots {
-						break
-					}
-					select {
-					case <-ctx.Done():
-						break slots
-					default:
-						res.slabs[slot] = enumerateShard(bc, slot, lim, &sum)
-					}
-				}
-				res.sums[w] = sum
-			}()
-		}
-		res.wg.Wait()
-		for _, sum := range res.sums {
-			c.Add(sum)
+slots:
+	for slot := range res.slabs {
+		select {
+		case <-ctx.Done():
+			break slots
+		default:
+			res.slabs[slot] = enumerateShard(bc, slot, lim, &c)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -422,10 +372,9 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 		return Enumerated{}, c, err
 	}
 
-	// Merge in slot order: slots enumerate (rows, cols) in the same
-	// order as the serial triple loop, and each slot's banks are in
-	// ascending mux order, so the concatenation reproduces the serial
-	// output exactly.
+	// Slots enumerate (rows, cols) in grid order, and each slot's
+	// banks are in ascending mux order, so the concatenation is the
+	// grid order.
 	out := res.merged[:0]
 	for _, s := range res.slabs {
 		if s != nil {
@@ -444,8 +393,7 @@ func enumerateWith(ctx context.Context, bc *buildCtx, workers int, lim Limits) (
 // its survivor count; past them, its survivors are rebuilt from its
 // mask into a stack buffer, which the point tiers compact in place. The
 // mux-independent mat model is then built once and the final survivors
-// are evaluated into a pooled slab, in ascending mux order, preserving
-// the serial-scan byte identity.
+// are evaluated into a pooled slab, in ascending mux order.
 func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 	sc := &bc.class[slot]
 	c.addSlot(sc)
@@ -509,7 +457,7 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 	// Batch-build the survivors against one shared mat model.
 	sh, shErr := bc.mats.sharedFor(rows, cols)
 	if shErr != nil {
-		// The serial scan charges the shared-model failure to every
+		// A per-point build charges the shared-model failure to every
 		// surviving mux point in turn; keep that accounting.
 		if errors.Is(shErr, mat.ErrSignalMargin) {
 			c.PrunedMargin += int64(len(surv))
@@ -632,12 +580,11 @@ func (c *Counters) addSlot(sc *slotClass) {
 
 // buildCtx caches every organization-independent quantity of Build:
 // resolved technology pointers, address/data widths, the H-tree's
-// repeater and the bank-edge output driver. It is shared across
-// enumeration workers, and across the solves of a sweep that share one
-// prescan: the exactPt memo and the slots of the table entry mats fill
-// lazily with pure values through atomics, the walk orders sort once
-// under a sync.Once, and everything else is immutable once Prescan
-// returns.
+// repeater and the bank-edge output driver. It is shared across the
+// solves of a sweep that share one prescan: the exactPt memo and the
+// slots of the table entry mats fill lazily with pure values through
+// atomics, the walk orders sort once under a sync.Once, and everything
+// else is immutable once Prescan returns.
 //
 // Its grid-sized scratch (the classification, the exact-point memo
 // and the prescan's points) is held by value, and contexts come from
@@ -686,9 +633,10 @@ type buildCtx struct {
 	// solver's exact-minimum walks and the enumeration's final pruning
 	// tier visit overlapping points, and the H-tree repeated-wire
 	// solution inside is the only per-point cost worth skipping.
-	// Racing workers compute identical values, so last-write-wins is
-	// benign. Prescan sizes it to the survivor count over memo and
-	// clears it: the unbounded enumeration never calls pointExact.
+	// Racing solves of one shared prescan compute identical values, so
+	// last-write-wins is benign. Prescan sizes it to the survivor count
+	// over memo and clears it: the unbounded enumeration never calls
+	// pointExact.
 	exactPt []exactPoint
 
 	// The grid-sized scratch behind exactPt and Prescanned.Points.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -310,42 +309,9 @@ func TestAreaBreakdownConsistent(t *testing.T) {
 	}
 }
 
-func TestEnumerateContextWorkerEquivalence(t *testing.T) {
-	// Parallel enumeration must reproduce the serial scan exactly:
-	// same banks, same order, same counters, regardless of pool size.
-	specs := map[string]Spec{
-		"sram":  specSRAM(4<<20, 512, 8),
-		"ddram": {Tech: tech.New(tech.Node45), RAM: tech.COMMDRAM, CapacityBytes: 16 << 20, OutputBits: 512, PageBits: 8192},
-	}
-	for name, spec := range specs {
-		serial, cSerial, err := EnumerateContext(context.Background(), spec, 1)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		for _, workers := range []int{2, 4, 8, 16} {
-			par, cPar, err := EnumerateContext(context.Background(), spec, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if cPar != cSerial {
-				t.Fatalf("%s workers=%d counters %+v != serial %+v", name, workers, cPar, cSerial)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d found %d banks, serial %d", name, workers, len(par), len(serial))
-			}
-			for i := range par {
-				if !reflect.DeepEqual(par[i], serial[i]) {
-					t.Fatalf("%s workers=%d bank %d (%v) differs from serial (%v)",
-						name, workers, i, par[i].Org, serial[i].Org)
-				}
-			}
-		}
-	}
-}
-
 func TestEnumerateCountersInvariant(t *testing.T) {
 	spec := specSRAM(1<<20, 512, 4)
-	banks, c, err := EnumerateContext(context.Background(), spec, 0)
+	banks, c, err := EnumerateContext(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +332,7 @@ func TestEnumerateCountersInvariant(t *testing.T) {
 func TestEnumerateContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := EnumerateContext(ctx, specSRAM(1<<20, 512, 1), 4); !errors.Is(err, context.Canceled) {
+	if _, _, err := EnumerateContext(ctx, specSRAM(1<<20, 512, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -471,12 +471,12 @@ func (p *Prescanned) Build(o Org) (*Bank, error) {
 // before mat modeling and land in the PrunedBoundShard /
 // PrunedBoundPoint counter buckets. With NoLimits() it matches
 // EnumerateContext output exactly. The output and counters are a
-// deterministic function of (spec, lim) — the worker count never
-// changes them — and for limits derived by the solver's probe scheme
-// the surviving banks are exactly those the staged filter could ever
-// keep (DESIGN.md §1.2e). The banks live in pooled slabs: the caller
-// defers Release right after the call, and copies out any bank it
-// keeps. A cancelled enumeration returns an empty Enumerated.
-func (p *Prescanned) Enumerate(ctx context.Context, workers int, lim Limits) (Enumerated, Counters, error) {
-	return enumerateWith(ctx, p.bc, workers, lim)
+// deterministic function of (spec, lim), and for limits derived by the
+// solver's probe scheme the surviving banks are exactly those the
+// staged filter could ever keep (DESIGN.md §1.2e). The banks live in
+// pooled slabs: the caller defers Release right after the call, and
+// copies out any bank it keeps. A cancelled enumeration returns an
+// empty Enumerated.
+func (p *Prescanned) Enumerate(ctx context.Context, lim Limits) (Enumerated, Counters, error) {
+	return enumerateWith(ctx, p.bc, lim)
 }

@@ -45,7 +45,7 @@ func TestBoundTiersAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		enum, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), NoLimits())
 		defer enum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -110,7 +110,7 @@ func TestWalkMinimaMatchEnumeration(t *testing.T) {
 		if err != nil || len(pre.Points) == 0 {
 			return true // infeasible specs have nothing to compare
 		}
-		enum, _, err := pre.Enumerate(context.Background(), 0, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), NoLimits())
 		defer enum.Release()
 		if err != nil {
 			return false
@@ -144,7 +144,7 @@ func TestBoundedEnumerateEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ctx := context.Background()
-		allEnum, _, err := pre.Enumerate(ctx, 0, NoLimits())
+		allEnum, _, err := pre.Enumerate(ctx, NoLimits())
 		defer allEnum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -156,7 +156,7 @@ func TestBoundedEnumerateEquivalence(t *testing.T) {
 			minAcc = math.Min(minAcc, b.AccessTime)
 		}
 		lim := Limits{MaxAreaLB: minArea * 1.4, MaxAccLB: minAcc * 1.1, AreaGuard: minArea}
-		boundedEnum, c, err := pre.Enumerate(ctx, 0, lim)
+		boundedEnum, c, err := pre.Enumerate(ctx, lim)
 		defer boundedEnum.Release()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

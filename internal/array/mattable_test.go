@@ -79,14 +79,14 @@ func banksDiff(got, want []*Bank) string {
 // tableSolve runs the array half of a solve: the prescan, the exact
 // minimum-area walk and the full enumeration, as the solver reaches
 // them through the table, releasing the prescan as the solver does.
-func tableSolve(spec Spec, workers int) ([]*Bank, error) {
+func tableSolve(spec Spec) ([]*Bank, error) {
 	pre, err := Prescan(spec)
 	if err != nil {
 		return nil, err
 	}
 	defer pre.Release()
 	pre.MinArea()
-	enum, _, err := pre.Enumerate(context.Background(), workers, NoLimits())
+	enum, _, err := pre.Enumerate(context.Background(), NoLimits())
 	defer enum.Release()
 	return copyOut(enum.Banks), err
 }
@@ -176,7 +176,7 @@ func TestMatTableWarmByteIdentical(t *testing.T) {
 		if i >= len(keys) {
 			k = keys[r.IntN(len(keys))]
 		}
-		if _, err := tableSolve(tableSpec(t, k, r), 1); err != nil {
+		if _, err := tableSolve(tableSpec(t, k, r)); err != nil {
 			t.Fatalf("warm spec %d (%+v): %v", i, k, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestMatTableWarmByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", k, err)
 		}
-		enum, _, err := pre.Enumerate(context.Background(), 1, NoLimits())
+		enum, _, err := pre.Enumerate(context.Background(), NoLimits())
 		if err != nil {
 			t.Fatalf("%+v: %v", k, err)
 		}
@@ -232,7 +232,7 @@ func TestMatTableConcurrentSolves(t *testing.T) {
 	want := make([][]*Bank, len(specs))
 	for i, spec := range specs {
 		resetMatTable()
-		if want[i], err = tableSolve(spec, 1); err != nil {
+		if want[i], err = tableSolve(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestMatTableConcurrentSolves(t *testing.T) {
 			spec := specs[g%len(specs)]
 			tt := *spec.Tech // each solve brings its own copy, as core does
 			spec.Tech = &tt
-			got[g], errs[g] = tableSolve(spec, 2)
+			got[g], errs[g] = tableSolve(spec)
 		}(g)
 	}
 	wg.Wait()
@@ -271,13 +271,13 @@ func TestMatTableOwnsTechnology(t *testing.T) {
 	const ram = tech.LPDRAM
 	tt := tech.New(tech.Node45)
 	spec := Spec{Tech: tt, RAM: ram, CapacityBytes: 4 << 20, OutputBits: 512, AssocReadout: 1}
-	first, err := tableSolve(spec, 1)
+	first, err := tableSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tt.Cells[ram].RetentionT = tt.Cells[ram].RetentionT / 4
-	edited, err := tableSolve(spec, 1)
+	edited, err := tableSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestMatTableOwnsTechnology(t *testing.T) {
 	}
 
 	spec.Tech = tech.New(tech.Node45)
-	again, err := tableSolve(spec, 1)
+	again, err := tableSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestMatTableKeysSelfEqual(t *testing.T) {
 func TestMatTableCapClears(t *testing.T) {
 	resetMatTable()
 	spec := specSRAM(1<<20, 512, 1)
-	want, err := tableSolve(spec, 1)
+	want, err := tableSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestMatTableCapClears(t *testing.T) {
 	if filled.Clears-before.Clears != 1 || filled.Misses-before.Misses != matTableCap {
 		t.Fatalf("%d inserts past one entry: counters %+v -> %+v, want one clear", matTableCap, before, filled)
 	}
-	got, err := tableSolve(spec, 1)
+	got, err := tableSolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestMatTableCapClears(t *testing.T) {
 }
 
 // BenchmarkMatTable times the array half of a solve (prescan, exact
-// minimum-area walk, full serial enumeration) of the
+// minimum-area walk, full enumeration) of the
 // BenchmarkArrayEnumerate spec with the mat-stage table warm, as every
 // solve after a technology's first finds it, and cold, as before the
 // table existed.
@@ -385,7 +385,7 @@ func BenchmarkMatTable(b *testing.B) {
 	}{{"table-warm", false}, {"table-cold", true}} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			if _, err := tableSolve(spec, 1); err != nil {
+			if _, err := tableSolve(spec); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -393,7 +393,7 @@ func BenchmarkMatTable(b *testing.B) {
 				if leg.cold {
 					resetMatTable()
 				}
-				if _, err := tableSolve(spec, 1); err != nil {
+				if _, err := tableSolve(spec); err != nil {
 					b.Fatal(err)
 				}
 			}

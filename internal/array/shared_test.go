@@ -17,7 +17,7 @@ import (
 // area and access time feed the limits).
 func fastestBank(t *testing.T, spec Spec) *Bank {
 	t.Helper()
-	banks, _, err := EnumerateContext(context.Background(), spec, 1)
+	banks, _, err := EnumerateContext(context.Background(), spec)
 	if err != nil || len(banks) == 0 {
 		t.Fatalf("tag spec %+v: %d banks, %v", spec, len(banks), err)
 	}
@@ -41,14 +41,14 @@ type sharedWalk struct {
 	counters Counters
 }
 
-func walkShared(pre *Prescanned, aMin float64, tag *Bank, nb float64, workers int) (sharedWalk, error) {
+func walkShared(pre *Prescanned, aMin float64, tag *Bank, nb float64) (sharedWalk, error) {
 	var w sharedWalk
 	window := nb * (aMin + tag.Area) * 1.4
 	lim := Limits{MaxAreaLB: window / nb * (1 + 1e-9), MaxAccLB: math.Inf(1), AreaGuard: aMin}
 	if w.accMin, w.okAcc = pre.MinAccessWithin(nb, tag.Area, window); w.okAcc {
 		lim.MaxAccLB = ((tag.AccessTime+w.accMin)*1.1 - tag.AccessTime) * (1 + 1e-9)
 	}
-	enum, counters, err := pre.Enumerate(context.Background(), workers, lim)
+	enum, counters, err := pre.Enumerate(context.Background(), lim)
 	defer enum.Release()
 	w.banks, w.counters = copyOut(enum.Banks), counters
 	return w, err
@@ -86,7 +86,7 @@ func TestSharedPrescanConcurrentWalks(t *testing.T) {
 			if !ok {
 				t.Fatalf("data spec %d: no feasible point", di)
 			}
-			if want[g], err = walkShared(pre, aMin, tag, float64(1+g), 1); err != nil {
+			if want[g], err = walkShared(pre, aMin, tag, float64(1+g)); err != nil {
 				t.Fatal(err)
 			}
 			pre.Release()
@@ -104,7 +104,7 @@ func TestSharedPrescanConcurrentWalks(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for round := 0; round < 4; round++ {
-					got, err := walkShared(shared, aMin, tag, float64(1+g), 2)
+					got, err := walkShared(shared, aMin, tag, float64(1+g))
 					if err != nil {
 						errs <- err
 						return
@@ -157,12 +157,12 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestEnumerateReleaseAfterCancel: four goroutines run bounded
-// enumerations of one shared prescan through the slab pool, on one and
-// on two workers, and every third is cancelled at a varying poll of
-// its slot loop. A completed enumeration must equal a serial reference
-// bit for bit; a cancelled one must return its context's error and an
-// empty Enumerated; every handle is released twice. A slab released
-// twice, or left in use by a cancelled enumeration, would reach two
+// enumerations of one shared prescan through the slab pool, and every
+// third is cancelled at a varying poll of its slot loop. A completed
+// enumeration must equal one of a private prescan bit for bit; a
+// cancelled one must return its context's error and an empty
+// Enumerated; every handle is released twice. A slab released twice,
+// or left in use by a cancelled enumeration, would reach two
 // enumerations at once and corrupt one of them. `make stress` runs it
 // under the race detector ten times.
 func TestEnumerateReleaseAfterCancel(t *testing.T) {
@@ -188,7 +188,7 @@ func TestEnumerateReleaseAfterCancel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enum, c, err := pre.Enumerate(context.Background(), 1, lim)
+		enum, c, err := pre.Enumerate(context.Background(), lim)
 		if err != nil || len(enum.Banks) == 0 {
 			t.Fatalf("limits %d: %d banks, %v", i, len(enum.Banks), err)
 		}
@@ -210,7 +210,7 @@ func TestEnumerateReleaseAfterCancel(t *testing.T) {
 				if i%3 == 0 {
 					ctx = newCancelAfter(int64(1 + (i/3+g*7)%(gridSlots-1)))
 				}
-				enum, c, err := shared.Enumerate(ctx, 1+i%2, lims[li])
+				enum, c, err := shared.Enumerate(ctx, lims[li])
 				switch {
 				case i%3 == 0:
 					if err == nil || err != ctx.Err() || enum.Banks != nil || enum.res != nil {
@@ -222,7 +222,7 @@ func TestEnumerateReleaseAfterCancel(t *testing.T) {
 					return
 				default:
 					if d := banksDiff(enum.Banks, want[li]); d != "" || c != wantC[li] {
-						errs <- fmt.Errorf("goroutine %d, round %d: enumeration differs from the serial one: %s (counters %+v, want %+v)", g, i, d, c, wantC[li])
+						errs <- fmt.Errorf("goroutine %d, round %d: enumeration differs from the private one: %s (counters %+v, want %+v)", g, i, d, c, wantC[li])
 						return
 					}
 				}

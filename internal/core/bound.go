@@ -163,7 +163,7 @@ func boundedCandidates(ctx context.Context, spec Spec, opts *Options, t *SubSolv
 
 	// The candidates carry the enumeration's banks, and the caller
 	// releases them, on every path, once it has copied the winner out.
-	data, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
+	data, counters, err := pre.Enumerate(ctx, lim)
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Data = counters
 	}
@@ -227,7 +227,7 @@ func optimizeTagBounded(ctx context.Context, spec Spec, t *tech.Technology, opts
 		MaxAccLB:  probe.AccessTime, // exact, untranslated: no nudge needed
 		AreaGuard: math.Inf(-1),     // no stage-1 minimum to protect
 	}
-	tags, counters, err := pre.Enumerate(ctx, opts.workers(), lim)
+	tags, counters, err := pre.Enumerate(ctx, lim)
 	defer tags.Release()
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Tag = counters

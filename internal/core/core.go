@@ -195,6 +195,25 @@ func (s *Spec) normalize() error {
 	if s.Weights == nil {
 		s.Weights = &DefaultWeights
 	}
+	// JSON carries no NaN or infinity, so a spec holding one could
+	// neither cross the fabric wire nor reach the store.
+	w := s.Weights
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MaxAreaConstraint", s.MaxAreaConstraint},
+		{"MaxAcctimeConstraint", s.MaxAcctimeConstraint},
+		{"MaxRepeaterSlack", s.MaxRepeaterSlack},
+		{"Weights.DynamicEnergy", w.DynamicEnergy},
+		{"Weights.LeakagePower", w.LeakagePower},
+		{"Weights.RandomCycle", w.RandomCycle},
+		{"Weights.InterleaveCycle", w.InterleaveCycle},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v must be finite", f.name, f.v)
+		}
+	}
 	if s.PhysicalAddressBits == 0 {
 		s.PhysicalAddressBits = 40
 	}
@@ -286,16 +305,9 @@ func orgLess(a, b array.Org) bool {
 	return a.MatsPerSubbank < b.MatsPerSubbank
 }
 
-// Options tunes a solver call without affecting its result: the
-// enumeration worker-pool size and an optional sink for the coverage
-// counters. The zero value (and a nil *Options) is the default:
-// GOMAXPROCS workers, no counter reporting.
+// Options tunes a solver call without affecting its result. The zero
+// value (and a nil *Options) reports no counters.
 type Options struct {
-	// Workers bounds the organization-enumeration pool; 0 means
-	// GOMAXPROCS, 1 forces the serial path. Any value produces
-	// byte-identical solutions.
-	Workers int
-
 	// Stats, when non-nil, receives the enumeration coverage counters
 	// of the solve (data and tag arrays separately).
 	Stats *SolveStats
@@ -325,13 +337,6 @@ func (s SolveStats) Total() array.Counters {
 	return t
 }
 
-func (o *Options) workers() int {
-	if o == nil {
-		return 0
-	}
-	return o.Workers
-}
-
 // Explore enumerates every feasible solution for spec, without
 // applying the optimization constraints. The returned slice is sorted
 // by access time, with exact ties broken by the data organization
@@ -343,7 +348,7 @@ func Explore(spec Spec) ([]*Solution, error) {
 }
 
 // ExploreContext is Explore with cancellation and solver options
-// (opts may be nil). The worker count never changes the result.
+// (opts may be nil).
 func ExploreContext(ctx context.Context, spec Spec, opts *Options) ([]*Solution, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err
@@ -363,7 +368,7 @@ func ExploreContext(ctx context.Context, spec Spec, opts *Options) ([]*Solution,
 		}
 	}
 
-	banks, counters, err := array.EnumerateContext(ctx, dataArraySpec(spec, t), opts.workers())
+	banks, counters, err := array.EnumerateContext(ctx, dataArraySpec(spec, t))
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Data = counters
 	}
@@ -398,12 +403,12 @@ func Optimize(spec Spec) (*Solution, error) {
 }
 
 // OptimizeContext is Optimize with cancellation and solver options
-// (opts may be nil). The worker count never changes the result, and
-// neither does the branch-and-bound pruning: the bounded path provably
-// discards only organizations the staged filter could never keep
-// (DESIGN.md §1.2e), falling back to the full enumeration
-// (ExploreContext) whenever its preconditions do not hold. The chosen
-// solution is byte-identical to Filter(spec, ExploreContext(...))[0].
+// (opts may be nil). The branch-and-bound pruning never changes the
+// result: the bounded path provably discards only organizations the
+// staged filter could never keep (DESIGN.md §1.2e), falling back to
+// the full enumeration (ExploreContext) whenever its preconditions do
+// not hold. The chosen solution is byte-identical to Filter(spec,
+// ExploreContext(...))[0].
 func OptimizeContext(ctx context.Context, spec Spec, opts *Options) (*Solution, error) {
 	return optimize(ctx, spec, opts, nil, -1)
 }
@@ -706,7 +711,7 @@ func tagArraySpec(spec Spec, t *tech.Technology) array.Spec {
 
 // optimizeTag builds and optimizes the tag array for a cache spec.
 func optimizeTag(ctx context.Context, spec Spec, t *tech.Technology, opts *Options) (*array.Bank, error) {
-	banks, counters, err := array.EnumerateContext(ctx, tagArraySpec(spec, t), opts.workers())
+	banks, counters, err := array.EnumerateContext(ctx, tagArraySpec(spec, t))
 	if opts != nil && opts.Stats != nil {
 		opts.Stats.Tag = counters
 	}

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
-	"cactid/internal/array"
 	"cactid/internal/tech"
 )
 
@@ -439,78 +435,6 @@ func TestECCOverhead(t *testing.T) {
 	}
 	if e.EReadPerAccess <= b.EReadPerAccess {
 		t.Error("ECC should add read energy")
-	}
-}
-
-func TestExploreParallelByteIdentical(t *testing.T) {
-	// The acceptance bar for the parallel hot path: the JSON encoding
-	// of the full Explore solution slice is byte-identical between a
-	// single-worker and a multi-worker enumeration, for both an SRAM
-	// cache and a DRAM cache.
-	specs := map[string]Spec{
-		"sram-cache": sramCache(1<<20, 8, 1),
-		"dram-cache": {
-			Node: tech.Node45, RAM: tech.COMMDRAM,
-			CapacityBytes: 16 << 20, BlockBytes: 64, Associativity: 8, Banks: 1,
-			IsCache: true, Mode: Sequential, PageBits: 8192, MaxPipelineStages: 6,
-		},
-	}
-	// stripTech clones the slice with the (input-only, run-invariant)
-	// Technology tables nil'd out: they hold an infinite SRAM
-	// retention time, which encoding/json rejects.
-	stripTech := func(sols []*Solution) []*Solution {
-		strip := func(b *array.Bank) *array.Bank {
-			if b == nil {
-				return nil
-			}
-			nb := *b
-			nb.Spec.Tech = nil
-			if nb.Mat != nil {
-				m := *nb.Mat
-				m.Tech = nil
-				nb.Mat = &m
-			}
-			return &nb
-		}
-		out := make([]*Solution, len(sols))
-		for i, s := range sols {
-			c := *s
-			c.Data, c.Tag = strip(c.Data), strip(c.Tag)
-			out[i] = &c
-		}
-		return out
-	}
-	for name, spec := range specs {
-		var stSerial SolveStats
-		serial, err := ExploreContext(context.Background(), spec, &Options{Workers: 1, Stats: &stSerial})
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		serialJSON, err := json.Marshal(stripTech(serial))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 16} {
-			var st SolveStats
-			par, err := ExploreContext(context.Background(), spec, &Options{Workers: workers, Stats: &st})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("%s: workers=%d solutions differ structurally from serial", name, workers)
-			}
-			parJSON, err := json.Marshal(stripTech(par))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serialJSON, parJSON) {
-				t.Fatalf("%s: workers=%d Explore JSON differs from serial (%d vs %d solutions)",
-					name, workers, len(par), len(serial))
-			}
-			if st != stSerial {
-				t.Fatalf("%s workers=%d stats %+v != serial %+v", name, workers, st, stSerial)
-			}
-		}
 	}
 }
 

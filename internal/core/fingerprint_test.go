@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +131,25 @@ func TestFingerprintRejectsInvalidSpecs(t *testing.T) {
 	} {
 		if _, err := bad.Fingerprint(); err == nil {
 			t.Errorf("case %d: invalid spec fingerprinted without error", i)
+		}
+	}
+	// Each cut, the repeater slack and each weight at NaN, +Inf and
+	// -Inf, which no JSON carries: the error names the field.
+	valid := Spec{RAM: tech.SRAM, CapacityBytes: 1 << 20, BlockBytes: 64}
+	if _, err := valid.Fingerprint(); err != nil {
+		t.Fatalf("valid spec: %v", err)
+	}
+	names := [...]string{"MaxAreaConstraint", "MaxAcctimeConstraint", "MaxRepeaterSlack",
+		"Weights.DynamicEnergy", "Weights.LeakagePower", "Weights.RandomCycle", "Weights.InterleaveCycle"}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for f, name := range names {
+			s, w := valid, DefaultWeights
+			s.Weights = &w
+			*[...]*float64{&s.MaxAreaConstraint, &s.MaxAcctimeConstraint, &s.MaxRepeaterSlack,
+				&w.DynamicEnergy, &w.LeakagePower, &w.RandomCycle, &w.InterleaveCycle}[f] = v
+			if _, err := s.Fingerprint(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s %v: Fingerprint error %v, want one naming the field", name, v, err)
+			}
 		}
 	}
 }

@@ -47,12 +47,11 @@ func pooledSpecs() []core.Spec {
 }
 
 // TestConcurrentSolvesMatchSerial solves generated specs of every
-// provider on several goroutines at once, each with a parallel
-// enumeration, so build contexts pass between solves and workers
-// through the pool while others are in use. Every result must equal,
-// value for value, the serial reference solved beforehand: a context
-// that leaked one solve's scratch into another, or a winner that
-// aliased released scratch, would differ. `make stress` runs it under
+// provider on several goroutines at once, so build contexts and result
+// slabs pass between solves through the pools while others are in use.
+// Every result must equal, value for value, the serial reference
+// solved beforehand: a context that leaked one solve's scratch into
+// another, or a winner that aliased released scratch, would differ. `make stress` runs it under
 // the race detector ten times.
 func TestConcurrentSolvesMatchSerial(t *testing.T) {
 	specs := pooledSpecs()
@@ -64,7 +63,7 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 	want := make([]outcome, len(specs))
 	solved := 0
 	for i, s := range specs {
-		sol, err := core.OptimizeContext(ctx, s, &core.Options{Workers: 1})
+		sol, err := core.OptimizeContext(ctx, s, nil)
 		want[i] = outcome{sol, err}
 		if err == nil {
 			solved++
@@ -82,7 +81,7 @@ func TestConcurrentSolvesMatchSerial(t *testing.T) {
 			defer wg.Done()
 			for k := range specs {
 				i := (k + g*len(specs)/goroutines) % len(specs)
-				sol, err := core.OptimizeContext(ctx, specs[i], &core.Options{Workers: 2})
+				sol, err := core.OptimizeContext(ctx, specs[i], nil)
 				if (err == nil) != (want[i].err == nil) || err != nil && err.Error() != want[i].err.Error() || !reflect.DeepEqual(sol, want[i].sol) {
 					errs <- fmt.Errorf("spec %d %+v: concurrent solve (%v) differs from the serial one (%v)",
 						i, specs[i], err, want[i].err)

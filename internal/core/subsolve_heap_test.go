@@ -39,7 +39,7 @@ func sweepTable(t *testing.T, specs []core.Spec, workers int) *core.SubSolves {
 					return
 				}
 				for i := start; i < min(start+run, len(specs)); i++ {
-					tab.Optimize(ctx, i, &core.Options{Workers: 1})
+					tab.Optimize(ctx, i, nil)
 					tab.Done(i)
 				}
 			}

@@ -46,9 +46,9 @@ func TestSubSolvesMatchOptimize(t *testing.T) {
 		seenData, seenTag := map[array.Spec]bool{}, map[array.Spec]bool{}
 		for i, s := range specs {
 			var st core.SolveStats
-			got, err := tab.Optimize(ctx, i, &core.Options{Workers: 1, Stats: &st})
+			got, err := tab.Optimize(ctx, i, &core.Options{Stats: &st})
 			tab.Done(i)
-			want, wantErr := core.OptimizeContext(ctx, s, &core.Options{Workers: 1})
+			want, wantErr := core.OptimizeContext(ctx, s, nil)
 			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 				t.Fatalf("sweep %d point %d %+v: error %v, per point %v", g, i, s, err, wantErr)
 			}

@@ -90,27 +90,16 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// sweep is what one Sweep call hands the solves of its points.
-type sweep struct {
-	// sub is the sweep's table of shared array sub-solves.
-	sub *core.SubSolves
-	// workers is each point's enumeration pool (core.Options.Workers):
-	// 1 when the sweep runs on several workers, which keep the cores
-	// busy between them, else 0 for GOMAXPROCS.
-	workers int
-}
-
-// optimize is the default solver: core.OptimizeContext, or point i of
-// sweep sw when it is set, adding the solve's enumeration counters to
-// the engine's.
-func (e *Engine) optimize(ctx context.Context, spec core.Spec, sw *sweep, i int) (*core.Solution, error) {
+// optimize is the default solver: core.OptimizeContext, or, when sub
+// is set, point i of the sweep that sub-solve table serves. It adds
+// the solve's enumeration counters to the engine's.
+func (e *Engine) optimize(ctx context.Context, spec core.Spec, sub *core.SubSolves, i int) (*core.Solution, error) {
 	var st core.SolveStats
 	opts := &core.Options{Stats: &st}
 	var sol *core.Solution
 	var err error
-	if sw != nil {
-		opts.Workers = sw.workers
-		sol, err = sw.sub.Optimize(ctx, i, opts)
+	if sub != nil {
+		sol, err = sub.Optimize(ctx, i, opts)
 	} else {
 		sol, err = core.OptimizeContext(ctx, spec, opts)
 	}
@@ -157,9 +146,9 @@ func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution,
 }
 
 // solve is Solve for a fingerprinted spec; a sweep with the default
-// solver passes itself and the spec's index in it, nil and -1
-// otherwise.
-func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep, i int) (*core.Solution, bool, error) {
+// solver passes its sub-solve table and the spec's index in it, nil and
+// -1 otherwise.
+func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sub *core.SubSolves, i int) (*core.Solution, bool, error) {
 	ent, created := e.cache.lookup(fp)
 	for !created {
 		select {
@@ -200,7 +189,7 @@ func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sw *sweep
 		e.tier1Misses.Add(1)
 	}
 	e.solves.Add(1)
-	sol, err := e.runSolver(ctx, spec, sw, i)
+	sol, err := e.runSolver(ctx, spec, sub, i)
 	ent.sol, ent.err = core.Project(sol), err
 	if Canceled(ent.err) {
 		// The solver was cut short by this requester's context: the
@@ -229,7 +218,7 @@ func Canceled(err error) bool {
 // or an injected fault) is converted into an ErrSolverPanic error for
 // this one solve instead of unwinding the worker goroutine — which
 // would strand every caller parked on the cache entry.
-func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sw *sweep, i int) (sol *core.Solution, err error) {
+func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sub *core.SubSolves, i int) (sol *core.Solution, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			e.panics.Add(1)
@@ -239,8 +228,8 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sw *sweep, i int
 	if err := e.chaos.Inject(ctx, chaos.ExploreSolve); err != nil {
 		return nil, err
 	}
-	if sw != nil {
-		return e.optimize(ctx, spec, sw, i)
+	if sub != nil {
+		return e.optimize(ctx, spec, sub, i)
 	}
 	return e.solver(ctx, spec)
 }
@@ -248,7 +237,7 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sw *sweep, i int
 // sweepOne evaluates one sweep point, confining panics that escape
 // the per-solve recovery (the explore.worker injection point, or
 // fingerprinting) to this point's Result.
-func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sw *sweep) (r Result) {
+func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sub *core.SubSolves) (r Result) {
 	r = Result{Index: i, Spec: spec}
 	defer func() {
 		if v := recover(); v != nil {
@@ -265,7 +254,7 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sw *sweep)
 		r.Err = err
 	} else {
 		r.Fingerprint = fp
-		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp, sw, i)
+		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp, sub, i)
 	}
 	return r
 }
@@ -287,21 +276,15 @@ const sweepRun = 4
 // Workers take the points in runs of sweepRun consecutive indices.
 // With the default solver, the sweep's points share their array
 // sub-solves through one core.SubSolves table, released when Sweep
-// returns, and a sweep on several workers enumerates each point on
-// one; the answers are those of per-point solves, bit for bit.
+// returns; the answers are those of per-point solves, bit for bit.
 func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 	results := make([]Result, len(specs))
 	runs := (len(specs) + sweepRun - 1) / sweepRun
 	workers := max(1, min(e.workers, runs))
 	var sub *core.SubSolves
-	var sw *sweep
 	if !e.custom {
 		sub = core.NewSubSolves(specs)
 		defer sub.Close()
-		sw = &sweep{sub: sub}
-		if workers > 1 {
-			sw.workers = 1
-		}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -318,7 +301,7 @@ func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 					if err := ctx.Err(); err != nil {
 						results[i] = Result{Index: i, Spec: specs[i], Err: err}
 					} else {
-						results[i] = e.sweepOne(ctx, specs[i], i, sw)
+						results[i] = e.sweepOne(ctx, specs[i], i, sub)
 					}
 					sub.Done(i)
 				}

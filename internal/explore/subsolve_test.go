@@ -18,12 +18,14 @@ import (
 // draw of the g-th provider in turn (the empty default after the named
 // ones), and in every five grids four bases also have, in turn, two
 // SRAM ports, a tag RAM override, ECC and bank routing (the per-point
-// fallback). The bases' other fields (node, RAM type, page size,
-// constraints) stay as drawn, so some grids have points no
-// organization meets.
+// fallback). Each run of five grids is at one ITRS-table node, the
+// five nodes in turn (the defaulted 0 counts as 32 nm). The bases'
+// other fields (RAM type, page size, constraints) stay as drawn, so
+// some grids have points no organization meets.
 func tileGrids(n int, seed uint64) []Grid {
 	r := rand.New(rand.NewPCG(seed, 23))
 	providers := append(tech.Providers(), "")
+	nodes := []tech.Node{32, 45, 65, 78, 90}
 	features := []func(s core.Spec) bool{
 		func(core.Spec) bool { return true },
 		func(s core.Spec) bool { return s.Ports == 2 && s.RAM == tech.SRAM },
@@ -35,7 +37,12 @@ func tileGrids(n int, seed uint64) []Grid {
 	for len(grids) < n {
 		g := len(grids)
 		base := spectest.Spec(r)
-		if base.Technology != providers[g%len(providers)] || !features[g%len(features)](base) {
+		node := base.Node
+		if node == 0 {
+			node = tech.Node32
+		}
+		if base.Technology != providers[g%len(providers)] || !features[g%len(features)](base) ||
+			node != nodes[g/len(features)%len(nodes)] {
 			continue
 		}
 		if _, err := base.Canonical(); err != nil {

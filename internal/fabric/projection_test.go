@@ -34,9 +34,8 @@ func renderResult(t *testing.T, r explore.Result) []byte {
 // fabric wire (ToWire, json.Marshal, the typed decoder, FromWire) and
 // the result through the durable store (Save, then Lookup) — and
 // renders to the same bytes as the full design core.Optimize returns.
-// A point whose spec holds a NaN or infinite float cannot be encoded
-// for the wire or stored as a solution; the store answers it with at
-// most its no-solution verdict.
+// Fingerprint rejects a spec holding a NaN or infinite float, so the
+// wire can carry every point collected.
 func TestProjectionRoundTripGenerated(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewPCG(5, 21))
@@ -59,23 +58,13 @@ func TestProjectionRoundTripGenerated(t *testing.T) {
 	tier := store.NewSolutions(st)
 
 	var resp BatchResponse
-	var results []explore.Result
-	uncarried := 0
-	for _, r := range explore.New(explore.Options{}).Sweep(ctx, specs) {
+	results := explore.New(explore.Options{}).Sweep(ctx, specs)
+	for _, r := range results {
 		w := ToWire(r)
 		if _, err := json.Marshal(w); err != nil {
-			// A NaN or infinite spec field: no JSON carries the point
-			// to another node, and the store keeps at most its
-			// no-solution verdict.
-			tier.Save(ctx, r.Fingerprint, r.Solution, r.Err)
-			if hit, ok := tier.Lookup(ctx, r.Fingerprint); ok && (r.Err == nil || hit.Err == nil || hit.Err.Error() != r.Err.Error()) {
-				t.Fatalf("%+v: the wire cannot encode the point (%v), but the store answers %+v", r.Spec, err, hit)
-			}
-			uncarried++
-			continue
+			t.Fatalf("%+v: the wire cannot encode the point: %v", r.Spec, err)
 		}
 		resp.Results = append(resp.Results, w)
-		results = append(results, r)
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
@@ -117,7 +106,7 @@ func TestProjectionRoundTripGenerated(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d points, %d without a solution; %d more no JSON can carry", len(results), verdicts, uncarried)
+	t.Logf("%d points, %d without a solution", len(results), verdicts)
 	if verdicts == len(results) {
 		t.Fatal("no generated spec solved")
 	}

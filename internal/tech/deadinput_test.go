@@ -123,7 +123,7 @@ type probe func() string
 func solveProbe(s core.Spec, n tech.Node) probe {
 	s.Node = n
 	return func() string {
-		sol, err := core.OptimizeContext(context.Background(), s, &core.Options{Workers: 1})
+		sol, err := core.OptimizeContext(context.Background(), s, nil)
 		if err != nil {
 			return "error: " + err.Error()
 		}

@@ -58,7 +58,7 @@ func Xeon() (*XeonResult, error) { return XeonContext(context.Background()) }
 // constraints (max area, max access time, max repeater delay) within
 // reasonable bounds, as the paper describes, and reports the solution
 // bubbles alongside the target. The sweep runs 18 full solves; ctx
-// cancels between (and, via the solver's worker pools, within) them.
+// cancels between (and, via the enumeration's slot loop, within) them.
 func XeonContext(ctx context.Context) (*XeonResult, error) {
 	r := &XeonResult{
 		Targets: []Bubble{
