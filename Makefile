@@ -70,15 +70,17 @@ test-tech:
 # outlives another client's deadline on a shared point among them),
 # and sweeps that share array sub-solves against per-point solves;
 # and ten times each: concurrent solves through the solver's pooled
-# scratch, concurrent walks and enumerations of one shared prescan,
+# scratch, concurrent fingerprints replacing the memoized float
+# segment, concurrent walks and enumerations of one shared prescan,
 # enumerations cancelled mid-grid through the pooled bank slabs, the
-# tier-0 bound checked after every concurrent insert, and callers that
-# outlive a cancelled owner's in-flight solve.
+# tier-0 bound checked after every concurrent insert, callers that
+# outlive a cancelled owner's in-flight solve, and concurrent renders
+# of fresh tier-0 hits racing to build their value tables.
 stress:
 	go test -race ./internal/chaos/
-	go test -race -count=10 -run TestConcurrentSolvesMatchSerial ./internal/core/
+	go test -race -count=10 -run 'TestConcurrentSolvesMatchSerial|TestFingerprintMemoConcurrent' ./internal/core/
 	go test -race -count=10 -run 'TestSharedPrescanConcurrentWalks|TestEnumerateReleaseAfterCancel' ./internal/array/
-	go test -race -count=10 -run 'TestCacheBoundUnderConcurrency|TestInFlightWaiterOutlivesOwnerCancel' ./internal/explore/
+	go test -race -count=10 -run 'TestCacheBoundUnderConcurrency|TestInFlightWaiterOutlivesOwnerCancel|TestConcurrentHitRendersMatchReference' ./internal/explore/
 	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
 	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight' \
 		./internal/explore/ ./cmd/cactid-serve/
@@ -117,8 +119,11 @@ bench:
 # bench-sweep runs the exploration-engine rows: cold and warm 64-point
 # sweeps (serial-cold and parallel-cold are the rows a solver change
 # names), 16 cold dse-style tiles across providers and nodes
-# (tiles-cold), the warm sweep rendered as JSON and as CSV, the per-point
-# spec fingerprint, the durable tier's Get (the store read alone),
+# (tiles-cold), the warm sweep rendered as JSON and as CSV (parallel-warm,
+# parallel-warm-json and parallel-warm-csv are the rows a change to
+# tier-0 hits, rendering or fingerprinting names), the per-point spec
+# fingerprint over a grid and with alternating float fields (its grid
+# and alternating legs), the durable tier's Get (the store read alone),
 # Lookup (read, typed decode and rebuild) and Save of real solutions,
 # and the fabric wire's decoding of a 16-point chunk (reply-indented,
 # reply-compact and request; typed decoder against encoding/json, so

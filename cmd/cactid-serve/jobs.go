@@ -77,8 +77,10 @@ func (j *job) record() jobRecord {
 // start, and the memory finished jobs hold.
 //
 // Job workers run outside the admission gate — a long sweep must not
-// starve interactive /v1 traffic of its slots — so submit applies the
-// gate's -max-inflight bound to running jobs itself. A finished job
+// starve interactive /v1 traffic of its slots — so the manager applies
+// the gate's -max-inflight bound to running jobs itself: submit refuses
+// a job beyond it, and a revived job beyond it waits in a queue for
+// the next free slot. A finished job
 // stays in memory only while the finished jobs resident with it hold
 // at most -max-points results; older ones are evicted and, with a
 // store, read back from their durable record when a client asks.
@@ -98,7 +100,8 @@ type jobManager struct {
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
-	jobs     map[string]*job // guarded by mu; every running job and the resident finished ones
+	jobs     map[string]*job // guarded by mu; every running or queued job and the resident finished ones
+	queued   []*job          // guarded by mu; revived jobs waiting for a running slot, oldest first
 	finished []residentJob   // guarded by mu; the finished jobs in jobs, oldest first
 	// residentPoints is what finished holds, each job counting as at
 	// least one.
@@ -149,8 +152,9 @@ func newJobID() string {
 }
 
 // submit registers a new job and starts its worker, or returns nil
-// while maxRunning jobs are running. The request must already be
-// validated (grid compiles, point count within bounds).
+// while maxRunning jobs are running or a revived job waits for a slot.
+// The request must already be validated (grid compiles, point count
+// within bounds).
 func (m *jobManager) submit(req explore.SweepRequest, points, skipped int) *job {
 	id := newJobID()
 	j := &job{
@@ -161,7 +165,7 @@ func (m *jobManager) submit(req explore.SweepRequest, points, skipped int) *job 
 		updated: make(chan struct{}),
 	}
 	m.mu.Lock()
-	if m.running.Load() >= int64(m.maxRunning) {
+	if m.running.Load() >= int64(m.maxRunning) || len(m.queued) > 0 {
 		m.mu.Unlock()
 		return nil
 	}
@@ -241,11 +245,14 @@ func (m *jobManager) readBack(ctx context.Context, rec jobRecord, withResults bo
 	return m.retire(&job{rec: rec, results: results, updated: make(chan struct{})}), nil
 }
 
-// revive re-registers an interrupted job and restarts its sweep from
-// point 0 — completed points replay out of the durable solution tier
-// with zero solver work, so this resumes "from the checkpoint" in
-// cost terms while rebuilding the full in-memory result prefix that
-// polls and streams serve. Idempotent per id within one process.
+// revive re-registers an interrupted job, so polls and streams find
+// it at once, and restarts its sweep from point 0 — completed points
+// replay out of the durable solution tier with zero solver work, so
+// this resumes "from the checkpoint" in cost terms while rebuilding
+// the full in-memory result prefix that polls and streams serve. The
+// job starts now if a running slot is free and no revived job waits
+// for one, and otherwise queues (see settle). Idempotent per id within
+// one process.
 func (m *jobManager) revive(rec jobRecord) *job {
 	m.mu.Lock()
 	if existing := m.jobs[rec.ID]; existing != nil {
@@ -258,10 +265,33 @@ func (m *jobManager) revive(rec jobRecord) *job {
 	rec.Cursor = 0
 	j := &job{rec: rec, updated: make(chan struct{})}
 	m.jobs[rec.ID] = j
-	m.running.Add(1)
+	run := len(m.queued) == 0 && m.running.Load() < int64(m.maxRunning)
+	if run {
+		m.running.Add(1)
+	} else {
+		m.queued = append(m.queued, j)
+	}
 	m.mu.Unlock()
 	m.resumed.Add(1)
-	m.start(j)
+	if run {
+		m.start(j)
+	}
+	return j
+}
+
+// dequeue takes the oldest queued job into a free running slot,
+// counting it in running, or returns nil when none waits, no slot is
+// free or the manager is draining.
+func (m *jobManager) dequeue() *job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.queued) == 0 || m.running.Load() >= int64(m.maxRunning) || m.ctx.Err() != nil {
+		return nil
+	}
+	j := m.queued[0]
+	m.queued[0] = nil
+	m.queued = m.queued[1:]
+	m.running.Add(1)
 	return j
 }
 
@@ -403,7 +433,8 @@ func (m *jobManager) run(j *job) (string, error) {
 // settle ends a job as done or failed. The terminal record is written
 // and the job retired before any client can see the state: an evicted
 // job reads back from that record, and a client that saw its job
-// finish sees the eviction it caused.
+// finish sees the eviction it caused. The job's running slot, freed
+// before settle, then goes to the oldest queued job.
 func (m *jobManager) settle(j *job, state string, err error) {
 	rec := j.record()
 	rec.State = state
@@ -420,6 +451,9 @@ func (m *jobManager) settle(j *job, state string, err error) {
 	close(j.updated) // broadcast terminal state
 	j.updated = make(chan struct{})
 	j.mu.Unlock()
+	if next := m.dequeue(); next != nil {
+		m.start(next)
+	}
 }
 
 // retire makes a finished job the newest resident one, then evicts the

@@ -82,7 +82,7 @@ func main() {
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "requests queued beyond -max-inflight before 429 (-1 disables the queue, 0 = 2x max-inflight)")
 	flag.DurationVar(&cfg.queueWait, "queue-wait", 5*time.Second, "longest a queued request waits for a slot before 429")
 	flag.IntVar(&cfg.maxPoints, "max-points", 4096, "most points one sweep grid or spec list may carry, and most results finished sweep jobs keep in memory; request bodies are capped at 1 KiB per point")
-	flag.IntVar(&cfg.cacheBound, "cache-entries", 0, "result-cache entry bound with LRU eviction; one entry holds about 1 KB of heap (-1 = unbounded, 0 = default 16384)")
+	flag.IntVar(&cfg.cacheBound, "cache-entries", 0, "result-cache entry bound with LRU eviction; one entry holds about 1 KB of heap, 1.6 KB once a hit on it is rendered (-1 = unbounded, 0 = default 16384)")
 	flag.IntVar(&cfg.workers, "workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/ (loopback clients only)")
 	flag.StringVar(&cfg.storeDir, "store", "", "durable result-store directory: solved specs persist across restarts and interrupted sweep jobs resume (empty = in-memory only)")

@@ -252,6 +252,112 @@ func TestSweepJobKillResume(t *testing.T) {
 	}
 }
 
+// TestSweepJobResumeHonorsInFlightBound: a restart over a store that
+// holds more interrupted jobs than -max-inflight revives them all at
+// once, so polls find every one, but runs only -max-inflight of them;
+// the rest queue, and a submit answers 429 while they wait. Each
+// finished job starts a queued one. /metrics sweep_jobs.active never
+// exceeds the bound, every job ends done, and each job's stream
+// carries the bytes of a fresh sweep of its grid.
+func TestSweepJobResumeHonorsInFlightBound(t *testing.T) {
+	const maxInFlight = 2
+	dir := warmStoreDir(t)
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	grids := map[string][]core.Spec{}
+	for k := 0; k < maxInFlight+2; k++ {
+		var req explore.SweepRequest
+		body := fmt.Sprintf(`{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["%dKB","%dKB"],"banks":[1,2]}`,
+			32<<(2*k), 32<<(2*k+1))
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		g, err := req.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, skipped := g.Expand()
+		rec := jobRecord{ID: fmt.Sprintf("%016x", k+1), Request: req, ModelVersion: core.ModelVersion,
+			Points: len(specs), Skipped: skipped, State: jobRunning}
+		val, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(context.Background(), jobKeyPrefix+rec.ID, val); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+		grids[rec.ID] = specs
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	_, fast := persistableSolver()
+	solver := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return fast(ctx, spec)
+	}
+	ts := newTestServer(t, config{solver: solver, storeDir: dir, maxInFlight: maxInFlight})
+	if got := sweepJobStats(t, ts.URL); got.Active != maxInFlight || got.Resumed != maxInFlight+2 {
+		t.Fatalf("sweep_jobs after restart with %d interrupted jobs: %+v, want active %d, resumed %d",
+			maxInFlight+2, got, maxInFlight, maxInFlight+2)
+	}
+	for _, id := range ids {
+		if m := pollJob(t, ts.URL+"/v1/sweep-jobs/"+id, func(map[string]any) bool { return true }); m["state"] != jobRunning {
+			t.Fatalf("job %s while the solver is parked: %v, want running", id, m)
+		}
+	}
+	if resp, body := post(t, ts.URL+"/v1/sweep-jobs", capacityGrid(32)); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submit while revived jobs wait: %d %s, want 429", resp.StatusCode, body)
+	}
+
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := sweepJobStats(t, ts.URL)
+		if got.Active > maxInFlight {
+			t.Fatalf("sweep_jobs.active = %d, bound %d", got.Active, maxInFlight)
+		}
+		if got.Completed == maxInFlight+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("revived jobs did not finish: %+v", got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	_, fresh := persistableSolver()
+	for _, id := range ids {
+		var want []byte
+		for _, r := range explore.New(explore.Options{Solver: fresh}).Sweep(context.Background(), grids[id]) {
+			line, err := explore.AppendResultJSON(want, r, "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(line, '\n')
+		}
+		_, stream := get(t, ts.URL+"/v1/sweep-jobs/"+id+"/stream")
+		end := bytes.LastIndexByte(stream[:len(stream)-1], '\n') + 1
+		if !bytes.Equal(stream[:end], want) {
+			t.Fatalf("job %s streams\n%s\nwant a fresh sweep's\n%s", id, stream[:end], want)
+		}
+		var last map[string]any
+		if err := json.Unmarshal(stream[end:], &last); err != nil || last["state"] != jobDone {
+			t.Fatalf("job %s stream ends with %s (%v), want state done", id, stream[end:], err)
+		}
+	}
+}
+
 // TestSweepJobResumeRefusesRegrid: a checkpoint whose request no
 // longer expands to the point count it recorded (here the banks axis
 // it was submitted with is gone, as when a renamed JSON tag decodes an

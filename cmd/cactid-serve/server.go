@@ -134,10 +134,11 @@ func (m *metrics) observe(d time.Duration) {
 // defaultCacheBound is the result-cache entry bound when the flag is
 // left at its zero value. One cached solve holds the engine's
 // projection of its design, not the design: about 1 KB of heap with
-// its key and bookkeeping (TestTier0HeapPerEntry measures 1.0 KB over
-// 3000 generated specs of every technology). 16Ki entries keep a hot
-// sweep working set while bounding a long-lived server's tier 0 to
-// about 16 MB.
+// its key and bookkeeping, and about 1.6 KB once a hit on it has been
+// rendered and it keeps its value table (TestTier0HeapPerEntry
+// measures 1.1-1.2 KB and 0.4 KB more over 3000 generated specs of
+// every technology). 16Ki entries keep a hot sweep working set while
+// bounding a long-lived server's tier 0 to about 16-26 MB.
 const defaultCacheBound = 16384
 
 // server is the cactid-serve HTTP API: the exploration engine behind

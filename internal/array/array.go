@@ -96,13 +96,19 @@ type Org struct {
 // mats, subbanks and mats per subbank; exported results carry it.
 func (o Org) String() string {
 	var buf [96]byte
-	b := strconv.AppendInt(buf[:0], int64(o.Rows), 10)
+	return string(o.Append(buf[:0]))
+}
+
+// Append appends String's text to b. The text holds no byte that a
+// JSON string escapes.
+func (o Org) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(o.Rows), 10)
 	b = strconv.AppendInt(append(b, 'x'), int64(o.Cols), 10)
 	b = strconv.AppendInt(append(b, " mux"...), int64(o.Mux), 10)
 	b = strconv.AppendInt(append(b, " ("...), int64(o.Mats), 10)
 	b = strconv.AppendInt(append(b, " mats = "...), int64(o.Subbanks), 10)
 	b = strconv.AppendInt(append(b, " subbanks x "...), int64(o.MatsPerSubbank), 10)
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // Bank is an evaluated organization.

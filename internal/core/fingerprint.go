@@ -3,7 +3,9 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"strconv"
+	"sync/atomic"
 )
 
 // Canonical returns a copy of the spec with every defaulted field
@@ -79,13 +81,7 @@ func (c *Spec) appendHashInput(b []byte) []byte {
 	b = appendIntField(b, "|tag=", int64(tag))
 	b = appendIntField(b, "|page=", int64(c.PageBits))
 	b = appendIntField(b, "|pipe=", int64(c.MaxPipelineStages))
-	b = appendFloatField(b, "|area=", c.MaxAreaConstraint)
-	b = appendFloatField(b, "|acc=", c.MaxAcctimeConstraint)
-	b = appendFloatField(b, "|slack=", c.MaxRepeaterSlack)
-	b = appendFloatField(b, "|w=", c.Weights.DynamicEnergy)
-	b = appendFloatField(b, ",", c.Weights.LeakagePower)
-	b = appendFloatField(b, ",", c.Weights.RandomCycle)
-	b = appendFloatField(b, ",", c.Weights.InterleaveCycle)
+	b = c.appendFloatSegment(b)
 	b = strconv.AppendBool(append(b, "|sleep="...), c.SleepTransistors)
 	b = appendIntField(b, "|ports=", int64(c.Ports))
 	b = strconv.AppendBool(append(b, "|ecc="...), c.ECC)
@@ -98,6 +94,46 @@ func (c *Spec) appendHashInput(b []byte) []byte {
 	if c.Technology != "" {
 		b = append(append(b, "|tech="...), c.Technology...)
 	}
+	return b
+}
+
+// floatSegment is the spelled float segment of a fingerprint input,
+// |area= through the last weight, keyed by the bits of its seven
+// fields.
+type floatSegment struct {
+	bits [7]uint64
+	text []byte
+}
+
+// lastFloats is the float segment last spelled. A grid varies a spec's
+// integer fields and keeps its cuts, slack and weights, so consecutive
+// fingerprints share the segment. Keying by bits keeps -0 and +0
+// apart, as %.17g spells them differently.
+var lastFloats atomic.Pointer[floatSegment]
+
+// appendFloatSegment appends the canonical spec's cuts, repeater slack
+// and weights as appendFloatField spells them, copying the memoized
+// segment when its fields are the same.
+func (c *Spec) appendFloatSegment(b []byte) []byte {
+	w := c.Weights
+	bits := [7]uint64{
+		math.Float64bits(c.MaxAreaConstraint), math.Float64bits(c.MaxAcctimeConstraint),
+		math.Float64bits(c.MaxRepeaterSlack),
+		math.Float64bits(w.DynamicEnergy), math.Float64bits(w.LeakagePower),
+		math.Float64bits(w.RandomCycle), math.Float64bits(w.InterleaveCycle),
+	}
+	if seg := lastFloats.Load(); seg != nil && seg.bits == bits {
+		return append(b, seg.text...)
+	}
+	start := len(b)
+	b = appendFloatField(b, "|area=", c.MaxAreaConstraint)
+	b = appendFloatField(b, "|acc=", c.MaxAcctimeConstraint)
+	b = appendFloatField(b, "|slack=", c.MaxRepeaterSlack)
+	b = appendFloatField(b, "|w=", w.DynamicEnergy)
+	b = appendFloatField(b, ",", w.LeakagePower)
+	b = appendFloatField(b, ",", w.RandomCycle)
+	b = appendFloatField(b, ",", w.InterleaveCycle)
+	lastFloats.Store(&floatSegment{bits: bits, text: append([]byte(nil), b[start:]...)})
 	return b
 }
 

@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"cactid/internal/core"
@@ -106,29 +107,57 @@ func referenceHashInput(c core.Spec) string {
 	return h.String()
 }
 
+// checkFingerprint fails t unless spec's hash input equals the fmt
+// formula's and its fingerprint is that input's truncated SHA-256. It
+// returns the canonical spec, or false for an invalid one.
+func checkFingerprint(t *testing.T, s core.Spec) (core.Spec, bool) {
+	t.Helper()
+	c, err := s.Canonical()
+	if err != nil {
+		return c, false
+	}
+	want := referenceHashInput(c)
+	if got := string(core.AppendHashInput(&c, nil)); got != want {
+		t.Errorf("spec %+v:\nhash input %q\nfmt formula %q", s, got, want)
+	}
+	sum := sha256.Sum256([]byte(want))
+	if fp, err := s.Fingerprint(); err != nil || fp != hex.EncodeToString(sum[:16]) {
+		t.Errorf("spec %+v: fingerprint %q (%v), want %x", s, fp, err, sum[:16])
+	}
+	return c, true
+}
+
+// withFloats returns s with its cuts, slack and weights set from
+// tuple: area, access time, slack and the four weights.
+func withFloats(s core.Spec, tuple [7]float64) core.Spec {
+	s.MaxAreaConstraint, s.MaxAcctimeConstraint, s.MaxRepeaterSlack = tuple[0], tuple[1], tuple[2]
+	s.Weights = &core.Weights{DynamicEnergy: tuple[3], LeakagePower: tuple[4],
+		RandomCycle: tuple[5], InterleaveCycle: tuple[6]}
+	return s
+}
+
 // TestFingerprintMatchesFmtReference is a differential test of the
 // fmt-free fingerprint over generated specs of every technology
 // provider: the hash input equals the fmt formula's, and the
 // fingerprint is that input's truncated SHA-256. Invalid draws are
-// skipped.
+// skipped. The draws are fingerprinted again with their floats set to
+// two tuples in turn, two draws per tuple, so the memoized float
+// segment is hit and missed alternately.
 func TestFingerprintMatchesFmtReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	perTech := map[string]int{}
+	var valid []core.Spec
 	for i := 0; i < 4000; i++ {
 		s := spectest.Spec(rng)
-		c, err := s.Canonical()
-		if err != nil {
+		c, ok := checkFingerprint(t, s)
+		if !ok {
 			continue
 		}
-		want := referenceHashInput(c)
-		if got := string(core.AppendHashInput(&c, nil)); got != want {
-			t.Fatalf("spec %+v:\nhash input %q\nfmt formula %q", s, got, want)
-		}
-		sum := sha256.Sum256([]byte(want))
-		if fp, err := s.Fingerprint(); err != nil || fp != hex.EncodeToString(sum[:16]) {
-			t.Fatalf("spec %+v: fingerprint %q (%v), want %x", s, fp, err, sum[:16])
+		if t.Failed() {
+			t.FailNow()
 		}
 		perTech[c.Technology]++
+		valid = append(valid, s)
 	}
 	for _, name := range tech.Providers() {
 		if name == tech.DefaultTech {
@@ -137,6 +166,70 @@ func TestFingerprintMatchesFmtReference(t *testing.T) {
 		if perTech[name] < 50 {
 			t.Errorf("provider %q: only %d valid generated specs", name, perTech[name])
 		}
+	}
+	tuples := [2][7]float64{{0.4, 0.1, 0, 1, 1, 1, 1}, {0.25, 0.5, 0.05, 2, 0.5, 1e-3, 3}}
+	for i, s := range valid {
+		if _, ok := checkFingerprint(t, withFloats(s, tuples[i/2%2])); !ok {
+			t.Fatalf("spec %+v is invalid with float tuple %v", s, tuples[i/2%2])
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// TestFingerprintMemoConcurrent fingerprints generated specs on eight
+// goroutines, each with its own float tuple, so the memoized float
+// segment is replaced under concurrent readers; every fingerprint must
+// match the fmt formula's. make stress runs it under the race
+// detector.
+func TestFingerprintMemoConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var specs []core.Spec
+	for len(specs) < 200 {
+		s := spectest.Spec(rng)
+		if _, err := s.Canonical(); err == nil {
+			specs = append(specs, s)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tuple := [7]float64{0.4, 0.1, float64(g) / 8, 1, 1, 1, float64(g + 1)}
+			for _, s := range specs {
+				if _, ok := checkFingerprint(t, withFloats(s, tuple)); !ok {
+					t.Errorf("spec %+v is invalid with float tuple %v", s, tuple)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFingerprintSignedZeroSlack: the repeater slack has no default,
+// so a -0 slack survives normalization, and %.17g spells it "-0". Specs
+// with +0 and -0 slack must fingerprint differently, as the fmt
+// formula does, whichever one the memoized float segment holds.
+func TestFingerprintSignedZeroSlack(t *testing.T) {
+	plus := core.Spec{Node: tech.Node32, RAM: tech.SRAM, IsCache: true, CapacityBytes: 64 << 10,
+		BlockBytes: 64, Associativity: 4}
+	minus := plus
+	minus.MaxRepeaterSlack = math.Copysign(0, -1)
+	var fps []string
+	for _, s := range []core.Spec{plus, minus, minus, plus, plus, minus} {
+		if _, ok := checkFingerprint(t, s); !ok {
+			t.Fatalf("spec %+v is invalid", s)
+		}
+		fp, _ := s.Fingerprint()
+		fps = append(fps, fp)
+	}
+	if fps[0] == fps[1] {
+		t.Fatalf("+0 and -0 slack share fingerprint %s", fps[0])
+	}
+	if fps[0] != fps[3] || fps[0] != fps[4] || fps[1] != fps[2] || fps[1] != fps[5] {
+		t.Fatalf("fingerprints change with the memo's state: %v", fps)
 	}
 }
 

@@ -3,6 +3,7 @@ package explore
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"cactid/internal/chaos"
 	"cactid/internal/core"
@@ -16,6 +17,10 @@ type entry struct {
 	ready chan struct{}
 	sol   *core.Solution
 	err   error
+
+	// table is sol's value table, built by the first render of a hit
+	// on the entry (jsonEnc.values); nil until then.
+	table atomic.Pointer[[]byte]
 
 	key  string
 	elem *list.Element // position in the cache's LRU list; access under the cache's mu

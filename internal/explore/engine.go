@@ -123,6 +123,10 @@ type Result struct {
 	Solution *core.Solution
 	Cached   bool
 	Err      error
+
+	// hit is the tier-0 entry that answered the point as a hit; the
+	// renderer reads its value table while Solution is the entry's.
+	hit *entry
 }
 
 // Solve optimizes one spec through the cache: repeated and concurrent
@@ -142,19 +146,21 @@ func (e *Engine) Solve(ctx context.Context, spec core.Spec) (sol *core.Solution,
 	if err != nil {
 		return nil, false, err
 	}
-	return e.solve(ctx, spec, fp, nil, -1)
+	var hit *entry
+	return e.solve(ctx, spec, fp, nil, -1, &hit)
 }
 
 // solve is Solve for a fingerprinted spec; a sweep with the default
 // solver passes its sub-solve table and the spec's index in it, nil and
-// -1 otherwise.
-func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sub *core.SubSolves, i int) (*core.Solution, bool, error) {
+// -1 otherwise. A tier-0 hit sets *hit to the entry that answered it.
+func (e *Engine) solve(ctx context.Context, spec core.Spec, fp string, sub *core.SubSolves, i int, hit **entry) (*core.Solution, bool, error) {
 	ent, created := e.cache.lookup(fp)
 	for !created {
 		select {
 		case <-ent.ready:
 			if !Canceled(ent.err) {
 				e.hits.Add(1)
+				*hit = ent
 				return ent.sol, true, ent.err
 			}
 		case <-ctx.Done():
@@ -242,7 +248,7 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sub *core.
 	defer func() {
 		if v := recover(); v != nil {
 			e.panics.Add(1)
-			r.Solution, r.Cached = nil, false
+			r.Solution, r.Cached, r.hit = nil, false, nil
 			r.Err = fmt.Errorf("%w: %v", ErrSolverPanic, v)
 		}
 	}()
@@ -254,7 +260,7 @@ func (e *Engine) sweepOne(ctx context.Context, spec core.Spec, i int, sub *core.
 		r.Err = err
 	} else {
 		r.Fingerprint = fp
-		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp, sub, i)
+		r.Solution, r.Cached, r.Err = e.solve(ctx, spec, fp, sub, i, &r.hit)
 	}
 	return r
 }

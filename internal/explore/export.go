@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"cactid/internal/array"
 	"cactid/internal/core"
 )
 
@@ -97,7 +99,8 @@ func ResultJSON(r Result) map[string]any {
 // unchanged.
 func AppendSolutionJSON(dst []byte, s *core.Solution, prefix, indent string) ([]byte, error) {
 	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
-	e.solution(s, nil)
+	var scratch [scratchBytes]byte
+	e.solution(s, nil, scratch[:0])
 	return e.finish(dst)
 }
 
@@ -105,7 +108,8 @@ func AppendSolutionJSON(dst []byte, s *core.Solution, prefix, indent string) ([]
 // errors of AppendSolutionJSON.
 func AppendResultJSON(dst []byte, r Result, prefix, indent string) ([]byte, error) {
 	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
-	e.point(&r)
+	var scratch [scratchBytes]byte
+	e.point(&r, scratch[:0])
 	return e.finish(dst)
 }
 
@@ -115,10 +119,12 @@ func AppendResultJSON(dst []byte, r Result, prefix, indent string) ([]byte, erro
 // one level into an indented object passes prefix+indent as prefix.
 func AppendResultsJSON(dst []byte, results []Result, prefix, indent string) ([]byte, error) {
 	e := jsonEnc{b: dst, prefix: prefix, indent: indent}
+	var buf [scratchBytes]byte
+	scratch := buf[:0]
 	e.open('[')
 	for i := range results {
 		e.next()
-		e.point(&results[i])
+		scratch = e.point(&results[i], scratch)
 	}
 	e.close(']')
 	return e.finish(dst)
@@ -136,6 +142,11 @@ type jsonEnc struct {
 	empty          bool  // the innermost open object or array has no members yet
 	err            error // first unencodable value
 }
+
+// scratchBytes sizes the stack buffer a render call fills with the
+// value table of each solution that has none of its own: a table is
+// about 350 bytes, and a longer one grows onto the heap.
+const scratchBytes = 512
 
 // finish returns the appended bytes, or dst and the error when a value
 // could not be encoded.
@@ -207,82 +218,229 @@ func (e *jsonEnc) stringField(k, v string) {
 	e.b = appendJSONString(e.b, v)
 }
 
-// floatField writes v as encoding/json does: the shortest
-// round-tripping decimal, in exponent form below 1e-6 and from 1e21
-// with a one-digit negative exponent unpadded (e-9, not e-09).
-func (e *jsonEnc) floatField(k string, v float64) {
-	e.key(k)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
-		}
-		return
+// solutionKeys are SolutionJSON's keys in encoding/json's sorted
+// order, the order a value table holds their values in. ResultJSON's
+// cached member sorts after block_bytes, and its fingerprint and index
+// members after data_organization.
+var solutionKeys = [...]string{
+	"access_mode", "access_time_s", "area_efficiency", "area_m2",
+	"associativity", "bank_area_m2", "banks", "block_bytes",
+	"capacity_bytes", "data_organization", "interleave_cycle_s",
+	"leakage_w", "node_nm", "pipeline_stages", "ram", "random_cycle_s",
+	"read_energy_j", "refresh_w", "tag_organization", "technology",
+	"write_endurance_cycles", "write_energy_j", "write_time_s",
+}
+
+const (
+	keyBlockBytes = 7 // solutionKeys index that cached follows
+	keyDataOrg    = 9 // solutionKeys index that fingerprint and index follow
+)
+
+// tableWriter builds a value table: a solution's member values as the
+// JSON text the renderer writes after each of solutionKeys, every value
+// after its length as a uvarint, an absent member as length zero. The
+// text does not depend on the layout, so a tier-0 entry keeps the one
+// table its hits render from (entry.table). Its methods take and
+// return it by value, which keeps a caller's stack buffer off the heap.
+type tableWriter struct {
+	t     []byte
+	start int // where the open value begins
+	// The first NaN or infinite value; no error value is built until
+	// the table is done.
+	unencodable bool
+	bad         float64
+}
+
+// open reserves the next value's one-byte length slot.
+func (w tableWriter) open() tableWriter {
+	w.t = append(w.t, 0)
+	w.start = len(w.t)
+	return w
+}
+
+// close writes the open value's length into its slot, widening the
+// slot for a value of 128 bytes or more.
+func (w tableWriter) close() tableWriter {
+	n := len(w.t) - w.start
+	if n < 0x80 {
+		w.t[w.start-1] = byte(n)
+		return w
 	}
+	var l [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(l[:], uint64(n))
+	w.t = append(w.t, l[1:k]...)
+	copy(w.t[w.start-1+k:], w.t[w.start:w.start+n])
+	copy(w.t[w.start-1:], l[:k])
+	return w
+}
+
+func (w tableWriter) absent() tableWriter {
+	w.t = append(w.t, 0)
+	return w
+}
+
+func (w tableWriter) integer(v int64) tableWriter {
+	w = w.open()
+	w.t = strconv.AppendInt(w.t, v, 10)
+	return w.close()
+}
+
+func (w tableWriter) str(v string) tableWriter {
+	w = w.open()
+	w.t = appendJSONString(w.t, v)
+	return w.close()
+}
+
+// org writes an organization as appendJSONString writes its String.
+func (w tableWriter) org(o array.Org) tableWriter {
+	w = w.open()
+	w.t = append(o.Append(append(w.t, '"')), '"')
+	return w.close()
+}
+
+// float writes v as encoding/json does: the shortest round-tripping
+// decimal, in exponent form below 1e-6 and from 1e21 with a one-digit
+// negative exponent unpadded (e-9, not e-09).
+func (w tableWriter) float(v float64) tableWriter {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !w.unencodable {
+			w.unencodable, w.bad = true, v
+		}
+		return w.absent()
+	}
+	w = w.open()
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	e.b = strconv.AppendFloat(e.b, v, format, -1, 64)
-	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-		e.b[n-2] = e.b[n-1]
-		e.b = e.b[:n-1]
+	w.t = strconv.AppendFloat(w.t, v, format, -1, 64)
+	if n := len(w.t); format == 'e' && w.t[n-4] == 'e' && w.t[n-3] == '-' && w.t[n-2] == '0' {
+		w.t[n-2] = w.t[n-1]
+		w.t = w.t[:n-1]
 	}
+	return w.close()
+}
+
+// appendValues appends s's value table to t, or returns the error of
+// its first unencodable value in key order.
+func appendValues(t []byte, s *core.Solution) ([]byte, error) {
+	w := tableWriter{t: t}
+	w = w.str(s.Spec.Mode.String())
+	w = w.float(s.AccessTime)
+	w = w.float(s.AreaEff)
+	w = w.float(s.Area)
+	w = w.integer(int64(s.Spec.Associativity))
+	w = w.float(s.BankArea)
+	w = w.integer(int64(s.Spec.Banks))
+	w = w.integer(int64(s.Spec.BlockBytes))
+	w = w.integer(s.Spec.CapacityBytes)
+	w = w.org(s.Data.Org)
+	w = w.float(s.InterleaveCycle)
+	w = w.float(s.LeakagePower)
+	w = w.integer(int64(s.Spec.Node))
+	w = w.integer(int64(s.Data.PipelineStages))
+	w = w.str(s.Spec.RAM.String())
+	w = w.float(s.RandomCycle)
+	w = w.float(s.EReadPerAccess)
+	w = w.float(s.RefreshPower)
+	if s.Tag != nil {
+		w = w.org(s.Tag.Org)
+	} else {
+		w = w.absent()
+	}
+	if s.Spec.Technology != "" {
+		w = w.str(s.Spec.Technology)
+	} else {
+		w = w.absent()
+	}
+	if s.WriteEndurance > 0 {
+		w = w.float(s.WriteEndurance)
+	} else {
+		w = w.absent()
+	}
+	w = w.float(s.EWritePerAccess)
+	if s.WriteTime > 0 {
+		w = w.float(s.WriteTime)
+	} else {
+		w = w.absent()
+	}
+	if w.unencodable {
+		return w.t, &json.UnsupportedValueError{Value: reflect.ValueOf(w.bad), Str: strconv.FormatFloat(w.bad, 'g', -1, 64)}
+	}
+	return w.t, nil
+}
+
+// values returns the value table s renders from, and the call's
+// scratch table, grown or not, for its next solution. A tier-0 hit's
+// entry fills its own table on the first render and keeps it; any
+// other solution fills scratch. The table is nil after an unencodable
+// value is recorded.
+func (e *jsonEnc) values(s *core.Solution, r *Result, scratch []byte) (table, next []byte) {
+	hit := r != nil && r.hit != nil && r.hit.sol == s
+	if hit {
+		if t := r.hit.table.Load(); t != nil {
+			return *t, scratch
+		}
+	}
+	t, err := appendValues(scratch[:0], s)
+	if err != nil {
+		if e.err == nil {
+			e.err = err
+		}
+		return nil, t
+	}
+	if hit {
+		// Renders that race build identical tables; one is kept.
+		own := append([]byte(nil), t...)
+		if !r.hit.table.CompareAndSwap(nil, &own) {
+			return *r.hit.table.Load(), t
+		}
+		return own, t
+	}
+	return t, t
 }
 
 // solution writes SolutionJSON's members, plus ResultJSON's cached,
 // fingerprint and index members when r is non-nil, in sorted key
-// order.
-func (e *jsonEnc) solution(s *core.Solution, r *Result) {
+// order, each value copied from s's value table. It returns the
+// call's scratch table, as values does.
+func (e *jsonEnc) solution(s *core.Solution, r *Result, scratch []byte) []byte {
+	t, scratch := e.values(s, r, scratch)
+	if t == nil {
+		return scratch
+	}
 	e.open('{')
-	e.stringField("access_mode", s.Spec.Mode.String())
-	e.floatField("access_time_s", s.AccessTime)
-	e.floatField("area_efficiency", s.AreaEff)
-	e.floatField("area_m2", s.Area)
-	e.intField("associativity", int64(s.Spec.Associativity))
-	e.floatField("bank_area_m2", s.BankArea)
-	e.intField("banks", int64(s.Spec.Banks))
-	e.intField("block_bytes", int64(s.Spec.BlockBytes))
-	if r != nil {
-		e.boolField("cached", r.Cached)
-	}
-	e.intField("capacity_bytes", s.Spec.CapacityBytes)
-	e.stringField("data_organization", s.Data.Org.String())
-	if r != nil {
-		if r.Fingerprint != "" {
-			e.stringField("fingerprint", r.Fingerprint)
+	for i, k := range solutionKeys {
+		n, w := uint64(t[0]), 1
+		if n >= 0x80 {
+			n, w = binary.Uvarint(t)
 		}
-		e.intField("index", int64(r.Index))
-	}
-	e.floatField("interleave_cycle_s", s.InterleaveCycle)
-	e.floatField("leakage_w", s.LeakagePower)
-	e.intField("node_nm", int64(s.Spec.Node))
-	e.intField("pipeline_stages", int64(s.Data.PipelineStages))
-	e.stringField("ram", s.Spec.RAM.String())
-	e.floatField("random_cycle_s", s.RandomCycle)
-	e.floatField("read_energy_j", s.EReadPerAccess)
-	e.floatField("refresh_w", s.RefreshPower)
-	if s.Tag != nil {
-		e.stringField("tag_organization", s.Tag.Org.String())
-	}
-	if s.Spec.Technology != "" {
-		e.stringField("technology", s.Spec.Technology)
-	}
-	if s.WriteEndurance > 0 {
-		e.floatField("write_endurance_cycles", s.WriteEndurance)
-	}
-	e.floatField("write_energy_j", s.EWritePerAccess)
-	if s.WriteTime > 0 {
-		e.floatField("write_time_s", s.WriteTime)
+		if v := t[w : w+int(n)]; len(v) > 0 {
+			e.key(k)
+			e.b = append(e.b, v...)
+		}
+		t = t[w+int(n):]
+		switch {
+		case r == nil:
+		case i == keyBlockBytes:
+			e.boolField("cached", r.Cached)
+		case i == keyDataOrg:
+			if r.Fingerprint != "" {
+				e.stringField("fingerprint", r.Fingerprint)
+			}
+			e.intField("index", int64(r.Index))
+		}
 	}
 	e.close('}')
+	return scratch
 }
 
 // point writes ResultJSON(*r): a solved point's solution, or an
-// errored point's spec identity and error, in sorted key order.
-func (e *jsonEnc) point(r *Result) {
+// errored point's spec identity and error, in sorted key order. It
+// returns the call's scratch table, as solution does.
+func (e *jsonEnc) point(r *Result, scratch []byte) []byte {
 	if r.Err == nil && r.Solution != nil {
-		e.solution(r.Solution, r)
-		return
+		return e.solution(r.Solution, r, scratch)
 	}
 	s := &r.Spec
 	e.open('{')
@@ -305,6 +463,7 @@ func (e *jsonEnc) point(r *Result) {
 		e.stringField("technology", s.Technology)
 	}
 	e.close('}')
+	return scratch
 }
 
 const hexDigits = "0123456789abcdef"

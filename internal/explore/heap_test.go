@@ -8,32 +8,11 @@ package explore
 
 import (
 	"context"
-	"math/rand/v2"
 	"runtime"
 	"testing"
 
 	"cactid/internal/core"
-	"cactid/internal/spectest"
 )
-
-// distinctSpecs draws n generated specs with distinct fingerprints,
-// the shape of a design-space exploration's fresh points. Some admit
-// no solution, which tier 0 caches too.
-func distinctSpecs(n int, seed uint64) []core.Spec {
-	r := rand.New(rand.NewPCG(seed, 19))
-	seen := map[string]bool{}
-	specs := make([]core.Spec, 0, n)
-	for len(specs) < n {
-		s := spectest.Spec(r)
-		fp, err := s.Fingerprint()
-		if err != nil || seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		specs = append(specs, s)
-	}
-	return specs
-}
 
 // liveHeap returns the bytes of live heap objects after a full
 // collection.
@@ -56,7 +35,10 @@ func liveHeap() uint64 {
 // solved one, so counting them would thin the per-entry figure. A
 // first sweep through a throwaway engine picks them and fills the
 // process-wide mat-stage table, so its growth is not charged to the
-// entries.
+// entries. A second leg sweeps the specs again and renders every point
+// as the tier-0 hit it is, so every entry builds its value table; an
+// entry with its table, the form a repeat-hot server keeps, stays
+// inside the same budget.
 func TestTier0HeapPerEntry(t *testing.T) {
 	const budget = 2 << 10
 	ctx := context.Background()
@@ -75,7 +57,6 @@ func TestTier0HeapPerEntry(t *testing.T) {
 	e.Sweep(ctx, specs)
 	after := liveHeap()
 	entries := e.Stats().CacheEntries
-	runtime.KeepAlive(e)
 	if entries != len(specs) {
 		t.Fatalf("tier 0 holds %d entries after sweeping %d distinct specs", entries, len(specs))
 	}
@@ -83,6 +64,57 @@ func TestTier0HeapPerEntry(t *testing.T) {
 	t.Logf("%d solved entries: %d B of live heap each", entries, perEntry)
 	if perEntry > budget {
 		t.Errorf("%d B of live heap per tier-0 entry, budget %d", perEntry, budget)
+	}
+
+	hits := e.Sweep(ctx, specs)
+	runtime.GC() // with liveHeap's, empties the pools' victim caches
+	unrendered := liveHeap()
+	if _, err := AppendResultsJSON(nil, hits, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	rendered := liveHeap()
+	runtime.KeepAlive(hits)
+	runtime.KeepAlive(e)
+	table := int64(rendered-unrendered) / int64(entries)
+	t.Logf("rendered as hits: %d B of value table each, %d B per entry with it", table, perEntry+table)
+	if perEntry+table > budget {
+		t.Errorf("%d B of live heap per tier-0 entry with its value table, budget %d", perEntry+table, budget)
+	}
+}
+
+// TestRenderCallAllocs: a render call fills the value table of a point
+// without a table of its own in a buffer on its stack, and a tier-0
+// hit copies the table its first render left on its entry, so neither
+// a job stream's one-result AppendResultJSON, nor /v1/solve's
+// AppendSolutionJSON, nor a sweep's AppendResultsJSON allocates once
+// dst has room. Building each point's organization strings cost two
+// allocations per point.
+func TestRenderCallAllocs(t *testing.T) {
+	ctx := context.Background()
+	specs := distinctSpecs(64, 36)
+	e := New(Options{})
+	fresh := e.Sweep(ctx, specs)
+	hits := e.Sweep(ctx, specs)
+	dst := make([]byte, 0, 1<<20)
+	for _, leg := range []struct {
+		name    string
+		results []Result
+	}{{"fresh", fresh}, {"hits", hits}} {
+		if _, err := AppendResultsJSON(dst, leg.results, "", ""); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, r := range leg.results {
+				AppendResultJSON(dst, r, "", "")
+				if r.Solution != nil {
+					AppendSolutionJSON(dst, r.Solution, "", "  ")
+				}
+			}
+			AppendResultsJSON(dst, leg.results, "  ", "  ")
+		})
+		if allocs != 0 {
+			t.Errorf("%s: rendering %d points allocates %.1f times", leg.name, len(leg.results), allocs)
+		}
 	}
 }
 

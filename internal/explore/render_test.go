@@ -1,15 +1,20 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
+	"strings"
+	"sync"
 	"testing"
 
 	"cactid/internal/array"
 	"cactid/internal/core"
+	"cactid/internal/spectest"
 	"cactid/internal/tech"
 )
 
@@ -73,9 +78,20 @@ func checkRenderAll(t *testing.T, results []Result, prefix, indent string) {
 	compareRender(t, "AppendResultsJSON", got, err, want, wantErr)
 }
 
+// hitOf returns r as a tier-0 hit on a finished entry that holds r's
+// solution and no value table yet.
+func hitOf(r Result) Result {
+	r.hit = &entry{ready: make(chan struct{}), sol: r.Solution}
+	close(r.hit.ready)
+	return r
+}
+
 // TestRenderMatchesReference renders real solved and errored points
 // across every technology provider, alone and as arrays (including
-// the empty one), under each layout.
+// the empty one), under each layout. Every point is rendered again as
+// the tier-0 hit a second sweep through the same engine answers: the
+// first layout's renders fill the entries' value tables, and the
+// later renders, in every layout, copy from them.
 func TestRenderMatchesReference(t *testing.T) {
 	g := Grid{
 		Base:       core.Spec{Node: tech.Node32, IsCache: true, BlockBytes: 64},
@@ -88,9 +104,16 @@ func TestRenderMatchesReference(t *testing.T) {
 	// solution: an errored point with a fingerprint.
 	specs = append(specs, core.Spec{Node: tech.Node32, RAM: tech.COMMDRAM,
 		CapacityBytes: 1 << 20, BlockBytes: 64, PageBits: 7})
-	results := New(Options{}).Sweep(context.Background(), specs)
+	eng := New(Options{})
+	results := eng.Sweep(context.Background(), specs)
 	if last := results[len(results)-1]; !errors.Is(last.Err, core.ErrNoSolution) {
 		t.Fatalf("last point should have no solution, got %v", last.Err)
+	}
+	hits := eng.Sweep(context.Background(), specs)
+	for _, h := range hits {
+		if !h.Cached || h.hit == nil || h.hit.table.Load() != nil {
+			t.Fatalf("point %d of the second sweep: cached %v, entry %p, want a hit on an entry without a table", h.Index, h.Cached, h.hit)
+		}
 	}
 	// Points no sweep produces: an invalid spec without a fingerprint,
 	// and a result with neither a solution nor an error.
@@ -101,9 +124,18 @@ func TestRenderMatchesReference(t *testing.T) {
 		for _, r := range results {
 			checkRender(t, r, l[0], l[1])
 		}
+		for _, h := range hits {
+			checkRender(t, h, l[0], l[1])
+		}
 		checkRenderAll(t, results, l[0], l[1])
+		checkRenderAll(t, hits, l[0], l[1])
 		checkRenderAll(t, results[:1], l[0], l[1])
 		checkRenderAll(t, nil, l[0], l[1])
+	}
+	for _, h := range hits {
+		if h.Solution != nil && h.hit.table.Load() == nil {
+			t.Errorf("point %d: rendering the hit left its entry without a value table", h.Index)
+		}
 	}
 }
 
@@ -116,6 +148,7 @@ const (
 	fuzzNoSolution              // the point has no solution
 	fuzzCached                  // the point was a cache hit
 	fuzzFingerprint             // the point carries a fingerprint
+	fuzzLong                    // the solution's technology is padded past 65,535 bytes
 )
 
 // fuzzResult builds a point from fuzz input. The twelve metrics take
@@ -141,6 +174,13 @@ func fuzzResult(raw []byte, errMsg, solTech, specTech string, flags uint8) Resul
 	org := func(i int) array.Org {
 		return array.Org{Rows: n(i), Cols: n(i + 1), Mux: n(i + 2),
 			MatsPerSubbank: n(i + 3), Subbanks: n(i + 4), Mats: n(i + 5)}
+	}
+	if flags&fuzzLong != 0 {
+		pad := solTech
+		if pad == "" {
+			pad = "<"
+		}
+		solTech += strings.Repeat(pad, 1<<16/len(pad)+1)
 	}
 	sol := &core.Solution{
 		Spec:       spec(12, solTech),
@@ -170,11 +210,15 @@ func fuzzResult(raw []byte, errMsg, solTech, specTech string, flags uint8) Resul
 // FuzzRenderResult is a differential test of the typed renderer:
 // for any metric float bits (-0, subnormals, the 1e-6 and 1e21 format
 // switches, NaN, ±Inf), any error or technology string (HTML
-// characters, control bytes, invalid UTF-8, U+2028), tag array set or
-// not, and compact or indented layout, AppendResultJSON and
-// AppendSolutionJSON write exactly what encoding/json writes for the
-// reference maps, or both fail.
+// characters, control bytes, invalid UTF-8, U+2028, longer than 65,535
+// bytes), tag array set or not, and compact or indented layout,
+// AppendResultJSON and AppendSolutionJSON write exactly what
+// encoding/json writes for the reference maps, or both fail. A solved
+// point renders the same bytes twice more as a tier-0 hit: once
+// filling its entry's value table, once copying from it.
 func FuzzRenderResult(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{0x3f, 0x50, 0x62, 0x4d, 0xd2, 0xf1, 0xa9, 0xfc}, 40), "", "x<y>\u2028\xff", "itrs-hp",
+		uint8(fuzzLong|fuzzTag|fuzzIndent|fuzzFingerprint))
 	f.Fuzz(func(t *testing.T, raw []byte, errMsg, solTech, specTech string, flags uint8) {
 		r := fuzzResult(raw, errMsg, solTech, specTech, flags)
 		prefix, indent := "", ""
@@ -185,5 +229,136 @@ func FuzzRenderResult(f *testing.F) {
 			}
 		}
 		checkRender(t, r, prefix, indent)
+		if r.Solution != nil {
+			hit := hitOf(r)
+			checkRender(t, hit, prefix, indent)
+			checkRender(t, hit, prefix, indent)
+		}
 	})
+}
+
+// distinctSpecs draws n generated specs with distinct fingerprints,
+// the shape of a design-space exploration's fresh points. Some admit
+// no solution, which tier 0 caches too.
+func distinctSpecs(n int, seed uint64) []core.Spec {
+	r := rand.New(rand.NewPCG(seed, 19))
+	seen := map[string]bool{}
+	specs := make([]core.Spec, 0, n)
+	for len(specs) < n {
+		s := spectest.Spec(r)
+		fp, err := s.Fingerprint()
+		if err != nil || seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// TestHitRendersMatchColdGenerated sweeps 600 generated specs of every
+// provider twice through one engine. Every point of the second sweep
+// is a tier-0 hit and renders the first sweep's bytes with only its
+// cached member flipped, when its render fills the entry's value table
+// and when a later one copies from it. The draws must include plain
+// memories, non-default technologies, write times, write endurances
+// and points with no solution. A hit whose Solution was replaced
+// renders the new solution, not its entry's table.
+func TestHitRendersMatchColdGenerated(t *testing.T) {
+	ctx := context.Background()
+	specs := distinctSpecs(600, 34)
+	e := New(Options{})
+	cold := e.Sweep(ctx, specs)
+	warm := e.Sweep(ctx, specs)
+	var plain, techs, writeTime, endurance, unsolved int
+	for i, c := range cold {
+		w := warm[i]
+		if c.Cached || !w.Cached || w.hit == nil {
+			t.Fatalf("point %d: cached %v then %v (entry %p), want a miss then a tier-0 hit", i, c.Cached, w.Cached, w.hit)
+		}
+		want, err := AppendResultJSON(nil, c, "", "")
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		want = bytes.Replace(want, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		for pass := 0; pass < 2; pass++ {
+			got, err := AppendResultJSON(nil, w, "", "")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("point %d, hit render %d (%v):\n got %s\nwant %s", i, pass+1, err, got, want)
+			}
+		}
+		switch s := c.Solution; {
+		case errors.Is(c.Err, core.ErrNoSolution):
+			unsolved++
+		case s != nil:
+			if s.Tag == nil {
+				plain++
+			}
+			if s.Spec.Technology != "" {
+				techs++
+			}
+			if s.WriteTime > 0 {
+				writeTime++
+			}
+			if s.WriteEndurance > 0 {
+				endurance++
+			}
+		}
+	}
+	t.Logf("%d points: %d plain memories, %d non-default technologies, %d with write time, %d with endurance, %d with no solution",
+		len(cold), plain, techs, writeTime, endurance, unsolved)
+	if plain == 0 || techs == 0 || writeTime == 0 || endurance == 0 || unsolved == 0 {
+		t.Fatal("the draws miss a kind of point")
+	}
+
+	for i := 1; i < len(warm); i++ {
+		if warm[i].Solution != nil && warm[i-1].Solution != nil {
+			swapped := warm[i]
+			swapped.Solution = warm[i-1].Solution
+			checkRender(t, swapped, "", "")
+			return
+		}
+	}
+	t.Fatal("no two neighbouring points solve")
+}
+
+// TestConcurrentHitRendersMatchReference renders one set of fresh
+// tier-0 hits, whose entries have no value table yet, on eight
+// goroutines at once: the renders race to build and publish each
+// table, and every body must equal encoding/json's. make stress runs
+// it under the race detector.
+func TestConcurrentHitRendersMatchReference(t *testing.T) {
+	ctx := context.Background()
+	specs := distinctSpecs(64, 35)
+	e := New(Options{})
+	e.Sweep(ctx, specs)
+	hits := e.Sweep(ctx, specs)
+	ref := make([]map[string]any, len(hits))
+	for i, h := range hits {
+		if h.hit == nil {
+			t.Fatalf("point %d of the second sweep is not a tier-0 hit", i)
+		}
+		ref[i] = ResultJSON(h)
+	}
+	want, err := referenceJSON(ref, "  ", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := AppendResultsJSON(nil, hits, "  ", "  ")
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("concurrent hit render (%v) differs from encoding/json", err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, h := range hits {
+		if h.Solution != nil && h.hit.table.Load() == nil {
+			t.Errorf("point %d: no value table after the renders", i)
+		}
+	}
 }
