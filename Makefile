@@ -66,13 +66,14 @@ test-tech:
 # stress runs the chaos/overload suite under the race detector: the
 # fault-injection tests in internal/chaos and internal/explore, the
 # cactid-serve admission-control and load-shedding tests (the running
-# sweep-job bound, finished-job eviction and read-back, and a job that
+# sweep-job bound, finished-job eviction and read-back, a read-back
+# held to an admission slot, refusals answered as JSON, and a job that
 # outlives another client's deadline on a shared point among them),
 # and sweeps that share array sub-solves against per-point solves;
 # and ten times each: concurrent solves through the solver's pooled
 # scratch, concurrent fingerprints replacing the memoized float
 # segment, concurrent walks and enumerations of one shared prescan,
-# enumerations cancelled mid-grid through the pooled bank slabs, the
+# enumerations cancelled mid-grid through the pooled bank buffers, the
 # tier-0 bound checked after every concurrent insert, callers that
 # outlive a cancelled owner's in-flight solve, and concurrent renders
 # of fresh tier-0 hits racing to build their value tables.
@@ -82,7 +83,7 @@ stress:
 	go test -race -count=10 -run 'TestSharedPrescanConcurrentWalks|TestEnumerateReleaseAfterCancel' ./internal/array/
 	go test -race -count=10 -run 'TestCacheBoundUnderConcurrency|TestInFlightWaiterOutlivesOwnerCancel|TestConcurrentHitRendersMatchReference' ./internal/explore/
 	go test -race -run TestSweepMatchesPerPointGenerated ./internal/explore/
-	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight' \
+	go test -race -run 'Chaos|Stranded|Overload|Drain|QueueWait|Deadline|Evict|ReadBack|MissStorm|InFlight|Refusal' \
 		./internal/explore/ ./cmd/cactid-serve/
 
 # fuzz gives each native fuzz target a short randomized smoke run on

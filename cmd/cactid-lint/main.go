@@ -8,17 +8,14 @@
 //
 // Usage:
 //
-//	cactid-lint [-run name[,name...]] [-json] [-list] [packages ...]
+//	cactid-lint [-json] [packages ...]
 //
-// Packages default to ./... relative to the current directory. The
-// exit status is 0 when clean, 1 when any diagnostic is reported, and
-// 2 on a loading or internal error. Deliberate exceptions are
-// suppressed in source with:
+// Packages default to ./... relative to the current directory. Every
+// analyzer runs. The exit status is 0 when clean, 1 when any
+// diagnostic is reported, and 2 on a loading or internal error.
 //
-//	//lint:ignore <analyzer> <reason>
-//
-// on the offending line or the line directly above it; the reason is
-// mandatory and an unused suppression is itself a finding.
+// There are no exceptions: no comment suppresses a finding. A finding
+// is fixed in the code, or in the analyzer when the analyzer is wrong.
 package main
 
 import (
@@ -26,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cactid/internal/analysis"
 )
@@ -38,26 +34,9 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("cactid-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON")
-	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *runNames != "" {
-		analyzers = selectAnalyzers(analyzers, *runNames)
-		if len(analyzers) == 0 {
-			fmt.Fprintf(stderr, "cactid-lint: no analyzers match -run=%s\n", *runNames)
-			return 2
-		}
 	}
 
 	patterns := fs.Args()
@@ -72,7 +51,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	diags, err := analysis.RunProgram(prog, analyzers)
+	diags, err := analysis.RunProgram(prog, analysis.All())
 	if err != nil {
 		fmt.Fprintf(stderr, "cactid-lint: %v\n", err)
 		return 2
@@ -106,18 +85,4 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-func selectAnalyzers(all []*analysis.Analyzer, names string) []*analysis.Analyzer {
-	want := map[string]bool{}
-	for _, n := range strings.Split(names, ",") {
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-		}
-	}
-	return out
 }

@@ -97,17 +97,15 @@ func (s *server) handleFabricRegister(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests[epFabricRegister].Add(1)
 	if s.draining.Load() {
 		s.metrics.rejectedDrain.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "server is draining")
+		s.writeError(w, errDraining)
 		return
 	}
 	req, err := decode[registerRequest](r)
 	if err != nil {
-		s.metrics.errors.Add(1)
 		s.writeError(w, err)
 		return
 	}
 	if strings.TrimSpace(req.URL) == "" {
-		s.metrics.errors.Add(1)
 		s.writeError(w, badRequest(errors.New("url is empty")))
 		return
 	}

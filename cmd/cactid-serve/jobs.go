@@ -83,14 +83,18 @@ func (j *job) record() jobRecord {
 // the next free slot. A finished job
 // stays in memory only while the finished jobs resident with it hold
 // at most -max-points results; older ones are evicted and, with a
-// store, read back from their durable record when a client asks.
+// store, read back from their durable record when a client asks. A
+// read-back that re-sweeps holds an admission slot while it runs.
 type jobManager struct {
 	// sweep is the solve path for job chunks: the local engine's Sweep
 	// in worker mode, the fabric coordinator's distributed sweep in
 	// coordinator mode. Both share the contract that results come back
 	// in input order with chunk-relative indices, canceled tails marked
 	// with the context error.
-	sweep           func(context.Context, []core.Spec) []explore.Result
+	sweep func(context.Context, []core.Spec) []explore.Result
+	// acquire is the server's admission gate (server.acquire); a
+	// read-back's re-sweep runs inside one of its slots.
+	acquire         func(context.Context) (func(), error)
 	st              *store.Store // nil: jobs run without durability
 	checkpointEvery int
 	maxRunning      int // jobs that may run at once (-max-inflight)
@@ -122,14 +126,15 @@ type residentJob struct {
 	points int
 }
 
-func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result, st *store.Store, cfg config) *jobManager {
+func newJobManager(sweep func(context.Context, []core.Spec) []explore.Result,
+	acquire func(context.Context) (func(), error), st *store.Store, cfg config) *jobManager {
 	checkpointEvery := cfg.checkpointEvery
 	if checkpointEvery <= 0 {
 		checkpointEvery = 32
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &jobManager{
-		sweep: sweep, st: st,
+		sweep: sweep, acquire: acquire, st: st,
 		checkpointEvery: checkpointEvery,
 		maxRunning:      cfg.maxInFlight,
 		maxResident:     cfg.maxPoints,
@@ -221,16 +226,24 @@ func (m *jobManager) get(ctx context.Context, id string, withResults bool) (*job
 // record. The record alone answers a poll without results and a failed
 // job. A done job's results come from re-sweeping its grid through the
 // node's solve path on the reader's goroutine, under the reader's
-// context: its points come out of tier 0 or tier 1 rather than the
-// solver, marked cached. The rebuilt job, if no point was cut off,
-// becomes the newest resident finished job. Nothing is written to the
-// store: the job answers done from its first byte, keeps the record's
-// resumed_from, and is not counted as resumed.
+// context and inside an admission slot: its points come out of tier 0
+// or tier 1 rather than the solver, marked cached. A reader the gate
+// refuses gets the refusal and is not counted as a read-back. The
+// rebuilt job, if no point was cut off, becomes the newest resident
+// finished job. Nothing is written to the store: the job answers done
+// from its first byte, keeps the record's resumed_from, and is not
+// counted as resumed.
 func (m *jobManager) readBack(ctx context.Context, rec jobRecord, withResults bool) (*job, error) {
-	m.readBacks.Add(1)
 	if rec.State != jobDone || !withResults {
+		m.readBacks.Add(1)
 		return &job{rec: rec, updated: make(chan struct{})}, nil
 	}
+	release, err := m.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	m.readBacks.Add(1)
 	specs, err := specsOf(rec)
 	if err != nil {
 		// The grid no longer reproduces the job's points; say so

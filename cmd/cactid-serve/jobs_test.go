@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -181,6 +182,85 @@ func TestSweepJobReadBackWritesNothing(t *testing.T) {
 	}
 	if st := sweepJobStats(t, tsB.URL); st.Resumed != 0 || st.ReadBack != 1 || st.Active != 0 {
 		t.Fatalf("sweep_jobs after the read-back: %+v, want resumed 0, read_back 1, active 0", st)
+	}
+}
+
+// TestSweepJobReadBackHoldsSlot: a read-back's re-sweep passes the
+// admission gate. While a /v1/sweep parked in the solver holds the
+// one slot, polling a finished job that left memory is refused 429
+// with a Retry-After, counted under admission and not under
+// read_back. Once the slot frees, the poll answers all six results
+// with no solve and no store write.
+func TestSweepJobReadBackHoldsSlot(t *testing.T) {
+	dir := warmStoreDir(t)
+	_, solverA := persistableSolver()
+	sA, err := newServer(config{solver: solverA, storeDir: dir, checkpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(sA)
+	id, _ := finishJob(t, tsA.URL, `{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["32KB","64KB","128KB"],"banks":[1,2]}`)
+	tsA.Close()
+	sA.close()
+
+	n, solverB := persistableSolver()
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	park := func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
+		close(parked)
+		<-unpark
+		return solverB(ctx, spec)
+	}
+	tsB := newTestServer(t, config{solver: park, storeDir: dir, checkpointEvery: 2,
+		maxInFlight: 1, queueDepth: -1})
+	free := sync.OnceFunc(func() { close(unpark) })
+	t.Cleanup(free) // before tsB closes, should the test stop early
+	swept := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(tsB.URL+"/v1/sweep", "application/json",
+			strings.NewReader(`{"base":{"ram":"sram","block_bytes":64,"cache":false},"capacities":["1MB"]}`))
+		if err != nil {
+			swept <- 0
+			return
+		}
+		resp.Body.Close()
+		swept <- resp.StatusCode
+	}()
+	<-parked
+	resp, body := get(t, tsB.URL+"/v1/sweep-jobs/"+id)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("poll with the slot held: %d (Retry-After %q) %s, want 429 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	free()
+	if code := <-swept; code != http.StatusOK {
+		t.Fatalf("parked sweep: %d, want 200", code)
+	}
+
+	before, solves := storeWrites(t, tsB.URL), n.Load()
+	resp, body = get(t, tsB.URL+"/v1/sweep-jobs/"+id)
+	var view map[string]any
+	if err := json.Unmarshal(body, &view); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("poll with the slot free: %d %s", resp.StatusCode, body)
+	}
+	if results, _ := view["results"].([]any); view["state"] != jobDone || len(results) != 6 {
+		t.Fatalf("poll with the slot free: state %v, %d results; want done, 6", view["state"], len(results))
+	}
+	if after := storeWrites(t, tsB.URL); after != before || n.Load() != solves {
+		t.Fatalf("read-back wrote %d store records and ran %d solves, want 0 and 0", after-before, n.Load()-solves)
+	}
+	var m struct {
+		Admission struct {
+			RejectedQueue int64 `json:"rejected_queue_full"`
+		} `json:"admission"`
+		SweepJobs jobStats `json:"sweep_jobs"`
+	}
+	_, body = get(t, tsB.URL+"/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Admission.RejectedQueue != 1 || m.SweepJobs.ReadBack != 1 {
+		t.Fatalf("admission rejected_queue_full %d, sweep_jobs read_back %d; want 1 and 1",
+			m.Admission.RejectedQueue, m.SweepJobs.ReadBack)
 	}
 }
 

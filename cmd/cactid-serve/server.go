@@ -226,7 +226,7 @@ func newServer(cfg config) (*server, error) {
 		s.mux.HandleFunc("GET /v1/fabric", s.handleFabric)
 		s.mux.HandleFunc("POST /v1/fabric/register", s.handleFabricRegister)
 	}
-	s.jobs = newJobManager(s.sweep, st, cfg)
+	s.jobs = newJobManager(s.sweep, s.acquire, st, cfg)
 	s.mux.HandleFunc("POST /v1/solve", s.gated(epSolve, s.handleSolve))
 	// Like the job views, /v1/stats is a read-only counter snapshot
 	// (the coordinator polls it on every worker for cluster-wide
@@ -248,11 +248,11 @@ func newServer(cfg config) (*server, error) {
 		// /v1 is saturated. Loopback-only: the profile endpoints leak
 		// symbol tables, heap contents and command lines, so they are
 		// never served to non-local peers even when enabled.
-		s.mux.HandleFunc("/debug/pprof/", loopbackOnly(pprof.Index))
-		s.mux.HandleFunc("/debug/pprof/cmdline", loopbackOnly(pprof.Cmdline))
-		s.mux.HandleFunc("/debug/pprof/profile", loopbackOnly(pprof.Profile))
-		s.mux.HandleFunc("/debug/pprof/symbol", loopbackOnly(pprof.Symbol))
-		s.mux.HandleFunc("/debug/pprof/trace", loopbackOnly(pprof.Trace))
+		s.mux.HandleFunc("/debug/pprof/", s.loopbackOnly(pprof.Index))
+		s.mux.HandleFunc("/debug/pprof/cmdline", s.loopbackOnly(pprof.Cmdline))
+		s.mux.HandleFunc("/debug/pprof/profile", s.loopbackOnly(pprof.Profile))
+		s.mux.HandleFunc("/debug/pprof/symbol", s.loopbackOnly(pprof.Symbol))
+		s.mux.HandleFunc("/debug/pprof/trace", s.loopbackOnly(pprof.Trace))
 	}
 	// Interrupted sweep jobs found in the store pick up where their
 	// last checkpoint left off.
@@ -291,14 +291,14 @@ func (s *server) close() {
 // interface. RemoteAddr is the transport-level peer as filled in by
 // net/http (not a spoofable header), so this confines the handler to
 // clients on the same host.
-func loopbackOnly(h http.HandlerFunc) http.HandlerFunc {
+func (s *server) loopbackOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		host, _, err := net.SplitHostPort(r.RemoteAddr)
 		if err != nil {
 			host = r.RemoteAddr
 		}
 		if ip := net.ParseIP(host); ip == nil || !ip.IsLoopback() {
-			http.Error(w, `{"error":"pprof is loopback-only"}`, http.StatusForbidden)
+			s.writeError(w, httpError{http.StatusForbidden, errors.New("pprof is loopback-only")})
 			return
 		}
 		h(w, r)
@@ -325,52 +325,67 @@ func (s *server) retryAfterSeconds() string {
 	return fmt.Sprintf("%d", sec)
 }
 
-func (s *server) shed(w http.ResponseWriter, status int, msg string) {
-	s.metrics.errors.Add(1)
-	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	http.Error(w, fmt.Sprintf(`{"error":%q}`, msg), status)
-}
+// The admission gate's refusals. writeError answers each, like every
+// other 429 and 503, with a Retry-After hint.
+var (
+	errQueueFull  = httpError{http.StatusTooManyRequests, errors.New("request queue full")}
+	errQueueWait  = httpError{http.StatusTooManyRequests, errors.New("no capacity within the queue wait budget")}
+	errChaosAdmit = httpError{http.StatusTooManyRequests, errors.New("admission rejected (chaos)")}
+	errDraining   = httpError{http.StatusServiceUnavailable, errors.New("server is draining")}
+)
 
-// admit runs the admission state machine: take a slot immediately,
-// else join the bounded queue and wait. It reports whether the
-// request was admitted; if not, it has already written the response.
-func (s *server) admit(w http.ResponseWriter, r *http.Request) bool {
+// acquire runs the admission state machine: refuse while draining,
+// else take a slot immediately, else join the bounded queue and wait.
+// It returns the slot's release, or the refusal: 429 when the queue is
+// full or the wait expires, 503 when draining, or ctx's error when the
+// caller gave up while queued. /metrics admission counts every 429 and
+// 503.
+func (s *server) acquire(ctx context.Context) (release func(), err error) {
+	if s.draining.Load() {
+		s.metrics.rejectedDrain.Add(1)
+		return nil, errDraining
+	}
+	if err := s.cfg.chaos.Inject(ctx, chaos.ServeAdmit); err != nil {
+		// An injected admission fault sheds the request exactly
+		// like a full queue.
+		s.metrics.rejectedQueue.Add(1)
+		return nil, errChaosAdmit
+	}
 	select {
 	case s.sem <- struct{}{}:
-		return true
+		s.metrics.inFlight.Add(1)
+		return s.release, nil
 	default:
 	}
 	// Semaphore full: join the queue if there is room.
 	q := s.metrics.queued.Add(1)
+	defer s.metrics.queued.Add(-1)
 	if q > int64(s.cfg.queueDepth) {
-		s.metrics.queued.Add(-1)
 		s.metrics.rejectedQueue.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "request queue full")
-		return false
+		return nil, errQueueFull
 	}
 	maxGauge(&s.metrics.queueMax, q)
 	wait := time.NewTimer(s.cfg.queueWait)
 	defer wait.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		s.metrics.queued.Add(-1)
-		return true
+		s.metrics.inFlight.Add(1)
+		return s.release, nil
 	case <-wait.C:
-		s.metrics.queued.Add(-1)
 		s.metrics.rejectedWait.Add(1)
-		s.shed(w, http.StatusTooManyRequests, "no capacity within the queue wait budget")
-		return false
+		return nil, errQueueWait
 	case <-s.drainCh:
-		s.metrics.queued.Add(-1)
 		s.metrics.rejectedDrain.Add(1)
-		s.shed(w, http.StatusServiceUnavailable, "server is draining")
-		return false
-	case <-r.Context().Done():
-		s.metrics.queued.Add(-1)
-		s.metrics.errors.Add(1)
-		s.writeError(w, r.Context().Err()) // 499: the client hung up while queued
-		return false
+		return nil, errDraining
+	case <-ctx.Done():
+		return nil, ctx.Err() // 499: the client hung up while queued
 	}
+}
+
+// release gives back a slot acquire took.
+func (s *server) release() {
+	s.metrics.inFlight.Add(-1)
+	<-s.sem
 }
 
 // deadline returns the request's time budget: the server ceiling,
@@ -387,8 +402,8 @@ func (s *server) deadline(r *http.Request) time.Duration {
 }
 
 // gated wraps a /v1 handler with the request counters, the admission
-// gate (in-flight bound + bounded wait queue, 429/503 shedding), the
-// per-request deadline, panic confinement and latency recording.
+// gate (acquire), the per-request deadline, panic confinement and
+// latency recording.
 func (s *server) gated(ep endpoint, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.requests[ep].Add(1)
@@ -398,39 +413,25 @@ func (s *server) gated(ep endpoint, h func(http.ResponseWriter, *http.Request) e
 				// goroutine silently: count it and answer (best
 				// effort — headers may already be out).
 				s.metrics.panics.Add(1)
-				s.metrics.errors.Add(1)
 				s.writeError(w, fmt.Errorf("handler panic: %v", v))
 			}
 		}()
-		if s.draining.Load() {
-			s.metrics.rejectedDrain.Add(1)
-			s.shed(w, http.StatusServiceUnavailable, "server is draining")
+		release, err := s.acquire(r.Context())
+		if err != nil {
+			s.writeError(w, err)
 			return
 		}
-		if err := s.cfg.chaos.Inject(r.Context(), chaos.ServeAdmit); err != nil {
-			// An injected admission fault sheds the request exactly
-			// like a full queue.
-			s.metrics.rejectedQueue.Add(1)
-			s.shed(w, http.StatusTooManyRequests, "admission rejected (chaos)")
-			return
-		}
-		if !s.admit(w, r) {
-			return
-		}
-		defer func() { <-s.sem }()
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
+		defer release()
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.deadline(r))
 		defer cancel()
 		start := time.Now()
-		err := s.cfg.chaos.Inject(ctx, chaos.ServeHandler)
+		err = s.cfg.chaos.Inject(ctx, chaos.ServeHandler)
 		if err == nil {
 			err = h(w, r.WithContext(ctx))
 		}
 		s.metrics.observe(time.Since(start))
 		if err != nil {
-			s.metrics.errors.Add(1)
 			s.writeError(w, err)
 		}
 	}
@@ -446,7 +447,11 @@ func (e httpError) Error() string { return e.err.Error() }
 
 func badRequest(err error) error { return httpError{http.StatusBadRequest, err} }
 
+// writeError answers err as a JSON {"error": ...} body and counts it
+// in /metrics responses_error. A 429 or 503 carries a Retry-After
+// hint.
 func (s *server) writeError(w http.ResponseWriter, err error) {
+	s.metrics.errors.Add(1)
 	status := http.StatusInternalServerError
 	var he httpError
 	switch {
@@ -458,6 +463,9 @@ func (s *server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		status = 499 // client closed request
+	}
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -683,22 +691,21 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	}
 	j := s.jobs.submit(req, len(specs), skipped)
 	if j == nil {
-		s.shed(w, http.StatusTooManyRequests, "too many sweep jobs running")
-		return nil
+		return httpError{http.StatusTooManyRequests, errors.New("too many sweep jobs running")}
 	}
 	return writeJSON(w, http.StatusAccepted, jobJSON(j.record()))
 }
 
 // lookupJob finds the job a poll or stream names (see jobManager.get).
-// When there is none, or the reader went away while its results were
-// read back, it answers the request itself and returns nil.
+// When there is none, the admission gate refused its read-back, or the
+// reader went away while its results were read back, it answers the
+// request itself and returns nil.
 func (s *server) lookupJob(w http.ResponseWriter, r *http.Request, withResults bool) *job {
 	j, err := s.jobs.get(r.Context(), r.PathValue("id"), withResults)
 	if j == nil && err == nil {
 		err = httpError{http.StatusNotFound, errors.New("no such sweep job")}
 	}
 	if err != nil {
-		s.metrics.errors.Add(1)
 		s.writeError(w, err)
 		return nil
 	}
@@ -719,7 +726,6 @@ func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		// the typed encoder; writeJSON lays them out with the rest.
 		arr, err := explore.AppendResultsJSON(nil, results, "", "")
 		if err != nil {
-			s.metrics.errors.Add(1)
 			s.writeError(w, err)
 			return
 		}

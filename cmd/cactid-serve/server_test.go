@@ -416,6 +416,63 @@ func TestPprofRejectsNonLoopbackPeers(t *testing.T) {
 	}
 }
 
+// TestRefusalsAreJSON: every refusal is a writeError body. A full
+// queue's 429, a draining server's 503 and pprof's 403 to a remote
+// peer carry Content-Type application/json and one {"error": ...}
+// line, and the 429 and the 503 carry a Retry-After hint.
+func TestRefusalsAreJSON(t *testing.T) {
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	park := func(_ context.Context, spec core.Spec) (*core.Solution, error) {
+		close(parked)
+		<-unpark
+		return &core.Solution{Spec: spec, Data: &array.Bank{}}, nil
+	}
+	s := mustServer(t, config{maxInFlight: 1, queueDepth: -1, solver: park, pprof: true})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	check := func(what string, code int, h http.Header, body []byte, wantCode int, wantBody string, retry bool) {
+		t.Helper()
+		if code != wantCode || string(body) != wantBody {
+			t.Errorf("%s: %d %q, want %d %q", what, code, body, wantCode, wantBody)
+		}
+		if ct := h.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", what, ct)
+		}
+		if got := h.Get("Retry-After") != ""; got != retry {
+			t.Errorf("%s: Retry-After %q, want one: %v", what, h.Get("Retry-After"), retry)
+		}
+	}
+
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json",
+			strings.NewReader(`{"ram":"sram","capacity":"32KB","cache":false}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-parked
+	resp, body := post(t, ts.URL+"/v1/solve", `{"ram":"sram","capacity":"64KB","cache":false}`)
+	check("full queue", resp.StatusCode, resp.Header, body, http.StatusTooManyRequests,
+		`{"error":"request queue full"}`+"\n", true)
+	close(unpark)
+	<-held
+
+	s.drain()
+	resp, body = post(t, ts.URL+"/v1/solve", `{"ram":"sram","capacity":"64KB","cache":false}`)
+	check("draining", resp.StatusCode, resp.Header, body, http.StatusServiceUnavailable,
+		`{"error":"server is draining"}`+"\n", true)
+
+	req := httptest.NewRequest("GET", "/debug/pprof/", nil)
+	req.RemoteAddr = "203.0.113.9:4242"
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	check("pprof", rec.Code, rec.Header(), rec.Body.Bytes(), http.StatusForbidden,
+		`{"error":"pprof is loopback-only"}`+"\n", false)
+}
+
 func TestConcurrencyBoundRejectsExcess(t *testing.T) {
 	slow := func(_ context.Context, spec core.Spec) (*core.Solution, error) {
 		time.Sleep(150 * time.Millisecond)

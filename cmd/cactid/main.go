@@ -10,6 +10,9 @@
 //	cactid -size 96MB -assoc 12 -banks 8 -ram comm-dram -mode sequential -page 8192
 //	cactid -chip -size 1Gb -node 78 -pins 8 -burst 8 -page 8192 -rate 1066
 //	cactid -table1 -node 32
+//
+// Sizes, memory types and access modes are parsed by internal/explore,
+// so the CLI takes the vocabulary of the cactid-serve HTTP API.
 package main
 
 import (
@@ -26,16 +29,6 @@ import (
 	"cactid/internal/explore"
 	"cactid/internal/tech"
 )
-
-// parseSize, parseRAM and parseMode delegate to the shared parsers in
-// internal/explore so the CLI and the cactid-serve HTTP API accept
-// exactly the same vocabulary (and reject the same garbage: zero,
-// negative and overflowing sizes included).
-func parseSize(s string) (int64, error) { return explore.ParseSize(s) }
-
-func parseRAM(s string) (tech.RAMType, error) { return explore.ParseRAM(s) }
-
-func parseMode(s string) (core.AccessMode, error) { return explore.ParseMode(s) }
 
 func main() {
 	var (
@@ -76,7 +69,7 @@ func main() {
 		return
 	}
 
-	capBytes, err := parseSize(*size)
+	capBytes, err := explore.ParseSize(*size)
 	if err != nil {
 		fatal(err)
 	}
@@ -107,11 +100,11 @@ func main() {
 		return
 	}
 
-	ramType, err := parseRAM(*ram)
+	ramType, err := explore.ParseRAM(*ram)
 	if err != nil {
 		fatal(err)
 	}
-	am, err := parseMode(*mode)
+	am, err := explore.ParseMode(*mode)
 	if err != nil {
 		fatal(err)
 	}

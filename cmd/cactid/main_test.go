@@ -48,6 +48,10 @@ func TestJSONMatchesReference(t *testing.T) {
 	}
 }
 
+// The parse tests below hold the CLI to the vocabulary it takes from
+// internal/explore, the same one cactid-serve's request fields use;
+// explore's own tables hold every case.
+
 func TestParseSize(t *testing.T) {
 	cases := map[string]int64{
 		"64":    64,
@@ -61,13 +65,13 @@ func TestParseSize(t *testing.T) {
 		"2Gbit": 2 << 30 / 8,
 	}
 	for in, want := range cases {
-		got, err := parseSize(in)
+		got, err := explore.ParseSize(in)
 		if err != nil {
-			t.Errorf("parseSize(%q): %v", in, err)
+			t.Errorf("ParseSize(%q): %v", in, err)
 			continue
 		}
 		if got != want {
-			t.Errorf("parseSize(%q) = %d, want %d", in, got, want)
+			t.Errorf("ParseSize(%q) = %d, want %d", in, got, want)
 		}
 	}
 }
@@ -93,8 +97,8 @@ func TestParseSizeErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got, err := parseSize(tc.in); err == nil {
-				t.Errorf("parseSize(%q) = %d, want error", tc.in, got)
+			if got, err := explore.ParseSize(tc.in); err == nil {
+				t.Errorf("ParseSize(%q) = %d, want error", tc.in, got)
 			}
 		})
 	}
@@ -107,9 +111,9 @@ func TestParseRAM(t *testing.T) {
 		"comm-dram": tech.COMMDRAM, "comm": tech.COMMDRAM, "cm": tech.COMMDRAM,
 	}
 	for in, want := range cases {
-		got, err := parseRAM(in)
+		got, err := explore.ParseRAM(in)
 		if err != nil || got != want {
-			t.Errorf("parseRAM(%q) = %v, %v; want %v", in, got, err, want)
+			t.Errorf("ParseRAM(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
 }
@@ -126,8 +130,8 @@ func TestParseRAMErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := parseRAM(tc.in); err == nil {
-				t.Errorf("parseRAM(%q) should fail", tc.in)
+			if _, err := explore.ParseRAM(tc.in); err == nil {
+				t.Errorf("ParseRAM(%q) should fail", tc.in)
 			}
 		})
 	}
@@ -139,11 +143,11 @@ func TestParseMode(t *testing.T) {
 		"sequential": core.Sequential, "fast": core.Fast,
 	}
 	for in, want := range cases {
-		if got, err := parseMode(in); err != nil || got != want {
-			t.Errorf("parseMode(%q) = %v, %v; want %v", in, got, err, want)
+		if got, err := explore.ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := parseMode("warp"); err == nil {
+	if _, err := explore.ParseMode("warp"); err == nil {
 		t.Error("unknown mode should fail")
 	}
 }

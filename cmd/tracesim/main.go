@@ -103,13 +103,6 @@ func runTraces(s *study.Study, files []string, config string) (*study.RunResult,
 	return r, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracesim:", err)
 	os.Exit(1)

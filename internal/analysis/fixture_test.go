@@ -34,7 +34,7 @@ var wantRE = regexp.MustCompile(`// want (".*")\s*$`)
 var wantStrRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
 // runFixture applies one analyzer to one testdata file and compares
-// diagnostics (after suppression filtering) with want comments.
+// its diagnostics with want comments.
 func runFixture(t *testing.T, a *Analyzer, filename string) {
 	t.Helper()
 	path := filepath.Join("testdata", filename)
@@ -180,8 +180,7 @@ func (i *fixtureProgImporter) Import(path string) (*types.Package, error) {
 }
 
 // runProgramFixture applies one analyzer to a fixture program and
-// compares diagnostics (after suppression filtering) with want
-// comments across every file.
+// compares its diagnostics with want comments across every file.
 func runProgramFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	prog := loadFixtureProgram(t, dir)

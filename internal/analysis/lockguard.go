@@ -16,10 +16,9 @@ import (
 // The check is deliberately flow-insensitive — a function either
 // takes the right lock before the access or it does not — which is
 // exactly the discipline the memoized tech tables and the explore
-// result cache rely on. Construction-time accesses that precede
-// sharing (make(map...) in a constructor) are the intended use of a
-// //lint:ignore suppression: the reason documents the publication
-// argument.
+// result cache rely on. A constructor sets guarded fields in the one
+// composite literal that builds the value, which touches no field
+// through a shared value, so it needs no lock.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc:  "struct fields annotated `// guarded by <mu>` must only be accessed with that mutex held",

@@ -123,9 +123,10 @@ func keptContext(ctx context.Context, n int) int {
 	return computeContext(ctx, n)
 }
 
-// suppressedRoot documents why a fresh root is correct here.
+// suppressedRoot argues for a fresh root in a comment; the finding
+// stands, because no comment is an exception.
 func suppressedRoot(ctx context.Context) error {
 	_ = ctx.Err()
 	//lint:ignore ctxflow detached audit write must survive request cancellation
-	return solve(context.Background(), 1)
+	return solve(context.Background(), 1) // want "context.Background inside a function that already has a context"
 }

@@ -41,13 +41,19 @@ func (s *store) lockAfter(k string) int {
 	return v
 }
 
-// newStore initializes before the value is shared; the suppression
-// documents the publication argument.
+// newStore writes a guarded field through the value it built; the
+// comment argues publication, but no comment is an exception.
 func newStore() *store {
 	s := &store{}
 	//lint:ignore lockguard s is not yet shared, constructor runs single-threaded
-	s.m = map[string]int{}
+	s.m = map[string]int{} // want "s.m is accessed without s.mu.Lock"
 	return s
+}
+
+// newStoreLiteral builds the value in one composite literal: no
+// guarded field is touched through a shared value, so it is clean.
+func newStoreLiteral() *store {
+	return &store{m: map[string]int{}}
 }
 
 // rwStore embeds the mutex: promoted Lock/RLock calls count.

@@ -17,8 +17,8 @@ import (
 // allocates, on the BenchmarkPrescan specs with the mat-stage table
 // filled: a prescan, its exact-minimum walks and its release allocate
 // nothing (the bank-edge driver comes from the table entry, not from a
-// chain sized per prescan), and neither does an enumeration (its index
-// and slabs are pooled).
+// chain sized per prescan), and neither does an enumeration (its
+// buffer is pooled).
 func TestPrescanAllocs(t *testing.T) {
 	specs := map[string]Spec{
 		"sram": specSRAM(4<<20, 512, 8),

@@ -247,7 +247,7 @@ func Enumerate(spec Spec) []*Bank {
 // returning them in deterministic grid order, plus the prune/build
 // counters. A cancelled context aborts the scan and returns ctx.Err()
 // with nil banks. The caller keeps every bank, so they are copied out
-// of the enumeration's pooled slabs.
+// of the enumeration's pooled buffer.
 func EnumerateContext(ctx context.Context, spec Spec) ([]*Bank, Counters, error) {
 	bc, err := newBuildCtx(spec)
 	if err != nil {
@@ -281,12 +281,12 @@ func (c *bankCopy) from(b *Bank) *Bank {
 }
 
 // Copy returns a standalone copy of b and its mat, in one allocation:
-// the solver copies its winners out of the enumeration's pooled slabs
+// the solver copies its winners out of the enumeration's pooled buffer
 // with it.
 func (b *Bank) Copy() *Bank { return new(bankCopy).from(b) }
 
-// copyOut copies banks and their mats into one slab of the caller's
-// own, in order.
+// copyOut copies banks and their mats into one allocation of the
+// caller's own, in order.
 func copyOut(banks []*Bank) []*Bank {
 	cs := make([]bankCopy, len(banks))
 	out := make([]*Bank, len(banks))
@@ -296,54 +296,39 @@ func copyOut(banks []*Bank) []*Bank {
 	return out
 }
 
-// slab holds the banks one slot built and their mats. A slot builds at
-// most len(enumMux) banks, so a fixed-size slab always has room.
-type slab struct {
-	n     int
-	banks [len(enumMux)]Bank
-	mats  [len(enumMux)]mat.Mat
-}
-
-var slabPool = sync.Pool{New: func() any { return new(slab) }}
-
-// results is one enumeration's pooled result index: every slot's slab
-// and the merged list that points into them. One enumeration holds it
-// from its first slot to its Release, so several enumerations of one
-// shared prescan each take their own.
+// results is one enumeration's pooled buffer: the banks it built and
+// their mats, appended in grid order (bank i's mat is mats[i]), and
+// the merged list that points into them. One enumeration holds it from
+// its first slot to its Release, so several enumerations of one shared
+// prescan each take their own.
 type results struct {
-	slabs  [gridSlots]*slab
+	banks  []Bank
+	mats   []mat.Mat
 	merged []*Bank
 }
 
 var resultsPool = sync.Pool{New: func() any { return new(results) }}
 
-// release clears the entries the enumeration used, so pooled slabs pin
-// no technology, and returns every slab and the index to their pools.
+// release clears the entries the enumeration used, so pooled buffers
+// pin no technology, and returns the buffer to its pool.
 func (r *results) release() {
-	for i, s := range r.slabs {
-		if s != nil {
-			clear(s.banks[:s.n])
-			clear(s.mats[:s.n])
-			s.n = 0
-			slabPool.Put(s)
-			r.slabs[i] = nil
-		}
-	}
+	clear(r.banks)
+	clear(r.mats)
 	clear(r.merged)
-	r.merged = r.merged[:0]
+	r.banks, r.mats, r.merged = r.banks[:0], r.mats[:0], r.merged[:0]
 	resultsPool.Put(r)
 }
 
 // Enumerated is a bounded enumeration's surviving banks, in grid
-// order. They live in pooled slabs until Release: a caller that keeps
-// a bank copies it out first (Bank.Copy). Copies of an Enumerated share
-// its slabs, so exactly one of them is released.
+// order. They live in a pooled buffer until Release: a caller that
+// keeps a bank copies it out first (Bank.Copy). Copies of an Enumerated
+// share its buffer, so exactly one of them is released.
 type Enumerated struct {
 	Banks []*Bank
 	res   *results
 }
 
-// Release returns the banks' slabs to their pool. Call it once, after
+// Release returns the banks' buffer to its pool. Call it once, after
 // the last read of Banks; it empties e, so a second call does nothing.
 func (e *Enumerated) Release() {
 	if e.res != nil {
@@ -356,21 +341,21 @@ func (e *Enumerated) Release() {
 // (NoLimits) and Prescanned.Enumerate (caller-derived pruning
 // thresholds). bc's grid must already be classified; bc is only read,
 // so enumerations of one context may run at once. It scans the slots
-// in grid order, and each slot's banks land in a pooled slab of the
-// enumeration's own result index. A cancelled enumeration releases its
-// slabs and returns an empty Enumerated.
+// in grid order, appending each slot's banks to the enumeration's own
+// pooled buffer. A cancelled enumeration releases its buffer and
+// returns an empty Enumerated.
 func enumerateWith(ctx context.Context, bc *buildCtx, lim Limits) (Enumerated, Counters, error) {
 	res := resultsPool.Get().(*results)
 	// The slot loop polls ctx.Done(), which locks nothing once made,
 	// where ctx.Err() takes the context's mutex once per slot.
 	var c Counters
 slots:
-	for slot := range res.slabs {
+	for slot := range gridSlots {
 		select {
 		case <-ctx.Done():
 			break slots
 		default:
-			res.slabs[slot] = enumerateShard(bc, slot, lim, &c)
+			enumerateShard(bc, slot, lim, &c, res)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -379,32 +364,28 @@ slots:
 	}
 
 	// Slots enumerate (rows, cols) in grid order, and each slot's
-	// banks are in ascending mux order, so the concatenation is the
-	// grid order.
-	out := res.merged[:0]
-	for _, s := range res.slabs {
-		if s != nil {
-			for i := range s.n {
-				out = append(out, &s.banks[i])
-			}
-		}
+	// banks are in ascending mux order, so the buffer is in grid
+	// order. Appends may have moved the mats, so each bank is pointed
+	// at its mat only now.
+	for i := range res.banks {
+		res.banks[i].Mat = &res.mats[i]
+		res.merged = append(res.merged, &res.banks[i])
 	}
-	res.merged = out
-	return Enumerated{Banks: out, res: res}, c, nil
+	return Enumerated{Banks: res.merged, res: res}, c, nil
 }
 
 // enumerateShard evaluates one (rows, cols) slot of the grid, adds its
-// counters to c and returns the slab of the banks it built, nil when it
-// built none. The margin memo and the shard tiers charge the slot from
-// its survivor count; past them, its survivors are rebuilt from its
-// mask into a stack buffer, which the point tiers compact in place. The
+// counters to c and appends the banks it builds, and their mats, to
+// res. The margin memo and the shard tiers charge the slot from its
+// survivor count; past them, its survivors are rebuilt from its mask
+// into a stack buffer, which the point tiers compact in place. The
 // mux-independent mat model is then built once and the final survivors
-// are evaluated into a pooled slab, in ascending mux order.
-func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
+// are evaluated in ascending mux order.
+func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters, res *results) {
 	sc := &bc.class[slot]
 	c.addSlot(sc)
 	if sc.surv == 0 {
-		return nil
+		return
 	}
 	nSurv := int64(bits.OnesCount16(sc.surv))
 	rows, cols := slotRC(slot)
@@ -414,7 +395,7 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 	// charged to the same counter bucket without paying for the model.
 	if bc.marginFail[slot/len(enumCols)] {
 		c.PrunedMargin += nSurv
-		return nil
+		return
 	}
 
 	// Shard-level bounds, two tiers: when the cheap geometric lower
@@ -433,7 +414,7 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 		}
 		if pruned {
 			c.PrunedBoundShard += nSurv
-			return nil
+			return
 		}
 	}
 
@@ -456,7 +437,7 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 		}
 		surv = kept
 		if len(surv) == 0 {
-			return nil
+			return
 		}
 	}
 
@@ -470,13 +451,13 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 		} else {
 			c.BuildErrors += int64(len(surv))
 		}
-		return nil
+		return
 	}
 
 	// Point-level bounds: with the memoized mux parts in hand the
 	// mat's access time and footprint are known exactly; discard
-	// points before sizing the output slabs so the slabs hold only
-	// what will actually be built.
+	// points before building them, so the buffer holds only what
+	// survives.
 	if lim.active() {
 		kept := surv[:0]
 		for _, o := range surv {
@@ -497,28 +478,27 @@ func enumerateShard(bc *buildCtx, slot int, lim Limits, c *Counters) *slab {
 		}
 		surv = kept
 		if len(surv) == 0 {
-			return nil
+			return
 		}
 	}
 
-	s := slabPool.Get().(*slab)
 	for _, o := range surv {
 		parts := bc.mats.muxPartsFor(sh, cols, o.Mux)
-		m := &s.mats[s.n]
+		n := len(res.mats)
+		res.mats = append(res.mats, mat.Mat{})
+		m := &res.mats[n]
 		if err := sh.BuildInto(o.Mux, parts, m); err != nil {
+			// BuildInto refuses before it writes m: the slot is still
+			// zero.
+			res.mats = res.mats[:n]
 			c.BuildErrors++
 			continue
 		}
 		m.Tech = bc.spec.Tech // the caller's, not the table's private copy
 		c.Built++
-		bc.finishInto(o, m, &s.banks[s.n])
-		s.n++
+		res.banks = append(res.banks, Bank{})
+		bc.finishInto(o, m, &res.banks[n])
 	}
-	if s.n == 0 {
-		slabPool.Put(s)
-		return nil
-	}
-	return s
 }
 
 // OrgFor derives the full organization implied by a (rows, cols, mux)
@@ -932,8 +912,8 @@ func (bc *buildCtx) finish(o Org, m *mat.Mat) *Bank {
 }
 
 // finishInto is finish writing into a caller-owned Bank (the batch
-// path evaluates a whole shard into one slab instead of allocating per
-// point). The arithmetic is identical to the historical finish.
+// path evaluates a whole shard into the enumeration's buffer instead
+// of allocating per point). The arithmetic is identical to the historical finish.
 func (bc *buildCtx) finishInto(o Org, m *mat.Mat, b *Bank) {
 	spec := bc.spec
 	cell := bc.cell

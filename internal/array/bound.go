@@ -474,7 +474,7 @@ func (p *Prescanned) Build(o Org) (*Bank, error) {
 // deterministic function of (spec, lim), and for limits derived by the
 // solver's probe scheme the surviving banks are exactly those the
 // staged filter could ever keep (DESIGN.md §1.2e). The banks live in
-// pooled slabs: the caller defers Release right after the call, and
+// a pooled buffer: the caller defers Release right after the call, and
 // copies out any bank it keeps. A cancelled enumeration returns an
 // empty Enumerated.
 func (p *Prescanned) Enumerate(ctx context.Context, lim Limits) (Enumerated, Counters, error) {

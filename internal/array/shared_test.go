@@ -157,11 +157,11 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestEnumerateReleaseAfterCancel: four goroutines run bounded
-// enumerations of one shared prescan through the slab pool, and every
+// enumerations of one shared prescan through the buffer pool, and every
 // third is cancelled at a varying poll of its slot loop. A completed
 // enumeration must equal one of a private prescan bit for bit; a
 // cancelled one must return its context's error and an empty
-// Enumerated; every handle is released twice. A slab released twice,
+// Enumerated; every handle is released twice. A buffer released twice,
 // or left in use by a cancelled enumeration, would reach two
 // enumerations at once and corrupt one of them. `make stress` runs it
 // under the race detector ten times.

@@ -464,7 +464,7 @@ func Filter(spec Spec, sols []*Solution) []*Solution {
 // candidates is a solution set as the staged filter reads it: Filter's
 // assembled solutions, or the bounded solver's enumerated data banks,
 // which at assembles over the tag bank one at a time into a caller's
-// scratch. The banks live in the enumeration's pooled slabs until its
+// scratch. The banks live in the enumeration's pooled buffer until its
 // caller releases data. spec is normalized.
 type candidates struct {
 	spec Spec
@@ -608,7 +608,7 @@ func ranksBefore(oa, acca float64, a *array.Org, ob, accb float64, b *array.Org)
 // best returns Filter's first solution over c without building the
 // survivor list: each candidate is assembled once to measure it, and
 // only the winner is assembled again, onto the heap, over a copy of
-// its data bank that outlives the enumeration's slabs. The order is
+// its data bank that outlives the enumeration's buffer. The order is
 // total, so the minimum is the element Filter's sort puts first.
 func (c *candidates) best() (*Solution, error) {
 	// Most solves keep a few dozen candidates at most; the rare larger

@@ -48,7 +48,7 @@ func pooledSpecs() []core.Spec {
 
 // TestConcurrentSolvesMatchSerial solves generated specs of every
 // provider on several goroutines at once, so build contexts and result
-// slabs pass between solves through the pools while others are in use.
+// buffers pass between solves through the pools while others are in use.
 // Every result must equal, value for value, the serial reference
 // solved beforehand: a context that leaked one solve's scratch into
 // another, or a winner that aliased released scratch, would differ. `make stress` runs it under

@@ -50,9 +50,11 @@ type Options struct {
 type Engine struct {
 	cache   *cache
 	workers int
-	solver  func(context.Context, core.Spec) (*core.Solution, error)
-	chaos   *chaos.Injector // nil = fault injection disabled
-	tier1   store.Tiered    // nil = durable tier disabled
+	// solver is Options.Solver; nil runs the default solver
+	// (optimize), and sweeps then share array sub-solves.
+	solver func(context.Context, core.Spec) (*core.Solution, error)
+	chaos  *chaos.Injector // nil = fault injection disabled
+	tier1  store.Tiered    // nil = durable tier disabled
 
 	solves atomic.Int64 // solver invocations (misses in every tier)
 	hits   atomic.Int64 // results served from tier 0 or an in-flight solve
@@ -61,10 +63,6 @@ type Engine struct {
 	tier1Misses atomic.Int64 // tier-1 lookups that fell through to the solver
 
 	panics atomic.Int64 // panics recovered from solver calls and sweep workers
-
-	// custom is set when Options.Solver replaced the default solver:
-	// sweeps then solve every point through it, sharing nothing.
-	custom bool
 
 	// Enumeration coverage, accumulated from core.SolveStats by the
 	// default solver (zero when a custom Solver is injected).
@@ -80,12 +78,6 @@ func New(opts Options) *Engine {
 		cache: newCache(opts.CacheEntries, opts.Chaos)}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
-	}
-	e.custom = e.solver != nil
-	if !e.custom {
-		e.solver = func(ctx context.Context, spec core.Spec) (*core.Solution, error) {
-			return e.optimize(ctx, spec, nil, -1)
-		}
 	}
 	return e
 }
@@ -234,7 +226,7 @@ func (e *Engine) runSolver(ctx context.Context, spec core.Spec, sub *core.SubSol
 	if err := e.chaos.Inject(ctx, chaos.ExploreSolve); err != nil {
 		return nil, err
 	}
-	if sub != nil {
+	if e.solver == nil {
 		return e.optimize(ctx, spec, sub, i)
 	}
 	return e.solver(ctx, spec)
@@ -288,7 +280,7 @@ func (e *Engine) Sweep(ctx context.Context, specs []core.Spec) []Result {
 	runs := (len(specs) + sweepRun - 1) / sweepRun
 	workers := max(1, min(e.workers, runs))
 	var sub *core.SubSolves
-	if !e.custom {
+	if e.solver == nil {
 		sub = core.NewSubSolves(specs)
 		defer sub.Close()
 	}

@@ -32,7 +32,7 @@ func TestParseSize(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"", "abc", "12XB", "MB", // malformed
+		"", "abc", "12XB", "MB", "4MBKB", // malformed
 		"0", "0MB", "-1", "-4KB", // non-positive
 		"1e30GB", "99999999999GB", "9223372036854775807KB", // overflow
 		"NaNMB", // not a number... strconv accepts "NaN"!
@@ -55,7 +55,7 @@ func TestParseRAM(t *testing.T) {
 			t.Errorf("ParseRAM(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "flash", "dram"} {
+	for _, bad := range []string{"", "flash", "dram", "sramm"} {
 		if _, err := ParseRAM(bad); err == nil {
 			t.Errorf("ParseRAM(%q) should fail", bad)
 		}
@@ -73,7 +73,7 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"slow", "x", "normal2"} {
+	for _, bad := range []string{"slow", "x", "normal2", "warp"} {
 		if _, err := ParseMode(bad); err == nil {
 			t.Errorf("ParseMode(%q) should fail", bad)
 		}

@@ -150,7 +150,7 @@ func (c *Controller) Access(addr uint64, write bool, now int64) int64 {
 		// Row conflict: precharge, activate, CAS.
 		c.Stats.RowMisses++
 		c.Stats.Activates++
-		actAt := maxi(start+t.TRP, c.actFree[ch])
+		actAt := max(start+t.TRP, c.actFree[ch])
 		c.actFree[ch] = actAt + t.TRRD
 		ready = actAt + t.TRCD + t.CAS
 		c.openRow[ch][bank] = row
@@ -158,7 +158,7 @@ func (c *Controller) Access(addr uint64, write bool, now int64) int64 {
 	default:
 		// Closed bank (or closed-page policy): activate, CAS.
 		c.Stats.Activates++
-		actAt := maxi(start, c.actFree[ch])
+		actAt := max(start, c.actFree[ch])
 		c.actFree[ch] = actAt + t.TRRD
 		ready = actAt + t.TRCD + t.CAS
 		if c.cfg.Policy == OpenPage {
@@ -170,7 +170,7 @@ func (c *Controller) Access(addr uint64, write bool, now int64) int64 {
 		}
 	}
 
-	busAt := maxi(ready, c.busFree[ch])
+	busAt := max(ready, c.busFree[ch])
 	done := busAt + t.Burst
 	c.busFree[ch] = done
 	c.Stats.QueueWaitCyc += uint64(busAt - ready + start - now)
@@ -186,11 +186,4 @@ func (c *Controller) Access(addr uint64, write bool, now int64) int64 {
 		c.lastDone[ch] = done
 	}
 	return done
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -246,7 +246,7 @@ func (g *Generator) Next() Ref {
 	default:
 		radius := math.Pow(g.uniform(), g.p.RadialK)
 		if g.uniform() < g.p.SharedFrac {
-			off := uint64(radius * float64(min64(g.p.WSBytes/8, 64<<20)))
+			off := uint64(radius * float64(min(g.p.WSBytes/8, 64<<20)))
 			r.Addr = g.sharedBase + off&^uint64(lineBytes-1)
 		} else {
 			// Each thread owns a contiguous slab of the cold region
@@ -275,11 +275,4 @@ func (g *Generator) Next() Ref {
 	}
 	r.Write = g.uniform() < g.p.WriteFrac
 	return r
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -180,10 +180,10 @@ func (s *Study) SimConfig(configName string, prof workload.Profile, seed uint64)
 		// before the data access; normal-mode caches (the SRAM L3)
 		// overlap them, so the whole access is one stage.
 		tagC := int64(0)
-		dataC := maxI64(1, cyc(sol.AccessTime))
+		dataC := max(1, cyc(sol.AccessTime))
 		if sol.Spec.Mode == core.Sequential && sol.Tag != nil {
-			tagC = maxI64(1, cyc(sol.Tag.AccessTime))
-			dataC = maxI64(1, cyc(sol.Data.AccessTime))
+			tagC = max(1, cyc(sol.Tag.AccessTime))
+			dataC = max(1, cyc(sol.Data.AccessTime))
 		}
 		l3p = &sim.L3Params{
 			CapacityBytes:  sol.Spec.CapacityBytes / s.Scale,
@@ -191,7 +191,7 @@ func (s *Study) SimConfig(configName string, prof workload.Profile, seed uint64)
 			Banks:          8,
 			TagCycles:      tagC,
 			DataCycles:     dataC,
-			BankBusyCycles: maxI64(1, cyc(sol.InterleaveCycle)),
+			BankBusyCycles: max(1, cyc(sol.InterleaveCycle)),
 			CrossbarCycles: xbarCycles,
 			PageBits:       int64(sol.Spec.PageBits),
 		}
@@ -201,8 +201,8 @@ func (s *Study) SimConfig(configName string, prof workload.Profile, seed uint64)
 		Cores: 8, ThreadsPerCore: 4, LineBytes: 64,
 		L1Bytes: (32 << 10) / s.Scale, L1Ways: 8,
 		L2Bytes: (1 << 20) / s.Scale, L2Ways: 8,
-		L1HitCycles: maxI64(1, cyc(s.L1.AccessTime)),
-		L2HitCycles: maxI64(1, cyc(s.L2.AccessTime)),
+		L1HitCycles: max(1, cyc(s.L1.AccessTime)),
+		L2HitCycles: max(1, cyc(s.L2.AccessTime)),
 		L3:          l3p,
 		Mem: memctl.Config{
 			Channels: 2, BanksPerChannel: 8,
@@ -212,7 +212,7 @@ func (s *Study) SimConfig(configName string, prof workload.Profile, seed uint64)
 			Timing: memctl.Timing{
 				TRCD: cyc(t.TRCD), CAS: cyc(t.CAS), TRP: cyc(t.TRP),
 				TRAS: cyc(t.TRAS), TRC: cyc(t.TRC),
-				TRRD: maxI64(4, cyc(t.TRRD)/2), Burst: maxI64(1, cyc(t.TBurst)),
+				TRRD: max(4, cyc(t.TRRD)/2), Burst: max(1, cyc(t.TBurst)),
 			},
 			PowerDown:      s.UsePowerDown,
 			PowerDownAfter: 200, // 100ns idle threshold
@@ -220,13 +220,6 @@ func (s *Study) SimConfig(configName string, prof workload.Profile, seed uint64)
 		},
 		Workload: prof, InstrBudget: s.InstrBudget, WarmupFrac: 0.3, Seed: seed,
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Energies builds the power-model inputs for one configuration.
